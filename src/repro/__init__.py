@@ -6,7 +6,7 @@ queries over facilities located on a road network whose edges carry multiple
 cost types, processed with the Local Search Algorithm (LSA) and the Combined
 Expansion Algorithm (CEA) over a disk-resident storage scheme — grown into a
 query-serving system with batched, sharded-parallel and continuously
-monitored execution.
+monitored execution.  It runs on the Python standard library alone.
 
 The public entry point is the :mod:`repro.api` facade: one
 :class:`~repro.api.Session` owns the dataset, one declarative
@@ -45,8 +45,9 @@ execute, and every call returns a uniform response envelope::
     tick = handle.tick(UpdateTick((FacilityInsert(9000, edge_id=5, offset=1.0),)))
     tick.deltas[0].entered  # facilities that joined the skyline
 
-    # Fast path: the columnar expansion kernel — answers and I/O accounting
-    # bit-identical, queries just faster.  Or globally: REPRO_COMPILED=1.
+    # Fast path: the one compiled expansion kernel over a CSR snapshot —
+    # answers and I/O accounting bit-identical, queries just faster.  Or
+    # globally: REPRO_COMPILED=1.
     fast = session.run_batch(
         [SkylineRequest(query)], policy=session.policy.replace(compiled="on")
     )

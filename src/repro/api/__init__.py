@@ -17,8 +17,8 @@ lazily builds and caches whatever stack the policy needs::
     delta = handle.tick(update_tick)                               # TickResponse
 
 :mod:`repro.api.policy` is additionally the single source of truth for the
-``REPRO_COMPILED`` and ``REPRO_VECTOR`` environment toggles and for the
-parallel-execution vocabulary (``ROUTINGS`` / ``EXECUTORS``).
+``REPRO_COMPILED`` environment toggle and for the parallel-execution
+vocabulary (``ROUTINGS`` / ``EXECUTORS``).
 
 The :class:`Session`-side symbols are imported lazily (PEP 562): modules
 deep in the stack (e.g. :mod:`repro.core.engine`) import
@@ -35,15 +35,10 @@ from repro.api.policy import (
     ExecutionPolicy,
     RESIDENCIES,
     ROUTINGS,
-    VECTOR_ENV_VAR,
-    VECTOR_MODES,
     compiled_env_default,
-    numpy_available,
     policy_from_payload,
     policy_to_payload,
     resolve_compiled,
-    resolve_vector,
-    vector_env_default,
 )
 from repro.api.stats import (
     DEFAULT_TRACKED_QUANTILES,
@@ -70,15 +65,10 @@ __all__ = [
     "RollingLatencyStats",
     "Session",
     "TickResponse",
-    "VECTOR_ENV_VAR",
-    "VECTOR_MODES",
     "compiled_env_default",
-    "numpy_available",
     "policy_from_payload",
     "policy_to_payload",
     "resolve_compiled",
-    "resolve_vector",
-    "vector_env_default",
 ]
 
 _SESSION_EXPORTS = frozenset(

@@ -15,11 +15,10 @@ Every field is validated at construction — a bad policy raises
 engine, pool or subscription exists, never mid-batch.
 
 This module is also the single source of truth for the ``REPRO_COMPILED``
-and ``REPRO_VECTOR`` environment toggles: :func:`compiled_env_default` and
-:func:`vector_env_default` are the only places the variables are parsed, and
-:func:`resolve_compiled` / :func:`resolve_vector` map the policies'
-``"auto"``/``"on"``/``"off"`` modes onto them.  :mod:`repro.core.engine`,
-the sharded workers and the monitoring service all defer here.
+environment toggle: :func:`compiled_env_default` is the only place the
+variable is parsed, and :func:`resolve_compiled` maps the policies'
+``"auto"``/``"on"``/``"off"`` modes onto it.  :mod:`repro.core.engine`, the
+sharded workers and the monitoring service all defer here.
 
 Example
 -------
@@ -31,7 +30,6 @@ True
 from __future__ import annotations
 
 import dataclasses
-import importlib.util
 import os
 import warnings
 from collections.abc import Iterable
@@ -53,16 +51,11 @@ __all__ = [
     "RESIDENCIES",
     "ROUTINGS",
     "TEMPORAL_MODES",
-    "VECTOR_ENV_VAR",
-    "VECTOR_MODES",
     "compiled_env_default",
     "legacy_kwargs_warning",
-    "numpy_available",
     "policy_from_payload",
     "policy_to_payload",
     "resolve_compiled",
-    "resolve_vector",
-    "vector_env_default",
 ]
 
 #: Environment toggle for the columnar fast path.  A policy (or engine) in
@@ -70,22 +63,12 @@ __all__ = [
 #: through the :class:`~repro.core.kernel.ExpansionKernel`.
 COMPILED_ENV_VAR = "REPRO_COMPILED"
 
-#: Environment toggle for the vectorised expansion kernel.  ``"auto"`` mode
-#: consults it; unset means "use the vectorised kernel whenever numpy is
-#: importable".  CI sets ``REPRO_VECTOR=0`` to drive the whole test suite
-#: through the pure-python fallback kernel.
-VECTOR_ENV_VAR = "REPRO_VECTOR"
-
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 
 ALGORITHMS = ("cea", "lsa", "baseline")
 RESIDENCIES = ("memory", "disk", "dataset")
 COMPILED_MODES = ("auto", "on", "off")
-VECTOR_MODES = ("auto", "on", "off")
 TEMPORAL_MODES = ("off", "profiles")
-
-#: Lazily probed numpy availability (the selection layer's import-time fact).
-_NUMPY_AVAILABLE: bool | None = None
 
 #: Canonical parallel-execution vocabulary.  Defined here (the only module
 #: every execution stack can import without a cycle) and re-exported by
@@ -117,59 +100,6 @@ def resolve_compiled(mode: str) -> bool:
         return compiled_env_default()
     raise PolicyError(
         f"unknown compiled mode {mode!r}; expected one of {COMPILED_MODES}"
-    )
-
-
-def numpy_available() -> bool:
-    """Whether numpy can be imported (probed once, then cached).
-
-    The selection layer's environmental fact: without numpy the vectorised
-    kernel cannot run and every ``"auto"`` resolution falls back to the
-    pure-python :class:`~repro.core.kernel.ExpansionKernel`.
-    """
-    global _NUMPY_AVAILABLE
-    if _NUMPY_AVAILABLE is None:
-        _NUMPY_AVAILABLE = importlib.util.find_spec("numpy") is not None
-    return _NUMPY_AVAILABLE
-
-
-def vector_env_default() -> bool:
-    """Whether the vectorised kernel is currently the default fast path.
-
-    The only place ``REPRO_VECTOR`` is parsed.  Unset (or blank) means
-    "vectorise whenever numpy is importable"; a falsy value forces the
-    pure-python fallback; a truthy value is still capped by numpy
-    availability — the toggle can disable vectorisation, never conjure it.
-    """
-    if not numpy_available():
-        return False
-    raw = os.environ.get(VECTOR_ENV_VAR, "").strip().lower()
-    if not raw:
-        return True
-    return raw in _TRUTHY
-
-
-def resolve_vector(mode: str) -> bool:
-    """Resolve a policy ``vector`` mode to the effective on/off decision.
-
-    ``"off"`` is unconditional; ``"auto"`` defers to the ``REPRO_VECTOR``
-    environment toggle (and numpy availability) at resolution time; ``"on"``
-    demands the vectorised kernel and raises :class:`PolicyError` when numpy
-    is not importable, instead of silently degrading.
-    """
-    if mode == "on":
-        if not numpy_available():
-            raise PolicyError(
-                "vector='on' requires numpy, which is not importable; use "
-                "vector='auto' to fall back to the pure-python kernel"
-            )
-        return True
-    if mode == "off":
-        return False
-    if mode == "auto":
-        return vector_env_default()
-    raise PolicyError(
-        f"unknown vector mode {mode!r}; expected one of {VECTOR_MODES}"
     )
 
 
@@ -213,13 +143,6 @@ class ExecutionPolicy:
         Columnar fast-path mode: ``"on"``, ``"off"`` or ``"auto"`` (defer to
         the ``REPRO_COMPILED`` environment toggle at resolution time).
         Answers and I/O counters are identical either way.
-    vector:
-        Vectorised-kernel mode for the compiled fast path: ``"auto"``
-        (default — vectorise when numpy is importable and ``REPRO_VECTOR``
-        does not veto it), ``"on"`` (demand the vectorised kernel; raises at
-        resolution when numpy is missing) or ``"off"`` (always the
-        pure-python fallback kernel).  Ignored when the fast path itself is
-        off; answers and I/O counters are identical either way.
     page_size / buffer_fraction:
         Storage-scheme knobs, used only under ``residency="disk"``.
     workers / routing / executor:
@@ -251,7 +174,6 @@ class ExecutionPolicy:
     residency: str = "memory"
     dataset_path: str | None = None
     compiled: str = "auto"
-    vector: str = "auto"
     page_size: int = 4096
     buffer_fraction: float = 0.01
     workers: int = 1
@@ -292,12 +214,6 @@ class ExecutionPolicy:
             raise PolicyError(
                 f"unknown compiled mode {self.compiled!r}; expected one of "
                 f"{COMPILED_MODES} ('auto' defers to {COMPILED_ENV_VAR})"
-            )
-        if self.vector not in VECTOR_MODES:
-            raise PolicyError(
-                f"unknown vector mode {self.vector!r}; expected one of "
-                f"{VECTOR_MODES} ('auto' defers to {VECTOR_ENV_VAR} and "
-                "numpy availability)"
             )
         if not isinstance(self.page_size, int) or isinstance(self.page_size, bool) or self.page_size < 128:
             raise PolicyError(
@@ -409,11 +325,6 @@ class ExecutionPolicy:
     def resolved_compiled(self) -> bool:
         """The effective fast-path decision (``"auto"`` resolved against the env)."""
         return resolve_compiled(self.compiled)
-
-    def resolved_vector(self) -> bool:
-        """The effective vectorised-kernel decision (``"auto"`` resolved against
-        ``REPRO_VECTOR`` and numpy availability)."""
-        return resolve_vector(self.vector)
 
     @property
     def parallel(self) -> "ParallelExecution | None":

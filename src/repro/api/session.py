@@ -683,14 +683,12 @@ class Session:
         key = self._engine_key(resolved)
         if key not in self._engines:
             compiled = self._resolved_compiled(resolved)
-            vector = resolved.resolved_vector()
             if resolved.residency == "dataset" and self._dataset_path is None:
                 engine = MCNQueryEngine(
                     self._graph,
                     self._facilities,
                     accessor=self.dataset_storage_for(resolved),
                     compiled=compiled,
-                    vector=vector,
                 )
             elif self._explicit_accessor is not None:
                 engine = MCNQueryEngine(
@@ -698,7 +696,6 @@ class Session:
                     self._facilities,
                     accessor=self._explicit_accessor,
                     compiled=compiled,
-                    vector=vector,
                 )
             elif resolved.residency == "disk":
                 engine = MCNQueryEngine(
@@ -706,11 +703,10 @@ class Session:
                     self._facilities,
                     storage=self.storage_for(resolved),
                     compiled=compiled,
-                    vector=vector,
                 )
             else:
                 engine = MCNQueryEngine(
-                    self._graph, self._facilities, compiled=compiled, vector=vector
+                    self._graph, self._facilities, compiled=compiled
                 )
             self._engines[key] = engine
         return self._engines[key]
@@ -909,7 +905,6 @@ class Session:
             )
         key = (
             resolved.resolved_compiled(),
-            resolved.resolved_vector(),
             resolved.workers,
             resolved.routing,
             resolved.executor,
@@ -1028,28 +1023,25 @@ class Session:
 
     def _engine_key(self, policy: ExecutionPolicy) -> tuple:
         compiled = self._resolved_compiled(policy)
-        vector = policy.resolved_vector()
         if policy.residency == "dataset" and self._dataset_path is None:
             return (
                 "dataset",
                 policy.dataset_path,
                 float(policy.buffer_fraction),
                 compiled,
-                vector,
             )
         if self._explicit_accessor is not None:
-            return ("accessor", compiled, vector)
+            return ("accessor", compiled)
         if policy.residency == "disk":
             if self._explicit_storage is not None:
-                return ("disk", "explicit", compiled, vector)
+                return ("disk", "explicit", compiled)
             return (
                 "disk",
                 policy.page_size,
                 float(policy.buffer_fraction),
                 compiled,
-                vector,
             )
-        return ("memory", compiled, vector)
+        return ("memory", compiled)
 
     @staticmethod
     def _static_policy(policy: ExecutionPolicy) -> ExecutionPolicy:

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from repro.api.policy import ExecutionPolicy
 from repro.bench.driver import build_requests, percentile, ReplaySpec
 from repro.core.engine import MCNQueryEngine
-from repro.core.vector import kernel_class_for
 from repro.datagen.updates import UpdateStreamSpec, make_update_stream
 from repro.datagen.workload import WorkloadSpec, make_workload
 from repro.errors import QueryError
@@ -170,7 +169,6 @@ class PerfSuiteReport:
             "repeats": self.repeats,
             "python": sys.version.split()[0],
             "platform": platform.platform(),
-            "fast_kernel": kernel_class_for(None).__name__,
             "headline": {
                 "case": HEADLINE_CASE,
                 "speedup_median": round(self.headline.speedup_median, 3),
@@ -434,7 +432,7 @@ def run_perf_suite(*, smoke: bool = False, repeats: int | None = None) -> PerfSu
         _replay_case(
             HEADLINE_CASE,
             "one-shot skyline replay, LSA, in-memory, deep sparse-facility "
-            "expansions (the regime the vectorised kernel targets: long "
+            "expansions (the regime the compiled kernel targets: long "
             "settle stretches between facility hits)",
             ReplaySpec(
                 workload=WorkloadSpec(

@@ -30,21 +30,11 @@ from repro.core.results import (
 )
 from repro.core.skyline import MCNSkylineSearch, ProbingPolicy, cea_skyline, lsa_skyline
 from repro.core.topk import MCNTopKSearch, cea_top_k, lsa_top_k
-from repro.core.vector import (
-    NUMPY_AVAILABLE,
-    ColumnarFrontier,
-    VectorExpansionKernel,
-    kernel_class_for,
-)
 
 __all__ = [
     "AggregateFunction",
     "CandidateEntry",
     "CandidatePool",
-    "ColumnarFrontier",
-    "NUMPY_AVAILABLE",
-    "VectorExpansionKernel",
-    "kernel_class_for",
     "DirectChargeLayer",
     "ExpansionKernel",
     "ExpansionSeeds",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator, Sequence
 
-from repro.api.policy import COMPILED_ENV_VAR, compiled_env_default, vector_env_default
+from repro.api.policy import compiled_env_default
 from repro.core.aggregates import (
     AggregateFunction,
     MaxCost,
@@ -42,24 +42,9 @@ from repro.network.graph import MultiCostGraph
 from repro.network.location import NetworkLocation
 from repro.storage.scheme import NetworkStorage
 
-__all__ = ["MCNQueryEngine", "COMPILED_ENV_VAR", "compiled_default_enabled"]
+__all__ = ["MCNQueryEngine"]
 
 _ALGORITHMS = ("cea", "lsa", "baseline")
-
-# The REPRO_COMPILED environment toggle is parsed in exactly one place —
-# repro.api.policy — and consulted here when an engine is built without an
-# explicit ``compiled=`` argument.  CI sets it to drive the *entire* test
-# suite through the kernel, the strongest differential guarantee we run.
-# ``COMPILED_ENV_VAR`` is re-exported for backwards compatibility.
-
-
-def compiled_default_enabled() -> bool:
-    """Whether the fast path is enabled by default (the ``REPRO_COMPILED`` toggle).
-
-    Thin alias of :func:`repro.api.policy.compiled_env_default`, the single
-    source of truth for the environment toggle.
-    """
-    return compiled_env_default()
 
 
 class MCNQueryEngine:
@@ -76,7 +61,6 @@ class MCNQueryEngine:
         page_size: int = 4096,
         buffer_fraction: float = 0.01,
         compiled: bool | CompiledGraph | None = None,
-        vector: bool | None = None,
     ):
         """Create an engine over ``graph`` and ``facilities``.
 
@@ -97,14 +81,8 @@ class MCNQueryEngine:
         :class:`CompiledGraph` is adopted as-is (this is how shard workers
         share one snapshot instead of each re-reading the network).
         ``None`` (the default) consults the ``REPRO_COMPILED`` environment
-        toggle; ``False`` disables the fast path outright.
-
-        ``vector`` picks the fast path's kernel implementation: ``True``
-        the numpy-vectorised :class:`~repro.core.vector.VectorExpansionKernel`,
-        ``False`` the pure-python fallback, ``None`` (default) the
-        ``REPRO_VECTOR``/numpy-availability selection — resolved once, here.
-        Either kernel is bit-identical to the legacy expansion; the knob
-        only matters when the fast path is active.
+        toggle (parsed only by :func:`repro.api.policy.compiled_env_default`);
+        ``False`` disables the fast path outright.
         """
         self._graph = graph
         self._facilities = facilities
@@ -131,9 +109,8 @@ class MCNQueryEngine:
         else:
             self._storage = None
             self._accessor = InMemoryAccessor(graph, facilities)
-        self._vector = vector_env_default() if vector is None else bool(vector)
         if compiled is None:
-            compiled = compiled_default_enabled()
+            compiled = compiled_env_default()
         if isinstance(compiled, CompiledGraph):
             if compiled.graph is not graph:
                 raise QueryError("the compiled graph was built over a different graph")
@@ -177,11 +154,6 @@ class MCNQueryEngine:
     def compiled_graph(self) -> CompiledGraph | None:
         """The columnar snapshot the fast path runs on (``None`` when disabled)."""
         return self._compiled
-
-    @property
-    def vector_enabled(self) -> bool:
-        """Whether fast-path searches use the vectorised kernel (resolved once)."""
-        return self._vector
 
     def _search_compiled(self) -> CompiledGraph | None:
         """The snapshot to hand a new search, refreshed against facility mutations."""
@@ -282,7 +254,6 @@ class MCNQueryEngine:
             data_layer=data_layer,
             seeds=seeds,
             compiled=self._search_compiled(),
-            vector=self._vector,
         )
 
     def iter_skyline(
@@ -396,7 +367,6 @@ class MCNQueryEngine:
             data_layer=data_layer,
             seeds=seeds,
             compiled=self._search_compiled(),
-            vector=self._vector,
         )
 
     def iter_top(
@@ -434,7 +404,6 @@ class MCNQueryEngine:
             function,
             share_accesses=(algorithm == "cea"),
             compiled=self._search_compiled(),
-            vector=self._vector,
         )
 
     # ------------------------------------------------------------------ #

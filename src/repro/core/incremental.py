@@ -20,9 +20,8 @@ from collections.abc import Iterator
 from repro.core.aggregates import AggregateFunction
 from repro.core.candidates import CandidateEntry, CandidatePool
 from repro.core.expansion import ExpansionSeeds, NearestFacilityExpansion
-from repro.core.kernel import make_kernel_data_layer
+from repro.core.kernel import ExpansionKernel, make_kernel_data_layer
 from repro.core.results import QueryStatistics, RankedFacility
-from repro.core.vector import kernel_class_for
 from repro.errors import QueryError
 from repro.network.accessor import FetchOnceCache, GraphAccessor
 from repro.network.compiled import CompiledGraph
@@ -44,7 +43,6 @@ class IncrementalTopK(Iterator[RankedFacility]):
         *,
         share_accesses: bool = True,
         compiled: CompiledGraph | None = None,
-        vector: bool | None = None,
     ):
         if graph.num_cost_types != accessor.num_cost_types:
             raise QueryError("graph and accessor disagree on the number of cost types")
@@ -56,9 +54,8 @@ class IncrementalTopK(Iterator[RankedFacility]):
                 compiled, target=accessor, fetch_once=share_accesses
             )
             self._data_layer = layer
-            kernel_class = kernel_class_for(vector)
             self._expansions = [
-                kernel_class(layer, seeds, index)
+                ExpansionKernel(layer, seeds, index)
                 for index in range(accessor.num_cost_types)
             ]
         else:

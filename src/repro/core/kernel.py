@@ -14,7 +14,15 @@ inner loop walks CSR arrays:
 * settled membership is a bytearray flag per dense node instead of a dict
   probe per relaxation;
 * facility keys are one float add (``distance + precomputed delta``) instead
-  of a divide, a multiply and three attribute loads per record.
+  of a divide, a multiply and three attribute loads per record;
+* the pop/settle/relax cycle is one flat loop with every hot structure bound
+  once per call, and a settle whose incident edges host no facility relaxes
+  its arcs without probing the facility tables;
+* counter-only charges (in-memory LSA/CEA) are tallied in locals and added
+  to the accessor's counters once per call, and settled nodes are folded
+  into the ``settled_costs`` dict once per call, keyed by the snapshot's
+  tuple of node-id objects.  Views and counters are exact whenever no
+  kernel method is mid-call, which is the only time the searches look.
 
 **The logical I/O contract.**  The kernel performs *exactly* the data-layer
 requests the legacy expansion performs, at the same points of the search —
@@ -31,9 +39,12 @@ materialisation.  Three layers cover the three sharing regimes:
 
 Charging against a disk-resident accessor replays the request's precomputed
 page plan through the accessor's own LRU buffer — same pages, same order, so
-page-read/buffer-hit counters cannot drift from the record path.  The
-differential suite (``tests/test_kernel_differential.py``) pins all of this:
-identical facility streams, identical settled maps, identical counters.
+page-read/buffer-hit counters cannot drift from the record path; such layers
+(and the cross-query caches) are charged synchronously per request, because
+request *order* is part of the contract for an LRU buffer.  The conformance
+suite (``tests/expansion_conformance.py``) pins all of this against the
+reference expansion: identical facility streams, identical settled maps,
+identical counters.
 """
 
 from __future__ import annotations
@@ -89,10 +100,10 @@ class KernelDataLayer:
         raise NotImplementedError
 
     def batch_charges(self) -> tuple[str, object]:
-        """How a batching kernel may fold this layer's request accounting.
+        """How the kernel may fold this layer's request accounting.
 
         ``("count", stats)`` — every request is one unconditional counter
-        increment; a kernel may tally locally and add the totals in bulk at
+        increment; the kernel may tally locally and add the totals in bulk at
         its public-method boundaries.  ``("count_once", (stats, seen_nodes,
         seen_edges))`` — ditto, but deduplicated through the shared seen
         flags (CEA).  ``("generic", None)`` — the layer has per-request side
@@ -290,6 +301,13 @@ def make_kernel_data_layer(
     return DirectChargeLayer(compiled, target)
 
 
+# Charge-folding modes, resolved once per kernel from the layer's
+# batch_charges() capability (ints: the serving loop compares them per pop).
+_GENERIC = 0  # per-request side effects: charge synchronously through the layer
+_COUNT = 1  # unconditional counters: tally locally, bulk-add at call exit
+_COUNT_ONCE = 2  # dedup through the layer's shared seen-flags, then tally (CEA)
+
+
 class ExpansionKernel:
     """Incremental nearest-facility expansion over CSR columns.
 
@@ -314,15 +332,21 @@ class ExpansionKernel:
         "_edge_length",
         "_hot_arcs",
         "_hot_facs",
+        "_fac_nodes",
         "_heap",
         "_tiebreak",
         "_settled_flags",
         "_settled",
         "_reported",
         "_candidate_edges",
+        "_cand_nodes",
         "_allowed",
         "_heap_pops",
         "_facilities_retrieved",
+        "_charge_mode",
+        "_charge_stats",
+        "_seen_nodes",
+        "_seen_edges",
     )
 
     def __init__(self, layer: KernelDataLayer, seeds: ExpansionSeeds, cost_index: int):
@@ -345,15 +369,28 @@ class ExpansionKernel:
         self._edge_length = compiled.edge_length
         self._hot_arcs = compiled.hot_arcs(cost_index)
         self._hot_facs = compiled.hot_facilities(cost_index)
+        self._fac_nodes = compiled.hot_facility_node_flags()
         self._heap: list[tuple[float, int, object]] = []
         self._tiebreak = 0
         self._settled_flags = bytearray(compiled.num_nodes)
         self._settled: dict[NodeId, float] = {}
         self._reported: dict[FacilityId, float] = {}
         self._candidate_edges: dict[EdgeId, list[FacilityRecord]] | None = None
+        self._cand_nodes: set[int] | None = None
         self._allowed: set[FacilityId] | None = None
         self._heap_pops = 0
         self._facilities_retrieved = 0
+        mode, context = layer.batch_charges()
+        self._seen_nodes = self._seen_edges = None
+        if mode == "count":
+            self._charge_mode = _COUNT
+            self._charge_stats = context
+        elif mode == "count_once":
+            self._charge_mode = _COUNT_ONCE
+            self._charge_stats, self._seen_nodes, self._seen_edges = context
+        else:
+            self._charge_mode = _GENERIC
+            self._charge_stats = None
         self._seed()
 
     # ------------------------------------------------------------------ #
@@ -407,6 +444,25 @@ class ExpansionKernel:
             for records in candidates.values()
             for record in records
         }
+        # Nodes incident to a candidate-bearing edge: every other settle can
+        # take a pure arc-relaxation branch with no per-arc candidate probes.
+        # Candidate edges absent from the snapshot can never match an arc,
+        # so they contribute no incident nodes.  Only worth materialising for
+        # small candidate sets (insertion pricing: one or two edges) — a CEA
+        # fallback recompute enters with hundreds of edges, where building
+        # the set costs more than the probes it saves.
+        if len(self._candidate_edges) <= 32:
+            compiled = self._layer.compiled
+            edge_index = compiled.edge_index
+            edge_nodes = compiled._edge_endpoint_nodes()
+            incident: set[int] = set()
+            for edge_id in self._candidate_edges:
+                dense_edge = edge_index.get(edge_id)
+                if dense_edge is not None:
+                    incident.update(edge_nodes[dense_edge])
+            self._cand_nodes = incident
+        else:
+            self._cand_nodes = None
         seeds = self._seeds
         if seeds.query_edge is not None:
             for record in self._candidate_edges.get(seeds.query_edge, []):
@@ -418,23 +474,100 @@ class ExpansionKernel:
     # Search
     # ------------------------------------------------------------------ #
     def next_facility(self) -> FacilityHit | None:
-        """Retrieve the next nearest facility, or ``None`` when exhausted."""
+        """Retrieve the next nearest facility, or ``None`` when exhausted.
+
+        The whole pop/settle/relax cycle runs in this one loop with every
+        hot structure bound once per call.  Counter-only charges are tallied
+        in locals and settled nodes are queued in flat columns; both are
+        folded into the counters and the ``settled_costs`` dict on the way
+        out, so views and counters are exact between calls.  The settled
+        keys come from the snapshot's tuple of node-id objects, so every
+        search over one snapshot shares them.
+        """
         heap = self._heap
         pop = heapq.heappop
+        push = heapq.heappush
         reported = self._reported
-        expand = self._expand_node
+        flags = self._settled_flags
+        hot_arcs = self._hot_arcs
+        fac_table = self._hot_facs
+        fac_nodes = self._fac_nodes
+        allowed = self._allowed
+        candidate_mode = self._candidate_edges is not None
+        mode = self._charge_mode
+        counting = mode != _GENERIC
+        dedup = mode == _COUNT_ONCE
+        seen_nodes = self._seen_nodes
+        seen_edges = self._seen_edges
+        note_adjacency = self._layer.note_adjacency
+        note_edge = self._layer.note_edge_facilities
+        pending_idx: list[int] = []
+        pending_keys: list[float] = []
+        pend_idx = pending_idx.append
+        pend_key = pending_keys.append
+        tie = self._tiebreak
         pops = 0
+        n_adj = 0
+        n_edge = 0
         try:
             while heap:
-                key, _tie, payload = pop(heap)
+                key, _t, payload = pop(heap)
                 pops += 1
                 if type(payload) is int:
-                    expand(payload, key)
+                    if flags[payload]:
+                        continue
+                    flags[payload] = 1
+                    pend_idx(payload)
+                    pend_key(key)
+                    if counting:
+                        if dedup:
+                            if not seen_nodes[payload]:
+                                seen_nodes[payload] = 1
+                                n_adj += 1
+                        else:
+                            n_adj += 1
+                    else:
+                        note_adjacency(payload)
+                    if candidate_mode:
+                        self._tiebreak = tie
+                        self._expand_node_candidates(payload, key)
+                        tie = self._tiebreak
+                        continue
+                    if not fac_nodes[payload]:
+                        # Facility-free settle (the overwhelmingly common
+                        # case under sparse facilities): pure arc relaxation,
+                        # no facility-table probes.  Push order is identical
+                        # — the skipped cells were all empty.
+                        for edge_cost, neighbor, _cell in hot_arcs[payload]:
+                            if not flags[neighbor]:
+                                tie += 1
+                                push(heap, (key + edge_cost, tie, neighbor))
+                        continue
+                    for edge_cost, neighbor, cell in hot_arcs[payload]:
+                        if not flags[neighbor]:
+                            tie += 1
+                            push(heap, (key + edge_cost, tie, neighbor))
+                        facs = fac_table[cell]
+                        if facs:
+                            if counting:
+                                if dedup:
+                                    edge_idx = cell >> 1
+                                    if not seen_edges[edge_idx]:
+                                        seen_edges[edge_idx] = 1
+                                        n_edge += 1
+                                else:
+                                    n_edge += 1
+                            else:
+                                note_edge(cell >> 1)
+                            for facility_id, delta, record in facs:
+                                if facility_id in reported:
+                                    continue
+                                tie += 1
+                                push(heap, (key + delta, tie, record))
                     continue
                 facility_id = payload.facility_id
                 if facility_id in reported:
                     continue
-                allowed = self._allowed
                 if allowed is not None and facility_id not in allowed:
                     continue
                 reported[facility_id] = key
@@ -442,7 +575,16 @@ class ExpansionKernel:
                 return FacilityHit(facility_id, key, self._cost_index, payload)
             return None
         finally:
+            self._tiebreak = tie
             self._heap_pops += pops
+            if n_adj or n_edge:
+                stats = self._charge_stats
+                stats.adjacency_requests += n_adj
+                stats.facility_requests += n_edge
+            if pending_idx:
+                self._settled.update(
+                    zip(map(self._node_ids.__getitem__, pending_idx), pending_keys)
+                )
 
     def pop_step(self) -> FacilityHit | None:
         """Pop and process a single heap element (shrinking-stage granularity)."""
@@ -452,7 +594,7 @@ class ExpansionKernel:
         key, _tie, payload = heapq.heappop(heap)
         self._heap_pops += 1
         if type(payload) is int:
-            self._expand_node(payload, key)
+            self._settle_one(payload, key)
             return None
         facility_id = payload.facility_id
         if facility_id in self._reported:
@@ -504,38 +646,47 @@ class ExpansionKernel:
         self._tiebreak = tie = self._tiebreak + 1
         heapq.heappush(self._heap, (key, tie, record))
 
-    def _expand_node(self, node_idx: int, distance: float) -> None:
+    def _settle_one(self, node_idx: int, distance: float) -> None:
+        """Settle one node outside the serving loop (the ``pop_step`` path).
+
+        Charges go straight through the layer: a counting layer's seen-flags
+        are the very ones the serving loop tallies against, so synchronous
+        and folded charges never double-count.
+        """
         flags = self._settled_flags
         if flags[node_idx]:
             return
         flags[node_idx] = 1
         self._settled[self._node_ids[node_idx]] = distance
-        note_adjacency = self._layer.note_adjacency
-        note_adjacency(node_idx)
+        self._layer.note_adjacency(node_idx)
         if self._candidate_edges is not None:
             self._expand_node_candidates(node_idx, distance)
-            return
-        arcs = self._hot_arcs[node_idx]
-        if not arcs:
             return
         heap = self._heap
         push = heapq.heappush
         tie = self._tiebreak
+        if not self._fac_nodes[node_idx]:
+            for edge_cost, neighbor, _cell in self._hot_arcs[node_idx]:
+                if not flags[neighbor]:
+                    tie += 1
+                    push(heap, (distance + edge_cost, tie, neighbor))
+            self._tiebreak = tie
+            return
         reported = self._reported
         fac_table = self._hot_facs
         note_edge = self._layer.note_edge_facilities
-        for edge_cost, neighbor, cell in arcs:
+        for edge_cost, neighbor, cell in self._hot_arcs[node_idx]:
             if not flags[neighbor]:
                 tie += 1
                 push(heap, (distance + edge_cost, tie, neighbor))
             facs = fac_table[cell]
             if facs:
                 note_edge(cell >> 1)
-                for facility_id, delta, payload in facs:
+                for facility_id, delta, record in facs:
                     if facility_id in reported:
                         continue
                     tie += 1
-                    push(heap, (distance + delta, tie, payload))
+                    push(heap, (distance + delta, tie, record))
         self._tiebreak = tie
 
     def _expand_node_candidates(self, node_idx: int, distance: float) -> None:
@@ -546,13 +697,24 @@ class ExpansionKernel:
         path evaluates the legacy per-record arithmetic verbatim instead of
         the precomputed deltas.
         """
-        indptr = self._indptr
-        start = indptr[node_idx]
-        end = indptr[node_idx + 1]
         heap = self._heap
         push = heapq.heappush
         tie = self._tiebreak
         flags = self._settled_flags
+        cand_nodes = self._cand_nodes
+        if cand_nodes is not None and node_idx not in cand_nodes:
+            # No incident edge carries candidates: relax arcs off the hot
+            # rows (same CSR order, so identical pushes) and skip the
+            # per-arc candidate probes entirely.
+            for edge_cost, neighbor, _cell in self._hot_arcs[node_idx]:
+                if not flags[neighbor]:
+                    tie += 1
+                    push(heap, (distance + edge_cost, tie, neighbor))
+            self._tiebreak = tie
+            return
+        indptr = self._indptr
+        start = indptr[node_idx]
+        end = indptr[node_idx + 1]
         neighbors = self._arc_neighbor
         arc_edge = self._arc_edge
         arc_cost = self._arc_cost

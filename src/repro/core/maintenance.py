@@ -44,8 +44,7 @@ from dataclasses import dataclass
 
 from repro.core.aggregates import AggregateFunction
 from repro.core.expansion import ExpansionSeeds, NearestFacilityExpansion
-from repro.core.kernel import make_kernel_data_layer
-from repro.core.vector import kernel_class_for
+from repro.core.kernel import ExpansionKernel, make_kernel_data_layer
 from repro.core.results import SkylineResult, TopKResult
 from repro.core.skyline import MCNSkylineSearch
 from repro.core.topk import MCNTopKSearch
@@ -127,12 +126,10 @@ class _QueryDistanceMaps:
         graph: MultiCostGraph,
         query: NetworkLocation,
         compiled: CompiledGraph | None = None,
-        vector: bool | None = None,
     ):
         self._accessor = accessor
         self._graph = graph
         self._compiled = compiled
-        self._vector = vector
         self._seeds = ExpansionSeeds.from_query(graph, query)
         self._settled: list[dict[int, float]] | None = None
 
@@ -156,9 +153,8 @@ class _QueryDistanceMaps:
                 layer = make_kernel_data_layer(
                     self._compiled, target=self._accessor, fetch_once=True
                 )
-                kernel_class = kernel_class_for(self._vector)
                 for cost_index in range(self._graph.num_cost_types):
-                    kernel = kernel_class(layer, self._seeds, cost_index)
+                    kernel = ExpansionKernel(layer, self._seeds, cost_index)
                     kernel.enter_candidate_mode({})
                     while kernel.next_facility() is not None:  # pragma: no cover - no candidates
                         pass
@@ -229,7 +225,6 @@ class _MaintainerBase:
         query: NetworkLocation,
         accessor: InMemoryAccessor | None = None,
         compiled: CompiledGraph | None = None,
-        vector: bool | None = None,
     ):
         self._graph = graph
         self._facilities = facilities
@@ -247,8 +242,7 @@ class _MaintainerBase:
                 )
         self._accessor = accessor
         self._compiled = compiled
-        self._vector = vector
-        self._distances = _QueryDistanceMaps(accessor, graph, query, compiled, vector)
+        self._distances = _QueryDistanceMaps(accessor, graph, query, compiled)
         self._statistics = MaintenanceStatistics()
         self._stale = False
 
@@ -356,7 +350,7 @@ class _MaintainerBase:
         query.validate(self._graph)
         self._query = query
         self._distances = _QueryDistanceMaps(
-            self._accessor, self._graph, query, self._compiled, self._vector
+            self._accessor, self._graph, query, self._compiled
         )
         self._statistics.query_moves += 1
         if defer_recompute:
@@ -374,7 +368,7 @@ class _MaintainerBase:
         result is recomputed, immediately or deferred like the other hooks.
         """
         self._distances = _QueryDistanceMaps(
-            self._accessor, self._graph, self._query, self._compiled, self._vector
+            self._accessor, self._graph, self._query, self._compiled
         )
         self._statistics.edge_cost_refreshes += 1
         if defer_recompute:
@@ -433,9 +427,8 @@ class SkylineMaintainer(_MaintainerBase):
         *,
         accessor: InMemoryAccessor | None = None,
         compiled: CompiledGraph | None = None,
-        vector: bool | None = None,
     ):
-        super().__init__(graph, facilities, query, accessor, compiled, vector)
+        super().__init__(graph, facilities, query, accessor, compiled)
         self._skyline: dict[FacilityId, tuple[float, ...]] = {}
         self._recompute()
 
@@ -480,7 +473,6 @@ class SkylineMaintainer(_MaintainerBase):
             self._query,
             share_accesses=True,
             compiled=self._search_compiled(),
-            vector=self._vector,
         )
         self._install(search.run())
 
@@ -508,11 +500,10 @@ class TopKMaintainer(_MaintainerBase):
         *,
         accessor: InMemoryAccessor | None = None,
         compiled: CompiledGraph | None = None,
-        vector: bool | None = None,
     ):
         if k < 1:
             raise QueryError("k must be a positive integer")
-        super().__init__(graph, facilities, query, accessor, compiled, vector)
+        super().__init__(graph, facilities, query, accessor, compiled)
         self._aggregate = aggregate
         self._k = k
         self._top: list[tuple[float, FacilityId, tuple[float, ...]]] = []
@@ -573,7 +564,6 @@ class TopKMaintainer(_MaintainerBase):
             self._k,
             share_accesses=True,
             compiled=self._search_compiled(),
-            vector=self._vector,
         ).run()
         self._install(result)
 

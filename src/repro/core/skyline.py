@@ -29,8 +29,7 @@ from collections.abc import Iterator
 
 from repro.core.candidates import CandidateEntry, CandidatePool
 from repro.core.expansion import ExpansionSeeds, NearestFacilityExpansion
-from repro.core.kernel import make_kernel_data_layer
-from repro.core.vector import kernel_class_for
+from repro.core.kernel import ExpansionKernel, make_kernel_data_layer
 from repro.core.results import QueryStatistics, SkylineFacility, SkylineResult
 from repro.errors import QueryError
 from repro.network.accessor import FetchOnceCache, GraphAccessor
@@ -115,7 +114,6 @@ class MCNSkylineSearch:
         data_layer: GraphAccessor | None = None,
         seeds: ExpansionSeeds | None = None,
         compiled: CompiledGraph | None = None,
-        vector: bool | None = None,
     ):
         if graph.num_cost_types != accessor.num_cost_types:
             raise QueryError("graph and accessor disagree on the number of cost types")
@@ -131,9 +129,8 @@ class MCNSkylineSearch:
             layer = make_kernel_data_layer(
                 compiled, target=accessor, external=data_layer, fetch_once=share_accesses
             )
-            kernel_class = kernel_class_for(vector)
             self._expansions = [
-                kernel_class(layer, seeds, index)
+                ExpansionKernel(layer, seeds, index)
                 for index in range(accessor.num_cost_types)
             ]
             data_layer = layer

@@ -26,9 +26,8 @@ import time
 from repro.core.aggregates import AggregateFunction
 from repro.core.candidates import CandidateEntry, CandidatePool
 from repro.core.expansion import ExpansionSeeds, NearestFacilityExpansion
-from repro.core.kernel import make_kernel_data_layer
+from repro.core.kernel import ExpansionKernel, make_kernel_data_layer
 from repro.core.results import QueryStatistics, RankedFacility, TopKResult
-from repro.core.vector import kernel_class_for
 from repro.errors import QueryError
 from repro.network.accessor import FetchOnceCache, GraphAccessor
 from repro.network.compiled import CompiledGraph
@@ -53,7 +52,6 @@ class MCNTopKSearch:
         data_layer: GraphAccessor | None = None,
         seeds: ExpansionSeeds | None = None,
         compiled: CompiledGraph | None = None,
-        vector: bool | None = None,
     ):
         if k < 1:
             raise QueryError("k must be a positive integer")
@@ -70,9 +68,8 @@ class MCNTopKSearch:
             layer = make_kernel_data_layer(
                 compiled, target=accessor, external=data_layer, fetch_once=share_accesses
             )
-            kernel_class = kernel_class_for(vector)
             self._expansions = [
-                kernel_class(layer, seeds, index)
+                ExpansionKernel(layer, seeds, index)
                 for index in range(accessor.num_cost_types)
             ]
             self._data_layer = layer

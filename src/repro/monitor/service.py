@@ -271,7 +271,6 @@ class MonitoringService:
             graph,
             facilities,
             compiled=policy.resolved_compiled(),
-            vector=policy.resolved_vector(),
         )
         self._accessor = self._engine.accessor
         self._subscriptions: dict[int, _Subscription] = {}
@@ -385,7 +384,6 @@ class MonitoringService:
         self._ensure_open()
         validate_request(self._engine, request)
         compiled = self._engine.compiled_graph
-        vector = self._engine.vector_enabled
         if isinstance(request, SkylineRequest):
             maintainer: SkylineMaintainer | TopKMaintainer = SkylineMaintainer(
                 self._graph,
@@ -393,7 +391,6 @@ class MonitoringService:
                 request.location,
                 accessor=self._accessor,
                 compiled=compiled,
-                vector=vector,
             )
         else:
             aggregate = self._engine.resolve_aggregate(request.aggregate, request.weights)
@@ -405,7 +402,6 @@ class MonitoringService:
                 request.k,
                 accessor=self._accessor,
                 compiled=compiled,
-                vector=vector,
             )
         subscription_id = self._next_sid
         self._next_sid += 1

@@ -119,11 +119,16 @@ class CompiledGraph:
         graph = self._graph
         self._num_nodes_at_build = graph.num_nodes
         self._num_edges_at_build = graph.num_edges
-        node_index: dict[NodeId, int] = {}
-        node_ids = array("q")
-        for node_id in graph.node_ids():
-            node_index[node_id] = len(node_ids)
-            node_ids.append(node_id)
+        # One int object per node, owned by the snapshot and allocated
+        # together: settled maps keyed through this tuple share their keys
+        # with every other search over the snapshot instead of boxing a fresh
+        # int per settle.  The graph's own id objects would share as well,
+        # but they lie scattered across its heap, and touching one per
+        # settle cost the deep-expansion replay about a tenth of its time.
+        node_ids = tuple(array("q", graph.node_ids()))
+        node_index: dict[NodeId, int] = {
+            node_id: dense for dense, node_id in enumerate(node_ids)
+        }
         edge_index: dict[EdgeId, int] = {}
         edge_ids = array("q")
         edge_length = array("d")
@@ -455,7 +460,7 @@ class CompiledGraph:
         the snapshot without touching the ``array`` objects the kernels bind.
         """
         views = {
-            "node_ids": memoryview(self.node_ids),
+            "node_ids": memoryview(array("q", self.node_ids)),
             "edge_ids": memoryview(self.edge_ids),
             "edge_length": memoryview(self.edge_length),
             "arc_indptr": memoryview(self.arc_indptr),

@@ -203,7 +203,6 @@ def _make_worker_service(engine: MCNQueryEngine, policy: ExecutionPolicy) -> Que
         engine.facilities,
         accessor=_snapshot_accessor(engine),
         compiled=engine.compiled_graph,
-        vector=engine.vector_enabled,
     )
     # workers=1 so a worker's own run_batch could never re-shard recursively.
     return QueryService(worker_engine, policy=policy.replace(workers=1))

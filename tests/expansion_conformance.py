@@ -1,15 +1,13 @@
-"""Shared conformance suite: any expansion kernel versus the accessor path.
+"""Conformance suite: the compiled expansion kernel versus the accessor path.
 
 The columnar fast path promises *bit-identical* behaviour: same facility
 streams, same settled maps, same results, same heap pops, and exactly the
 same logical and physical I/O accounting.  :class:`ExpansionConformanceSuite`
-pins that promise for *one kernel implementation at a time* — subclasses
-select which implementation runs (the pure-python ``ExpansionKernel``, the
-numpy ``VectorExpansionKernel``, or whatever the selection layer resolves)
-and the whole battery re-runs against the legacy
-:class:`~repro.core.expansion.NearestFacilityExpansion` reference.  If an
-implementation ever drifts from the legacy expansion in any observable way,
-something here fails for exactly that implementation.
+pins that promise for the kernel a subclass names in :attr:`kernel_class`,
+checked pop by pop against the reference
+:class:`~repro.core.expansion.NearestFacilityExpansion` and through the
+engine, batch-service and monitor wiring.  If the kernel ever drifts from
+the reference expansion in any observable way, something here fails.
 
 The suite class is deliberately not named ``Test*`` so pytest only collects
 the concrete subclasses (see ``test_kernel_differential.py``).
@@ -32,6 +30,7 @@ from repro.network.accessor import FetchOnceCache, InMemoryAccessor
 from repro.network.compiled import CompiledGraph
 from repro.network.facilities import FacilitySet
 from repro.service import QueryService, SkylineRequest, TopKRequest
+from repro.storage.scheme import NetworkStorage
 
 
 def io_tuple(stats):
@@ -42,6 +41,28 @@ def io_tuple(stats):
         stats.page_reads,
         stats.buffer_hits,
     )
+
+
+def make_accessor(workload, *, use_disk):
+    """A fresh data layer over ``workload``: in memory or on the simulated disk.
+
+    The disk layer's buffer holds a few pages, so replaying page plans sees
+    hits and evictions alike; its layers charge synchronously per request,
+    the in-memory ones fold counter bumps once per call.
+    """
+    if use_disk:
+        return NetworkStorage.build(
+            workload.graph, workload.facilities, page_size=512, buffer_fraction=0.1
+        )
+    return InMemoryAccessor(workload.graph, workload.facilities)
+
+
+# Every sharing regime the searches hand a kernel, over both residencies.
+LAYER_CASES = pytest.mark.parametrize(
+    "share, use_disk",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["direct", "fetch-once", "disk-direct", "disk-fetch-once"],
+)
 
 
 def drain(expansion):
@@ -58,16 +79,13 @@ class ExpansionConformanceSuite:
     """Bit-identity battery for one kernel implementation.
 
     Subclasses set :attr:`kernel_class` (constructed as
-    ``kernel_class(layer, seeds, cost_index)``) and :attr:`vector` (the
-    engine-level selection flag that must resolve to the same
-    implementation, so the engine / service / monitor stacks are exercised
-    through the real wiring rather than a hand-built kernel).
+    ``kernel_class(layer, seeds, cost_index)``); the engine / service /
+    monitor tests run the same kernel through the real wiring rather than a
+    hand-built instance.
     """
 
     #: The kernel implementation under test.
     kernel_class: type | None = None
-    #: Engine-level ``vector=`` flag that selects :attr:`kernel_class`.
-    vector: bool = False
 
     # ------------------------------------------------------------------ #
     # Hooks
@@ -75,6 +93,10 @@ class ExpansionConformanceSuite:
     def make_kernel(self, layer, seeds, cost_index):
         assert self.kernel_class is not None, "subclass must set kernel_class"
         return self.kernel_class(layer, seeds, cost_index)
+
+    def build_workload(self, spec):
+        """The workload every test of the battery runs on."""
+        return make_workload(spec)
 
     def make_engines(self, workload, *, use_disk, page_size=1024, buffer_fraction=0.01):
         """A (legacy, fast) engine pair over the same workload."""
@@ -94,13 +116,10 @@ class ExpansionConformanceSuite:
                 page_size=page_size,
                 buffer_fraction=buffer_fraction,
                 compiled=True,
-                vector=self.vector,
             )
         else:
             legacy = MCNQueryEngine(workload.graph, workload.facilities, compiled=False)
-            fast = MCNQueryEngine(
-                workload.graph, workload.facilities, compiled=True, vector=self.vector
-            )
+            fast = MCNQueryEngine(workload.graph, workload.facilities, compiled=True)
         return legacy, fast
 
     @staticmethod
@@ -109,21 +128,34 @@ class ExpansionConformanceSuite:
             engine.storage.reset_statistics(clear_buffer=True)
 
     def test_engine_selects_this_kernel(self):
-        """The ``vector`` flag really resolves to the implementation under test."""
-        from repro.core.vector import kernel_class_for
+        """``compiled=True`` engines run every search on the kernel under test.
 
-        assert kernel_class_for(self.vector) is self.kernel_class
+        In both residencies, LSA and CEA, skyline and top-k alike; the
+        ``compiled=False`` engine's searches run the reference expansion.
+        """
+        workload = self.build_workload(
+            WorkloadSpec(num_nodes=60, num_facilities=15, num_cost_types=2, num_queries=1, seed=5)
+        )
+        query = workload.queries[0]
+        for use_disk in (False, True):
+            legacy, fast = self.make_engines(workload, use_disk=use_disk)
+            for engine, expected in ((legacy, NearestFacilityExpansion), (fast, self.kernel_class)):
+                for search in (
+                    engine.skyline_search(query, algorithm="lsa"),
+                    engine.top_k_search(query, 2, weights=[0.5, 0.5], algorithm="cea"),
+                ):
+                    assert {type(expansion) for expansion in search.expansions} == {expected}
 
     # ------------------------------------------------------------------ #
     # Raw expansion parity (kernel drained facility by facility)
     # ------------------------------------------------------------------ #
-    @pytest.mark.parametrize("share", [False, True], ids=["direct", "fetch-once"])
-    def test_full_drain_is_bit_identical(self, share):
-        workload = make_workload(
+    @LAYER_CASES
+    def test_full_drain_is_bit_identical(self, share, use_disk):
+        workload = self.build_workload(
             WorkloadSpec(num_nodes=180, num_facilities=50, num_cost_types=2, num_queries=4, seed=11)
         )
-        accessor_a = InMemoryAccessor(workload.graph, workload.facilities)
-        accessor_b = InMemoryAccessor(workload.graph, workload.facilities)
+        accessor_a = make_accessor(workload, use_disk=use_disk)
+        accessor_b = make_accessor(workload, use_disk=use_disk)
         compiled = CompiledGraph.from_accessor(accessor_b)
         for query in workload.queries:
             seeds = ExpansionSeeds.from_query(workload.graph, query)
@@ -146,13 +178,63 @@ class ExpansionConformanceSuite:
                 assert dict(kernel.reported_costs) == dict(legacy.reported_costs)
                 assert kernel.facilities_retrieved == legacy.facilities_retrieved
         assert io_tuple(accessor_a.statistics) == io_tuple(accessor_b.statistics)
+        if use_disk:
+            assert accessor_b.statistics.page_reads > 0
+            assert accessor_b.statistics.buffer_hits > 0
 
-    def test_candidate_mode_restriction_parity(self):
-        workload = make_workload(
+    @LAYER_CASES
+    def test_mixed_pop_step_drain_is_bit_identical(self, share, use_disk):
+        """``pop_step`` and ``next_facility`` interleaved, compared after every call.
+
+        ``pop_step`` charges synchronously while ``next_facility`` folds
+        counter-only charges into one bulk add per call; counters must agree
+        with the reference after each call either way.  On the disk layers
+        every request replays its page plan through the LRU buffer, so the
+        page-read/buffer-hit split pins the request order as well.
+        """
+        workload = self.build_workload(
+            WorkloadSpec(num_nodes=150, num_facilities=30, num_cost_types=2, num_queries=2, seed=41)
+        )
+        accessor_a = make_accessor(workload, use_disk=use_disk)
+        accessor_b = make_accessor(workload, use_disk=use_disk)
+        compiled = CompiledGraph.from_accessor(accessor_b)
+        for query in workload.queries:
+            seeds = ExpansionSeeds.from_query(workload.graph, query)
+            legacy_layer = FetchOnceCache(accessor_a) if share else accessor_a
+            kernel_layer = make_kernel_data_layer(compiled, target=accessor_b, fetch_once=share)
+            pairs = [
+                (
+                    NearestFacilityExpansion(legacy_layer, seeds, cost_index),
+                    self.make_kernel(kernel_layer, seeds, cost_index),
+                )
+                for cost_index in range(workload.graph.num_cost_types)
+            ]
+            step = 0
+            while not all(legacy.exhausted for legacy, _kernel in pairs):
+                legacy, kernel = pairs[step % len(pairs)]
+                if step % 3:
+                    assert kernel.pop_step() == legacy.pop_step()
+                else:
+                    assert kernel.next_facility() == legacy.next_facility()
+                assert kernel.head_key() == legacy.head_key()
+                assert kernel.heap_pops == legacy.heap_pops
+                assert kernel.exhausted == legacy.exhausted
+                assert io_tuple(accessor_a.statistics) == io_tuple(accessor_b.statistics)
+                step += 1
+            for legacy, kernel in pairs:
+                assert dict(kernel.settled_costs) == dict(legacy.settled_costs)
+                assert dict(kernel.reported_costs) == dict(legacy.reported_costs)
+        if use_disk:
+            assert accessor_b.statistics.page_reads > 0
+            assert accessor_b.statistics.buffer_hits > 0
+
+    @pytest.mark.parametrize("use_disk", [False, True], ids=["memory", "disk"])
+    def test_candidate_mode_restriction_parity(self, use_disk):
+        workload = self.build_workload(
             WorkloadSpec(num_nodes=150, num_facilities=40, num_cost_types=2, num_queries=2, seed=23)
         )
-        accessor_a = InMemoryAccessor(workload.graph, workload.facilities)
-        accessor_b = InMemoryAccessor(workload.graph, workload.facilities)
+        accessor_a = make_accessor(workload, use_disk=use_disk)
+        accessor_b = make_accessor(workload, use_disk=use_disk)
         compiled = CompiledGraph.from_accessor(accessor_b)
         query = workload.queries[0]
         seeds = ExpansionSeeds.from_query(workload.graph, query)
@@ -183,7 +265,7 @@ class ExpansionConformanceSuite:
         assert io_tuple(accessor_a.statistics) == io_tuple(accessor_b.statistics)
 
     def test_settled_views_are_read_only(self):
-        workload = make_workload(
+        workload = self.build_workload(
             WorkloadSpec(num_nodes=60, num_facilities=15, num_cost_types=2, num_queries=1, seed=3)
         )
         accessor = InMemoryAccessor(workload.graph, workload.facilities)
@@ -198,6 +280,38 @@ class ExpansionConformanceSuite:
                 expansion.settled_costs[0] = 0.0  # type: ignore[index]
             with pytest.raises(TypeError):
                 expansion.reported_costs[0] = 0.0  # type: ignore[index]
+
+    def test_searches_share_settled_key_objects(self):
+        """Two runs of one search key their settled maps on the same objects.
+
+        A harvested settled map holds its keys for the cache's lifetime, so
+        keys boxed afresh per settle would cost one int object per node per
+        query.  Node ids past the interpreter's small-int cache make the
+        identity observable; the top-k search's shrinking stage settles
+        through ``pop_step``.
+        """
+        workload = self.build_workload(
+            WorkloadSpec(num_nodes=400, num_facilities=5, num_cost_types=2, num_queries=1, seed=13)
+        )
+        _legacy, fast = self.make_engines(workload, use_disk=False)
+        query = workload.queries[0]
+        shared = 0
+        for make in (
+            lambda: fast.skyline_search(query, algorithm="lsa"),
+            lambda: fast.top_k_search(query, 3, weights=[0.5, 0.5], algorithm="cea"),
+        ):
+            first, second = make(), make()
+            first.run()
+            second.run()
+            keys = {
+                node: node for expansion in first.expansions for node in expansion.settled_costs
+            }
+            for expansion in second.expansions:
+                for node in expansion.settled_costs:
+                    if node > 256:
+                        assert keys[node] is node
+                        shared += 1
+        assert shared > 0
 
     # ------------------------------------------------------------------ #
     # Full searches through the engine toggle
@@ -220,7 +334,7 @@ class ExpansionConformanceSuite:
     def test_query_results_and_counters_identical(
         self, seed, dims, use_disk, buffer_fraction, algorithm
     ):
-        workload = make_workload(
+        workload = self.build_workload(
             WorkloadSpec(
                 num_nodes=90,
                 num_facilities=25,
@@ -253,7 +367,7 @@ class ExpansionConformanceSuite:
             assert io_tuple(fast_top.statistics.io) == io_tuple(legacy_top.statistics.io)
 
     def test_incremental_top_k_parity(self):
-        workload = make_workload(
+        workload = self.build_workload(
             WorkloadSpec(num_nodes=160, num_facilities=45, num_cost_types=3, num_queries=2, seed=9)
         )
         legacy, fast = self.make_engines(workload, use_disk=False)
@@ -267,7 +381,7 @@ class ExpansionConformanceSuite:
             ]
 
     def test_batched_service_reports_identical(self):
-        workload = make_workload(
+        workload = self.build_workload(
             WorkloadSpec(num_nodes=200, num_facilities=70, num_cost_types=2, num_queries=12, seed=31)
         )
         legacy, fast = self.make_engines(workload, use_disk=True, page_size=1024)
@@ -288,7 +402,7 @@ class ExpansionConformanceSuite:
         assert vars(fast_report.cache) == vars(legacy_report.cache)
 
     def test_monitor_ticks_identical(self):
-        workload = make_workload(
+        workload = self.build_workload(
             WorkloadSpec(num_nodes=150, num_facilities=45, num_cost_types=2, num_queries=4, seed=17)
         )
         stream = make_update_stream(
@@ -296,14 +410,11 @@ class ExpansionConformanceSuite:
             workload.facilities,
             UpdateStreamSpec(num_ticks=6, updates_per_tick=4, seed=18),
         )
-        vector_mode = "on" if self.vector else "off"
         payloads = {}
         io_totals = {}
         for compiled in (False, True):
             facilities = FacilitySet(workload.graph, iter(workload.facilities))
-            policy = ExecutionPolicy(
-                compiled="on" if compiled else "off", vector=vector_mode
-            )
+            policy = ExecutionPolicy(compiled="on" if compiled else "off")
             service = MonitoringService(workload.graph, facilities, policy=policy)
             for query in workload.queries:
                 service.subscribe(SkylineRequest(query))

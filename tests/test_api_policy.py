@@ -15,7 +15,8 @@ from repro.api import (
     policy_to_payload,
     resolve_compiled,
 )
-from repro.core.engine import compiled_default_enabled
+from repro.core.engine import MCNQueryEngine
+from repro.datagen import WorkloadSpec, make_workload
 from repro.errors import PolicyError, QueryError
 from repro.parallel import EXECUTORS, ROUTINGS, ParallelExecution
 
@@ -135,13 +136,23 @@ class TestCompiledEnvHandling:
         monkeypatch.setenv(COMPILED_ENV_VAR, "0")
         assert resolve_compiled("on") is True
 
-    def test_engine_alias_routes_through_the_policy_module(self, monkeypatch):
-        # core.engine's compiled_default_enabled is a thin alias of the
-        # single source of truth in repro.api.policy.
-        monkeypatch.setenv(COMPILED_ENV_VAR, "1")
-        assert compiled_default_enabled() is True
+    def test_engine_default_routes_through_the_policy_module(self, monkeypatch):
+        # MCNQueryEngine(compiled=None) defers to compiled_env_default, the one
+        # parser of the variable; explicit flags ignore the environment.
+        workload = make_workload(
+            WorkloadSpec(num_nodes=40, num_facilities=8, num_cost_types=2, num_queries=0, seed=3)
+        )
+
+        def compiles(**kwargs):
+            engine = MCNQueryEngine(workload.graph, workload.facilities, **kwargs)
+            return engine.compiled_graph is not None
+
+        monkeypatch.setenv(COMPILED_ENV_VAR, " Yes ")
+        assert compiles() is True
+        assert compiles(compiled=False) is False
         monkeypatch.delenv(COMPILED_ENV_VAR)
-        assert compiled_default_enabled() is False
+        assert compiles() is False
+        assert compiles(compiled=True) is True
 
     def test_resolve_compiled_rejects_unknown_mode(self):
         with pytest.raises(PolicyError):
@@ -160,7 +171,6 @@ GOLDEN_POLICY = ExecutionPolicy(
     algorithm="lsa",
     residency="disk",
     compiled="on",
-    vector="off",
     page_size=1024,
     buffer_fraction=0.05,
     workers=3,
@@ -177,7 +187,6 @@ GOLDEN_PAYLOAD = {
     "residency": "disk",
     "dataset_path": None,
     "compiled": "on",
-    "vector": "off",
     "page_size": 1024,
     "buffer_fraction": 0.05,
     "workers": 3,
@@ -216,9 +225,13 @@ class TestPayloadCodecs:
         decoded = policy_from_payload({"residency": "disk"})
         assert decoded == ExecutionPolicy(residency="disk")
 
-    def test_unknown_field_rejected(self):
-        with pytest.raises(PolicyError, match="worker"):
-            policy_from_payload({"worker": 3})
+    @pytest.mark.parametrize(
+        "payload", [{"worker": 3}, {"vector": "off"}], ids=["typo", "removed-field"]
+    )
+    def test_unknown_field_rejected(self, payload):
+        (field,) = payload
+        with pytest.raises(PolicyError, match=field):
+            policy_from_payload(payload)
 
     def test_numeric_fields_coerced(self):
         decoded = policy_from_payload(

@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,15 +39,10 @@ API_ALL = [
     "RollingLatencyStats",
     "Session",
     "TickResponse",
-    "VECTOR_ENV_VAR",
-    "VECTOR_MODES",
     "compiled_env_default",
-    "numpy_available",
     "policy_from_payload",
     "policy_to_payload",
     "resolve_compiled",
-    "resolve_vector",
-    "vector_env_default",
 ]
 
 SESSION_SIGNATURES = {
@@ -96,7 +95,6 @@ POLICY_SCHEMA = [
     ("residency", "memory"),
     ("dataset_path", None),
     ("compiled", "auto"),
-    ("vector", "auto"),
     ("page_size", 4096),
     ("buffer_fraction", 0.01),
     ("workers", 1),
@@ -209,3 +207,18 @@ class TestApiSurface:
         ):
             assert name in repro.__all__
             assert getattr(repro, name) is not None
+
+
+def test_import_pulls_in_no_numpy():
+    """The package and its CLI run on the standard library alone."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", "import sys, repro, repro.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False"

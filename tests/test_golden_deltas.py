@@ -19,7 +19,6 @@ from pathlib import Path
 import pytest
 
 from repro.api.policy import ExecutionPolicy
-from repro.core.vector import NUMPY_AVAILABLE
 from repro.datagen import (
     make_update_stream,
     make_workload,
@@ -88,29 +87,18 @@ class TestGoldenDeltaStreams:
         for report, expected in zip(reports, expected_ticks):
             assert tick_report_to_payload(report) == expected
 
-    @pytest.mark.parametrize(
-        "vector",
-        [
-            pytest.param(
-                "on",
-                id="vectorised",
-                marks=pytest.mark.skipif(
-                    not NUMPY_AVAILABLE, reason="numpy not importable"
-                ),
-            ),
-            pytest.param("off", id="fallback"),
-        ],
-    )
-    def test_kernel_selection_replay_emits_pinned_deltas(self, path, vector):
-        """Both kernel selections reproduce every pinned tick payload exactly.
+    @pytest.mark.parametrize("compiled", ["on", "off"], ids=["kernel", "record-path"])
+    def test_kernel_selection_replay_emits_pinned_deltas(self, path, compiled):
+        """Both expansion paths reproduce every pinned tick payload exactly.
 
         The monitor's insertion pricing and end-of-tick fallback passes run
-        on whichever kernel the policy selects; neither selection may move a
-        single delta, counter or maintenance-path split away from what the
-        fixture recorded — independent of the ``REPRO_VECTOR`` environment.
+        on the compiled kernel (``compiled="on"``) or the record-walking
+        expansion (``"off"``); neither may move a single delta, counter or
+        maintenance-path split away from what the fixture recorded —
+        independent of the ``REPRO_COMPILED`` environment.
         """
         fixture = load_fixture(path)
-        policy = ExecutionPolicy(vector=vector)
+        policy = ExecutionPolicy(compiled=compiled)
         _workload, service, _sids = self.build(fixture, policy)
         reports = service.run(stream_from_payload(fixture["stream"]))
         expected_ticks = fixture["expected"]["ticks"]

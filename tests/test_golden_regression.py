@@ -15,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import ExecutionPolicy, Session
 from repro.core.engine import MCNQueryEngine
-from repro.core.vector import NUMPY_AVAILABLE
 from repro.datagen import make_workload, workload_spec_from_payload
 from repro.parallel import ShardedQueryService
 from repro.service import QueryService, SkylineRequest
@@ -31,9 +31,7 @@ def load_fixture(path: Path) -> dict:
     return json.loads(path.read_text())
 
 
-def build_engine(
-    fixture: dict, *, compiled: bool = False, vector: bool | None = None
-) -> MCNQueryEngine:
+def build_engine(fixture: dict, *, compiled: bool = False) -> MCNQueryEngine:
     workload = make_workload(workload_spec_from_payload(fixture["workload"]))
     storage = NetworkStorage.build(
         workload.graph,
@@ -46,7 +44,6 @@ def build_engine(
         workload.facilities,
         storage=storage,
         compiled=compiled,
-        vector=vector,
     )
 
 
@@ -131,36 +128,41 @@ class TestGoldenReplay:
         assert report.io.page_reads == expected["page_reads"]
         assert report.io.buffer_hits == expected["buffer_hits"]
 
-    @pytest.mark.parametrize(
-        "vector",
-        [
-            pytest.param(
-                True,
-                id="vectorised",
-                marks=pytest.mark.skipif(
-                    not NUMPY_AVAILABLE, reason="numpy not importable"
-                ),
-            ),
-            pytest.param(False, id="fallback"),
-        ],
-    )
-    def test_kernel_selection_replay_is_bit_identical(self, path, vector):
-        """Both kernel selections reproduce every golden fixture exactly.
+    @pytest.mark.parametrize("compiled", ["on", "off"], ids=["kernel", "record-path"])
+    def test_kernel_selection_replay_is_bit_identical(self, path, compiled):
+        """Both policy selections reproduce every golden fixture exactly.
 
-        Pinned independently of the ``REPRO_VECTOR`` environment: the
-        vectorised kernel and the pure-python fallback must each hit the
-        same answers AND the same page-read/buffer-hit totals the fixture
-        recorded for the legacy path.
+        Routed through :class:`~repro.api.Session` and pinned independently
+        of the ``REPRO_COMPILED`` environment: ``compiled="on"`` must run the
+        kernel over page plans, ``"off"`` the record-walking expansion, and
+        each must hit the answers and page-read/buffer-hit totals the fixture
+        recorded.
         """
         fixture = load_fixture(path)
-        engine = build_engine(fixture, compiled=True, vector=vector)
-        assert engine.vector_enabled is vector
-        requests = decode_requests(fixture["requests"])
-        report = QueryService(engine).run_batch(requests)
+        workload = make_workload(workload_spec_from_payload(fixture["workload"]))
+        storage = NetworkStorage.build(
+            workload.graph,
+            workload.facilities,
+            page_size=fixture["page_size"],
+            buffer_fraction=fixture["buffer_fraction"],
+        )
+        session = Session(
+            workload.graph,
+            workload.facilities,
+            storage=storage,
+            policy=ExecutionPolicy(residency="disk", compiled=compiled),
+        )
+        compiled_graph = session.engine_for().compiled_graph
+        if compiled == "on":
+            assert compiled_graph is not None and compiled_graph.has_page_plans
+        else:
+            assert compiled_graph is None
+        batch = session.run_batch(decode_requests(fixture["requests"]))
         expected = fixture["expected"]
-        for outcome, expected_result in zip(report.outcomes, expected["results"]):
+        assert len(batch) == len(expected["results"])
+        for response, expected_result in zip(batch, expected["results"]):
             assert_results_match(
-                expected_result, observed_payload(outcome.request, outcome.result)
+                expected_result, observed_payload(response.request, response.result)
             )
-        assert report.io.page_reads == expected["page_reads"]
-        assert report.io.buffer_hits == expected["buffer_hits"]
+        assert batch.io.page_reads == expected["page_reads"]
+        assert batch.io.buffer_hits == expected["buffer_hits"]

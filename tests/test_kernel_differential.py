@@ -1,18 +1,10 @@
-"""Differential tests: every expansion-kernel implementation versus the accessor path.
+"""Differential tests: the compiled expansion kernel versus the accessor path.
 
-The shared battery lives in :mod:`tests.expansion_conformance`; here it is
-instantiated once per implementation:
-
-* ``TestLegacyKernelConformance`` — the pure-python ``ExpansionKernel``
-  constructed directly (the PR-4 fast path, now the fallback);
-* ``TestFallbackSelectionConformance`` — whatever the selection layer
-  resolves for ``vector=False`` (pinned to be the pure-python kernel, so the
-  ``REPRO_VECTOR=0`` escape hatch provably preserves semantics);
-* ``TestVectorKernelConformance`` — the numpy ``VectorExpansionKernel``
-  (skipped wholesale when numpy is unavailable).
-
-Freshness semantics of the compiled snapshot (shared by all kernels) stay
-here, as do any checks that are not per-implementation.
+The shared battery lives in :mod:`tests.expansion_conformance`; here it runs
+over :class:`~repro.core.kernel.ExpansionKernel`, the one compiled kernel,
+on generated networks and again with their edge costs rounded into ties.
+Freshness semantics of the compiled snapshot stay here, as do any checks
+that are not per-implementation.
 """
 
 from __future__ import annotations
@@ -20,8 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.engine import MCNQueryEngine
-from repro.core.kernel import ExpansionKernel
-from repro.core.vector import NUMPY_AVAILABLE, VectorExpansionKernel, kernel_class_for
+from repro.core.expansion import ExpansionSeeds
+from repro.core.kernel import ExpansionKernel, make_kernel_data_layer
 from repro.datagen import WorkloadSpec, make_workload
 from repro.network.accessor import InMemoryAccessor
 from repro.network.compiled import CompiledGraph
@@ -30,23 +22,50 @@ from repro.storage.scheme import NetworkStorage
 from tests.expansion_conformance import ExpansionConformanceSuite
 
 
-class TestLegacyKernelConformance(ExpansionConformanceSuite):
+class TestExpansionKernelConformance(ExpansionConformanceSuite):
     kernel_class = ExpansionKernel
-    vector = False
 
 
-class TestFallbackSelectionConformance(ExpansionConformanceSuite):
-    kernel_class = kernel_class_for(False)
-    vector = False
+def round_edge_costs(graph, step=50.0):
+    """Round every edge cost of ``graph`` to a small positive integer."""
+    for edge in list(graph.edges()):
+        graph.update_edge_costs(
+            edge.edge_id, [float(max(1, round(cost / step))) for cost in edge.costs]
+        )
 
-    def test_fallback_is_the_pure_python_kernel(self):
-        assert self.kernel_class is ExpansionKernel
 
+class TestTiedCostKernelConformance(ExpansionConformanceSuite):
+    """The same battery on networks whose edge costs are small integers.
 
-@pytest.mark.skipif(not NUMPY_AVAILABLE, reason="numpy not importable")
-class TestVectorKernelConformance(ExpansionConformanceSuite):
-    kernel_class = VectorExpansionKernel
-    vector = True
+    Generated costs are distinct floats, so heap keys almost never tie.
+    Here node distances collide all the time, and only the frontier's
+    push-order tie counter fixes which of the tied entries pops first — the
+    kernel must still pop, settle and report in the reference's order.
+    """
+
+    kernel_class = ExpansionKernel
+
+    def build_workload(self, spec):
+        workload = super().build_workload(spec)
+        round_edge_costs(workload.graph)
+        return workload
+
+    def test_settled_distances_tie(self):
+        workload = self.build_workload(
+            WorkloadSpec(num_nodes=180, num_facilities=50, num_cost_types=2, num_queries=1, seed=11)
+        )
+        accessor = InMemoryAccessor(workload.graph, workload.facilities)
+        seeds = ExpansionSeeds.from_query(workload.graph, workload.queries[0])
+        kernel = self.make_kernel(
+            make_kernel_data_layer(CompiledGraph.from_accessor(accessor), target=accessor),
+            seeds,
+            0,
+        )
+        while kernel.next_facility() is not None:
+            pass
+        distances = list(kernel.settled_costs.values())
+        assert len(distances) == workload.graph.num_nodes
+        assert len(set(distances)) < len(distances) // 4
 
 
 class TestFreshness:

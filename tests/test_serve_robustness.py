@@ -349,9 +349,14 @@ class TestMalformedPayloads:
         response = _run(client.request(method, path, raw_body=body))
         _assert_envelope(response, status, code)
 
-    def test_bad_policy_payload_is_invalid_policy(self, client_app):
+    @pytest.mark.parametrize(
+        "policy",
+        [{"residency": "floppy"}, {"vector": "off"}],
+        ids=["bad-value", "removed-field"],
+    )
+    def test_bad_policy_payload_is_invalid_policy(self, client_app, policy):
         _app_obj, client = client_app
-        payload = dict(_query_payload(), policy={"residency": "floppy"})
+        payload = dict(_query_payload(), policy=policy)
         response = _run(client.post("/v1/query", payload))
         _assert_envelope(response, 400, "invalid-policy")
 

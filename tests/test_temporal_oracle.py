@@ -17,9 +17,8 @@ correctness:
   graph.  The in-place compiled-graph patching and the maintainers'
   edge-cost refresh path must likewise be invisible.
 
-The CI matrix re-runs this file under ``REPRO_COMPILED=1`` and
-``REPRO_VECTOR=0``, so both oracles hold across the compiled/vector
-execution modes too.
+The CI matrix re-runs this file under ``REPRO_COMPILED=1``, so both
+oracles hold on the compiled expansion kernel too.
 """
 
 from __future__ import annotations
