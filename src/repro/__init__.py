@@ -67,13 +67,12 @@ control, per-request deadlines, rolling latency percentiles and streamed
 per-subscription deltas — every concurrent workload provably bit-identical
 to sequential library calls (``repro-mcn serve --replay``).
 
-The pre-facade stacks stay available for low-level work:
+The stacks under the facade stay available for low-level work:
 :class:`MCNQueryEngine` (one-shot calls and search objects),
 :class:`QueryService` (batch + submit/drain streaming),
-:class:`ShardedQueryService` and :class:`MonitoringService`.  Their
-pre-policy keyword arguments keep working behind thin shims that emit
-:class:`DeprecationWarning`\\ s; new code passes ``policy=`` or goes through
-the session.
+:class:`ShardedQueryService` and :class:`MonitoringService`.  The three
+services take their configuration as one ``policy=``
+:class:`ExecutionPolicy`, exactly as the session builds them.
 """
 
 from repro.api import (
@@ -123,11 +122,7 @@ from repro.network.costs import CostVector
 from repro.network.facilities import Facility, FacilitySet
 from repro.network.graph import MultiCostGraph
 from repro.network.location import NetworkLocation
-from repro.parallel import (
-    ParallelExecution,
-    ShardedBatchReport,
-    ShardedQueryService,
-)
+from repro.parallel import ShardedBatchReport, ShardedQueryService
 from repro.service import (
     BatchReport,
     CrossQueryExpansionCache,
@@ -173,7 +168,6 @@ __all__ = [
     "MultiCostGraph",
     "NetworkLocation",
     "NetworkStorage",
-    "ParallelExecution",
     "PolicyError",
     "ProbingPolicy",
     "QueryError",

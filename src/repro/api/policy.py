@@ -1,14 +1,11 @@
 """The declarative execution configuration: :class:`ExecutionPolicy`.
 
-Before the :class:`~repro.api.Session` facade existed, each execution stack
-grew its own overlapping knobs — ``use_disk=`` on the engine, ``compiled=``
-in three places, ``memoize_results=`` on the batch service,
-``parallel=ParallelExecution(...)`` on ``run_batch`` and the monitoring
-service.  An :class:`ExecutionPolicy` replaces all of them with one frozen,
-hashable, JSON-serialisable value object: *where* the data lives
-(``residency``), *how* searches run (``algorithm``, ``compiled``), *how wide*
-(``workers`` / ``routing`` / ``executor``), and *what is shared* across
-queries (``memoize_results`` / ``harvest_settled`` / ``max_cached_entries``).
+An :class:`ExecutionPolicy` is the only configuration the batch, sharded
+and monitoring services take: one frozen, hashable, JSON-serialisable value
+object saying *where* the data lives (``residency``), *how* searches run
+(``algorithm``, ``compiled``), *how wide* (``workers`` / ``routing`` /
+``executor``), and *what is shared* across queries (``memoize_results`` /
+``max_cached_entries``).
 
 Every field is validated at construction — a bad policy raises
 :class:`~repro.errors.PolicyError` with an actionable message before any
@@ -31,15 +28,9 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import warnings
-from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.errors import PolicyError
-
-if TYPE_CHECKING:  # pragma: no cover - runtime import would be circular
-    from repro.parallel import ParallelExecution
 
 __all__ = [
     "ALGORITHMS",
@@ -52,7 +43,6 @@ __all__ = [
     "ROUTINGS",
     "TEMPORAL_MODES",
     "compiled_env_default",
-    "legacy_kwargs_warning",
     "policy_from_payload",
     "policy_to_payload",
     "resolve_compiled",
@@ -72,7 +62,7 @@ TEMPORAL_MODES = ("off", "profiles")
 
 #: Canonical parallel-execution vocabulary.  Defined here (the only module
 #: every execution stack can import without a cycle) and re-exported by
-#: :mod:`repro.parallel` for backwards compatibility.
+#: :mod:`repro.parallel`.
 ROUTINGS = ("round_robin", "locality")
 EXECUTORS = ("process", "thread", "serial")
 
@@ -100,23 +90,6 @@ def resolve_compiled(mode: str) -> bool:
         return compiled_env_default()
     raise PolicyError(
         f"unknown compiled mode {mode!r}; expected one of {COMPILED_MODES}"
-    )
-
-
-def legacy_kwargs_warning(owner: str, names: Iterable[str], hint: str) -> None:
-    """Emit the shared deprecation warning for pre-policy keyword arguments.
-
-    The old kwargs keep working (they are folded into an equivalent
-    :class:`ExecutionPolicy`), but new code should pass ``policy=`` or go
-    through :class:`repro.api.Session`.
-    """
-    listed = ", ".join(f"{name}=..." for name in sorted(names))
-    warnings.warn(
-        f"{owner}({listed}) is deprecated; pass "
-        f"policy=ExecutionPolicy({hint}) instead, or drive execution through "
-        "repro.api.Session",
-        DeprecationWarning,
-        stacklevel=3,
     )
 
 
@@ -150,10 +123,10 @@ class ExecutionPolicy:
         service (``routing`` in ``("round_robin", "locality")``, ``executor``
         in ``("process", "thread", "serial")``); with ``workers == 1``
         execution is sequential and ``routing``/``executor`` are inert.
-    memoize_results / harvest_settled / max_cached_entries:
+    memoize_results / max_cached_entries:
         Cross-query cache behaviour of the batch service (and of every shard
-        worker): result memoisation, settled-cost harvesting, and the LRU
-        bound of the shared record cache (``None`` = unbounded).
+        worker): result memoisation, and the LRU bound of the shared record
+        cache (``None`` = unbounded).
     shard_fallback_threshold:
         Monitoring only: minimum number of stale subscriptions in one tick
         before the end-of-tick recompute pass is sharded across workers.
@@ -180,7 +153,6 @@ class ExecutionPolicy:
     routing: str = "round_robin"
     executor: str = "process"
     memoize_results: bool = True
-    harvest_settled: bool = True
     max_cached_entries: int | None = None
     shard_fallback_threshold: int = 4
     temporal: str = "off"
@@ -247,12 +219,11 @@ class ExecutionPolicy:
             raise PolicyError(
                 f"unknown executor {self.executor!r}; expected one of {EXECUTORS}"
             )
-        for flag_name in ("memoize_results", "harvest_settled"):
-            value = getattr(self, flag_name)
-            if not isinstance(value, bool):
-                raise PolicyError(
-                    f"{flag_name} must be a bool, got {type(value).__name__}"
-                )
+        if not isinstance(self.memoize_results, bool):
+            raise PolicyError(
+                f"memoize_results must be a bool, got "
+                f"{type(self.memoize_results).__name__}"
+            )
         if self.max_cached_entries is not None and (
             not isinstance(self.max_cached_entries, int)
             or isinstance(self.max_cached_entries, bool)
@@ -325,21 +296,6 @@ class ExecutionPolicy:
     def resolved_compiled(self) -> bool:
         """The effective fast-path decision (``"auto"`` resolved against the env)."""
         return resolve_compiled(self.compiled)
-
-    @property
-    def parallel(self) -> "ParallelExecution | None":
-        """The equivalent :class:`~repro.parallel.ParallelExecution`, or ``None``.
-
-        ``None`` when ``workers == 1`` — sequential execution needs no
-        parallelism spec.
-        """
-        if self.workers == 1:
-            return None
-        from repro.parallel import ParallelExecution
-
-        return ParallelExecution(
-            workers=self.workers, routing=self.routing, executor=self.executor
-        )
 
     # ------------------------------------------------------------------ #
     # JSON payload codecs

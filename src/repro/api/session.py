@@ -1078,7 +1078,6 @@ class Session:
     def _service_for(self, policy: ExecutionPolicy) -> QueryService:
         key = self._engine_key(policy) + (
             policy.memoize_results,
-            policy.harvest_settled,
             policy.max_cached_entries,
         )
         if key not in self._services:
@@ -1093,7 +1092,6 @@ class Session:
             policy.routing,
             policy.executor,
             policy.memoize_results,
-            policy.harvest_settled,
             policy.max_cached_entries,
         )
         if key not in self._sharded:

@@ -47,7 +47,6 @@ from repro.errors import QueryError
 from repro.monitor import FacilityInsert, QueryRelocation
 from repro.network.facilities import FacilitySet
 from repro.monitor.stream import tick_from_payload, tick_to_payload
-from repro.parallel import ParallelExecution
 from repro.serve import (
     InProcessClient,
     JobJournal,
@@ -122,8 +121,8 @@ class ReplaySpec:
             raise QueryError(f"unknown mix {self.mix!r}; expected one of {_MIXES}")
         if self.k < 1:
             raise QueryError("k must be a positive integer")
-        # ParallelExecution owns the workers/routing/executor validation.
-        ParallelExecution(workers=self.workers, routing=self.routing, executor=self.executor)
+        # ExecutionPolicy owns the workers/routing/executor validation.
+        ExecutionPolicy(workers=self.workers, routing=self.routing, executor=self.executor)
 
 
 def build_requests(workload: Workload, spec: ReplaySpec) -> list[QueryRequest]:
@@ -410,7 +409,7 @@ class MonitorReplaySpec:
                 f"the workload generates {self.workload.num_queries} query locations "
                 f"but {self.subscriptions} subscriptions were requested"
             )
-        ParallelExecution(workers=self.workers, routing=self.routing, executor=self.executor)
+        ExecutionPolicy(workers=self.workers, routing=self.routing, executor=self.executor)
 
 
 @dataclass

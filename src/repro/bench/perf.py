@@ -293,8 +293,8 @@ def _run_batch(engine, storage, requests, label, repeats, *, workers: int = 0) -
         if storage is not None:
             storage.reset_statistics(clear_buffer=True)
         if workers:
-            service = ShardedQueryService(engine, workers=workers, executor="serial")
-            report = service.run_batch(requests)
+            policy = ExecutionPolicy(workers=workers, executor="serial")
+            report = ShardedQueryService(engine, policy=policy).run_batch(requests)
         else:
             report = QueryService(engine).run_batch(requests)
         for outcome in report.outcomes:

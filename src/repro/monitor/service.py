@@ -15,8 +15,9 @@ batches over a frozen facility set, it registers long-lived
 * the **hard cases** (deletion of a result member, query relocation) are
   deferred and resolved by one batched CEA pass at the end of the tick,
   executed through a :class:`~repro.service.QueryService` over the live
-  facility set — and, when a :class:`~repro.parallel.ParallelExecution` is
-  configured and enough subscriptions went stale, sharded across workers via
+  facility set — and, when the service's
+  :class:`~repro.api.ExecutionPolicy` asks for ``workers > 1`` and enough
+  subscriptions went stale, sharded across workers via
   :mod:`repro.parallel`;
 * each tick emits one :class:`DeltaReport` per subscription (facilities that
   entered, left or were rescored) plus the tick's maintenance-path counters,
@@ -53,7 +54,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.api.policy import DEFAULT_POLICY, ExecutionPolicy, legacy_kwargs_warning
+from repro.api.policy import DEFAULT_POLICY, ExecutionPolicy
 from repro.core.engine import MCNQueryEngine
 from repro.core.maintenance import MaintenanceStatistics, SkylineMaintainer, TopKMaintainer
 from repro.errors import FacilityError, GraphError, PolicyError, QueryError
@@ -61,7 +62,6 @@ from repro.network.accessor import AccessStatistics
 from repro.network.costs import CostVector
 from repro.network.facilities import Facility, FacilityId, FacilitySet
 from repro.network.graph import MultiCostGraph
-from repro.parallel import ParallelExecution
 from repro.service import QueryService, SkylineRequest, TopKRequest
 from repro.service.requests import QueryRequest
 from repro.service.service import validate_request
@@ -212,56 +212,20 @@ class MonitoringService:
         tick, the end-of-tick fallback pass is sharded across workers), and
         ``shard_fallback_threshold`` itself (the pool is not worth spinning
         up for one or two queries).  Monitoring always runs on the in-memory
-        data layer; the policy's residency / page knobs do not apply.  This
-        is the constructor the :class:`repro.api.Session` facade uses.
-    parallel / shard_fallback_threshold / compiled:
-        **Deprecated** keyword equivalents of the policy fields, kept
-        working for pre-policy call sites (a :class:`DeprecationWarning` is
-        emitted).  ``parallel`` is a
-        :class:`~repro.parallel.ParallelExecution` or ``None``; ``compiled``
-        is ``True`` / ``False`` / ``None`` (``None`` consults the
-        ``REPRO_COMPILED`` environment toggle).
+        data layer; the policy's residency / page knobs do not apply.
     """
-
-    _UNSET = object()
 
     def __init__(
         self,
         graph: MultiCostGraph,
         facilities: FacilitySet,
         *,
-        parallel: ParallelExecution | None = _UNSET,  # type: ignore[assignment]
-        shard_fallback_threshold: int = _UNSET,  # type: ignore[assignment]
-        compiled: bool | None = _UNSET,  # type: ignore[assignment]
-        policy: ExecutionPolicy | None = None,
+        policy: ExecutionPolicy = DEFAULT_POLICY,
     ):
-        legacy = {
-            name: value
-            for name, value in (
-                ("parallel", parallel),
-                ("shard_fallback_threshold", shard_fallback_threshold),
-                ("compiled", compiled),
+        if not isinstance(policy, ExecutionPolicy):
+            raise PolicyError(
+                f"expected an ExecutionPolicy, got {type(policy).__name__}"
             )
-            if value is not MonitoringService._UNSET
-        }
-        if policy is not None:
-            if legacy:
-                raise PolicyError(
-                    f"pass either policy= or the legacy knobs {sorted(legacy)}, "
-                    "not both"
-                )
-            if not isinstance(policy, ExecutionPolicy):
-                raise PolicyError(
-                    f"expected an ExecutionPolicy, got {type(policy).__name__}"
-                )
-        else:
-            if legacy:
-                legacy_kwargs_warning(
-                    "MonitoringService",
-                    legacy,
-                    "compiled=..., workers=..., shard_fallback_threshold=...",
-                )
-            policy = self._policy_from_legacy(legacy)
         if facilities.graph is not graph:
             raise QueryError("facility set was built for a different graph")
         self._graph = graph
@@ -278,32 +242,6 @@ class MonitoringService:
         self._next_sid = 0
         self._ticks_applied = 0
         self._closed = False
-
-    @staticmethod
-    def _policy_from_legacy(legacy: dict[str, object]) -> ExecutionPolicy:
-        """Fold the pre-policy keyword arguments into an equivalent policy."""
-        fields: dict[str, object] = {}
-        parallel = legacy.get("parallel")
-        if parallel is not None:
-            if not isinstance(parallel, ParallelExecution):
-                raise QueryError(
-                    f"expected a ParallelExecution, got {type(parallel).__name__}"
-                )
-            fields.update(
-                workers=parallel.workers,
-                routing=parallel.routing,
-                executor=parallel.executor,
-            )
-        if "shard_fallback_threshold" in legacy:
-            fields["shard_fallback_threshold"] = legacy["shard_fallback_threshold"]
-        if "compiled" in legacy:
-            mode = legacy["compiled"]
-            if mode not in (True, False, None):
-                raise QueryError(
-                    f"compiled must be True, False or None, got {mode!r}"
-                )
-            fields["compiled"] = {True: "on", False: "off", None: "auto"}[mode]
-        return DEFAULT_POLICY.replace(**fields) if fields else DEFAULT_POLICY
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -653,9 +591,7 @@ class MonitoringService:
                 requests.append(
                     TopKRequest(maintainer.query, maintainer.k, aggregate=maintainer.aggregate)
                 )
-        pass_policy = self._policy.replace(
-            memoize_results=False, harvest_settled=False, max_cached_entries=None
-        )
+        pass_policy = self._policy.replace(memoize_results=False, max_cached_entries=None)
         service = QueryService(self._engine, policy=pass_policy.replace(workers=1))
         use_shards = (
             self._policy.workers > 1 and len(requests) >= self._policy.shard_fallback_threshold

@@ -14,7 +14,6 @@ reports preserve sequential result ordering and sum the per-shard counters.
 from repro.parallel.routing import ROUTINGS, Shard, ShardPlan, plan_shards
 from repro.parallel.service import (
     EXECUTORS,
-    ParallelExecution,
     ShardReport,
     ShardedBatchReport,
     ShardedQueryService,
@@ -24,7 +23,6 @@ from repro.parallel.service import (
 __all__ = [
     "EXECUTORS",
     "ROUTINGS",
-    "ParallelExecution",
     "Shard",
     "ShardPlan",
     "ShardReport",

@@ -44,15 +44,10 @@ from concurrent.futures import TimeoutError as _FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-from repro.api.policy import (
-    DEFAULT_POLICY,
-    EXECUTORS,
-    ExecutionPolicy,
-    legacy_kwargs_warning,
-)
+from repro.api.policy import EXECUTORS, ExecutionPolicy
 from repro.core.engine import MCNQueryEngine
 from repro.errors import PolicyError, QueryError
-from repro.parallel.routing import ROUTINGS, Shard, ShardPlan, plan_shards
+from repro.parallel.routing import Shard, ShardPlan, plan_shards
 from repro.service.cache import CacheStatistics
 from repro.service.requests import BatchReport, QueryOutcome, QueryRequest
 from repro.service.service import QueryService, validate_request
@@ -60,7 +55,6 @@ from repro.network.accessor import AccessStatistics
 
 __all__ = [
     "EXECUTORS",
-    "ParallelExecution",
     "ShardReport",
     "ShardedBatchReport",
     "ShardedQueryService",
@@ -68,28 +62,6 @@ __all__ = [
     "set_shard_timeout",
     "set_worker_fault_hook",
 ]
-
-@dataclass(frozen=True)
-class ParallelExecution:
-    """The parallelism knob accepted by :meth:`QueryService.run_batch`.
-
-    ``workers`` is the number of shards (and the pool size); ``routing`` is
-    ``"round_robin"`` or ``"locality"``; ``executor`` is ``"process"``
-    (default), ``"thread"`` or ``"serial"``.
-    """
-
-    workers: int = 2
-    routing: str = "round_robin"
-    executor: str = "process"
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise QueryError("the number of workers must be at least 1")
-        if self.routing not in ROUTINGS:
-            raise QueryError(f"unknown routing {self.routing!r}; expected one of {ROUTINGS}")
-        if self.executor not in EXECUTORS:
-            raise QueryError(f"unknown executor {self.executor!r}; expected one of {EXECUTORS}")
-
 
 @dataclass
 class ShardReport:
@@ -282,78 +254,31 @@ class ShardedQueryService:
         read-only substrate every worker snapshots.
     policy:
         An :class:`~repro.api.ExecutionPolicy` supplying the parallelism
-        spec (``workers`` / ``routing`` / ``executor``) and the caching
-        knobs replicated into every worker.  This is the constructor the
-        :class:`repro.api.Session` facade uses.
-    workers / routing / executor / memoize_results / harvest_settled / max_cached_entries:
-        **Deprecated** keyword equivalents of the policy fields, kept
-        working for pre-policy call sites (a :class:`DeprecationWarning` is
-        emitted).  ``workers`` is the number of shards / pool size (>= 1,
-        default 2); ``routing`` is ``"round_robin"`` or ``"locality"``;
-        ``executor`` is ``"process"`` (default; requires the ``fork`` start
-        method), ``"thread"`` or ``"serial"``; the caching knobs are
-        forwarded to every worker's :class:`~repro.service.QueryService`.
+        spec and the caching knobs replicated into every worker's
+        :class:`~repro.service.QueryService`.  ``workers`` is the number of
+        shards / pool size; ``routing`` is ``"round_robin"`` or
+        ``"locality"``; ``executor`` is ``"process"`` (requires the ``fork``
+        start method), ``"thread"`` or ``"serial"``.
 
     Example
     -------
-    >>> from repro import MCNQueryEngine, SkylineRequest
+    >>> from repro import ExecutionPolicy, MCNQueryEngine, SkylineRequest
     >>> from repro.parallel import ShardedQueryService
     >>> from repro.datagen import WorkloadSpec, make_workload
     >>> w = make_workload(WorkloadSpec(num_nodes=150, num_facilities=60, num_queries=4, seed=5))
     >>> engine = MCNQueryEngine(w.graph, w.facilities, use_disk=True, page_size=1024)
-    >>> sharded = ShardedQueryService(engine, workers=2, executor="serial")
+    >>> policy = ExecutionPolicy(workers=2, executor="serial")
+    >>> sharded = ShardedQueryService(engine, policy=policy)
     >>> report = sharded.run_batch([SkylineRequest(q) for q in w.queries])
     >>> len(report.outcomes), len(report.shards)
     (4, 2)
     """
 
-    _UNSET = object()
-
-    def __init__(
-        self,
-        engine: MCNQueryEngine,
-        *,
-        workers: int = _UNSET,  # type: ignore[assignment]
-        routing: str = _UNSET,  # type: ignore[assignment]
-        executor: str = _UNSET,  # type: ignore[assignment]
-        memoize_results: bool = _UNSET,  # type: ignore[assignment]
-        harvest_settled: bool = _UNSET,  # type: ignore[assignment]
-        max_cached_entries: int | None = _UNSET,  # type: ignore[assignment]
-        policy: ExecutionPolicy | None = None,
-    ):
-        legacy = {
-            name: value
-            for name, value in (
-                ("workers", workers),
-                ("routing", routing),
-                ("executor", executor),
-                ("memoize_results", memoize_results),
-                ("harvest_settled", harvest_settled),
-                ("max_cached_entries", max_cached_entries),
+    def __init__(self, engine: MCNQueryEngine, *, policy: ExecutionPolicy):
+        if not isinstance(policy, ExecutionPolicy):
+            raise PolicyError(
+                f"expected an ExecutionPolicy, got {type(policy).__name__}"
             )
-            if value is not ShardedQueryService._UNSET
-        }
-        if policy is not None:
-            if legacy:
-                raise PolicyError(
-                    f"pass either policy= or the legacy knobs {sorted(legacy)}, "
-                    "not both"
-                )
-            if not isinstance(policy, ExecutionPolicy):
-                raise PolicyError(
-                    f"expected an ExecutionPolicy, got {type(policy).__name__}"
-                )
-        else:
-            if legacy:
-                legacy_kwargs_warning(
-                    "ShardedQueryService",
-                    legacy,
-                    "workers=..., routing=..., executor=..., memoize_results=...",
-                )
-            # The pre-policy constructor defaulted to two process workers.
-            fields = {"workers": 2, "executor": "process"}
-            fields.update(legacy)
-            policy = DEFAULT_POLICY.replace(**fields)
         if policy.executor == "process" and "fork" not in multiprocessing.get_all_start_methods():
             raise QueryError(
                 "the process executor needs the 'fork' start method (unavailable on "
@@ -363,21 +288,6 @@ class ShardedQueryService:
         _snapshot_accessor(engine)
         self._engine = engine
         self._policy = policy
-
-    @classmethod
-    def from_service(
-        cls, service: QueryService, parallel: ParallelExecution
-    ) -> "ShardedQueryService":
-        """A sharded service mirroring an existing sequential service's knobs."""
-        return cls(
-            service.engine,
-            policy=service.policy.replace(
-                workers=parallel.workers,
-                routing=parallel.routing,
-                executor=parallel.executor,
-                max_cached_entries=service.cache.max_entries,
-            ),
-        )
 
     # ------------------------------------------------------------------ #
     # Introspection

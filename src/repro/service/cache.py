@@ -10,12 +10,10 @@ generalises the same idea *across* queries: one
   batch, no matter how many queries traverse them;
 * :class:`~repro.core.expansion.ExpansionSeeds` are memoised per query
   location, so repeated or co-located queries skip re-deriving their anchor
-  costs;
-* node settle-costs harvested from finished expansions are kept per
-  (seeds, cost type), exposing exact network distances for regions the
-  batch has already explored to callers (diagnostics, warm-start
-  heuristics); exact repeat *requests* are answered by the service's
-  result memo — see ``QueryService``.
+  costs.
+
+Exact repeat *requests* never reach the cache: the service's result memo
+answers them — see ``QueryService``.
 
 The cache implements the :class:`~repro.network.accessor.GraphAccessor`
 protocol, so every algorithm of :mod:`repro.core` can run through it
@@ -26,7 +24,6 @@ only the I/O needed to obtain them.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.core.expansion import ExpansionSeeds
@@ -60,7 +57,6 @@ class CacheStatistics:
     seed_misses: int = 0
     result_hits: int = 0
     result_misses: int = 0
-    settled_nodes_recorded: int = 0
     evictions: int = 0
 
     @property
@@ -103,8 +99,8 @@ class CrossQueryExpansionCache:
         here, so its I/O counters keep measuring the physical work.
     max_entries:
         Optional bound on the number of entries in each cached store —
-        adjacency lists, edge facility lists, memoised seeds and settled
-        cost maps (each map bounded independently, LRU eviction).
+        adjacency lists, edge facility lists and memoised seeds (each map
+        bounded independently, LRU eviction).
         ``None`` (default) caches without bound — appropriate for batches
         over the moderate networks of the experiments.
     """
@@ -118,7 +114,6 @@ class CrossQueryExpansionCache:
         self._edge_facilities: dict[EdgeId, list[FacilityRecord]] = {}
         self._facility_edges: dict[FacilityId, EdgeId] = {}
         self._seeds: dict[NetworkLocation, ExpansionSeeds] = {}
-        self._settled: dict[tuple[ExpansionSeeds, int], dict[NodeId, float]] = {}
         self._stats = CacheStatistics()
 
     # ------------------------------------------------------------------ #
@@ -161,18 +156,16 @@ class CrossQueryExpansionCache:
             "cached_nodes": self.cached_nodes,
             "cached_edges": self.cached_edges,
             "cached_seeds": len(self._seeds),
-            "settled_entries": len(self._settled),
             "hit_rate": round(self._stats.hit_rate(), 4),
             "evictions": self._stats.evictions,
         }
 
     def clear(self) -> None:
-        """Drop every cached record, seed and settle-cost (counters survive)."""
+        """Drop every cached record and seed (counters survive)."""
         self._adjacency.clear()
         self._edge_facilities.clear()
         self._facility_edges.clear()
         self._seeds.clear()
-        self._settled.clear()
 
     # ------------------------------------------------------------------ #
     # GraphAccessor protocol
@@ -223,41 +216,6 @@ class CrossQueryExpansionCache:
         seeds = ExpansionSeeds.from_query(graph, query)
         self._insert(self._seeds, query, seeds)
         return seeds
-
-    # ------------------------------------------------------------------ #
-    # Settle-cost store
-    # ------------------------------------------------------------------ #
-    def record_settled(
-        self, seeds: ExpansionSeeds, cost_index: int, costs: Mapping[NodeId, float]
-    ) -> None:
-        """Merge the settled node costs of a finished expansion into the store.
-
-        Settled distances are final (the Dijkstra invariant), so two
-        expansions with identical seeds and cost type can only ever agree on
-        a node's distance — merging is therefore a plain union.
-        """
-        if not costs:
-            return
-        key = (seeds, cost_index)
-        store = self._settled.get(key)
-        if store is None:
-            store = {}
-            self._insert(self._settled, key, store)
-        else:
-            self._touch(self._settled, key)
-        before = len(store)
-        store.update(costs)
-        self._stats.settled_nodes_recorded += len(store) - before
-
-    def settled_costs(self, seeds: ExpansionSeeds, cost_index: int) -> dict[NodeId, float]:
-        """Known settled distances for (seeds, cost type); empty if never explored."""
-        return dict(self._settled.get((seeds, cost_index), {}))
-
-    def known_node_cost(
-        self, seeds: ExpansionSeeds, cost_index: int, node_id: NodeId
-    ) -> float | None:
-        """The exact network distance of ``node_id`` under one cost type, if settled."""
-        return self._settled.get((seeds, cost_index), {}).get(node_id)
 
     # ------------------------------------------------------------------ #
     # Kernel fast path

@@ -16,7 +16,9 @@ one — the CEA information-sharing idea lifted from a single query to a whole
 workload.  Repeat requests are answered straight from a result memo without
 touching the engine.  Because the cache only short-circuits *reads* of
 immutable records, batched results are always identical to what one-shot
-engine calls would return; only the I/O differs.
+engine calls would return; only the I/O differs.  The memo and the cache
+bound are configured by the ``policy=`` :class:`~repro.api.ExecutionPolicy`
+the service is built with (``memoize_results`` / ``max_cached_entries``).
 
 Example
 -------
@@ -36,9 +38,8 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
 
-from repro.api.policy import DEFAULT_POLICY, ExecutionPolicy, legacy_kwargs_warning
+from repro.api.policy import DEFAULT_POLICY, ExecutionPolicy
 from repro.core.baseline import baseline_skyline, baseline_top_k
 from repro.core.engine import MCNQueryEngine
 from repro.core.results import SkylineResult, TopKResult
@@ -52,9 +53,6 @@ from repro.service.requests import (
     SkylineRequest,
     TopKRequest,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.parallel import ParallelExecution
 
 __all__ = ["QueryService", "validate_request"]
 
@@ -88,60 +86,25 @@ class QueryService:
         Optional pre-built :class:`CrossQueryExpansionCache`; it must wrap
         the engine's own accessor.  By default a fresh cache is created.
     policy:
-        An :class:`~repro.api.ExecutionPolicy` supplying the caching knobs
-        (``memoize_results`` / ``harvest_settled`` / ``max_cached_entries``).
-        This is the constructor the :class:`repro.api.Session` facade uses;
-        the policy's parallelism fields are ignored here (sharding is the
-        caller's concern — see :meth:`run_batch`).
-    memoize_results / harvest_settled / max_cached_entries:
-        **Deprecated** keyword equivalents of the policy's caching fields,
-        kept working for pre-policy call sites (a :class:`DeprecationWarning`
-        is emitted).  ``memoize_results`` answers identical repeat requests
-        from a result memo; ``harvest_settled`` keeps finished queries'
-        settled node distances in the cache; ``max_cached_entries`` bounds
-        the default cache (LRU, ``None`` = unbounded) and is mutually
-        exclusive with ``cache``.
+        An :class:`~repro.api.ExecutionPolicy` supplying the caching knobs:
+        ``memoize_results`` answers identical repeat requests from a result
+        memo; ``max_cached_entries`` bounds the default cache (LRU, ``None``
+        = unbounded) and is mutually exclusive with ``cache``.  The policy's
+        parallelism fields are ignored here (sharding is the caller's
+        concern — see :meth:`run_batch`).
     """
-
-    _UNSET = object()
 
     def __init__(
         self,
         engine: MCNQueryEngine,
         *,
         cache: CrossQueryExpansionCache | None = None,
-        memoize_results: bool = _UNSET,  # type: ignore[assignment]
-        harvest_settled: bool = _UNSET,  # type: ignore[assignment]
-        max_cached_entries: int | None = _UNSET,  # type: ignore[assignment]
-        policy: ExecutionPolicy | None = None,
+        policy: ExecutionPolicy = DEFAULT_POLICY,
     ):
-        legacy = {
-            name: value
-            for name, value in (
-                ("memoize_results", memoize_results),
-                ("harvest_settled", harvest_settled),
-                ("max_cached_entries", max_cached_entries),
+        if not isinstance(policy, ExecutionPolicy):
+            raise PolicyError(
+                f"expected an ExecutionPolicy, got {type(policy).__name__}"
             )
-            if value is not QueryService._UNSET
-        }
-        if policy is not None:
-            if legacy:
-                raise PolicyError(
-                    f"pass either policy= or the legacy knobs {sorted(legacy)}, "
-                    "not both"
-                )
-            if not isinstance(policy, ExecutionPolicy):
-                raise PolicyError(
-                    f"expected an ExecutionPolicy, got {type(policy).__name__}"
-                )
-        else:
-            if legacy:
-                legacy_kwargs_warning(
-                    "QueryService",
-                    legacy,
-                    "memoize_results=..., harvest_settled=..., max_cached_entries=...",
-                )
-            policy = DEFAULT_POLICY.replace(**legacy) if legacy else DEFAULT_POLICY
         if cache is not None:
             if cache.base_accessor is not engine.accessor:
                 raise QueryError("the cache must wrap the engine's own accessor")
@@ -155,7 +118,6 @@ class QueryService:
             engine.accessor, max_entries=policy.max_cached_entries
         )
         self._memoize_results = policy.memoize_results
-        self._harvest_settled = policy.harvest_settled
         self._memo: dict[QueryRequest, SkylineResult | TopKResult] = {}
         self._pending: list[tuple[int, QueryRequest]] = []
         self._next_ticket = 0
@@ -192,11 +154,6 @@ class QueryService:
     def memoize_results(self) -> bool:
         """Whether identical repeat requests are answered from the result memo."""
         return self._memoize_results
-
-    @property
-    def harvest_settled(self) -> bool:
-        """Whether settled node costs of finished queries are kept in the cache."""
-        return self._harvest_settled
 
     def reset_cache(self) -> None:
         """Drop all shared expansion state and the result memo (cold restart)."""
@@ -246,7 +203,6 @@ class QueryService:
         self,
         requests: Sequence[QueryRequest],
         *,
-        parallel: "ParallelExecution | None" = None,
         policy: ExecutionPolicy | None = None,
     ) -> BatchReport:
         """Execute ``requests`` in order and return a :class:`BatchReport`.
@@ -265,48 +221,26 @@ class QueryService:
         With ``workers == 1`` (or no override) the batch runs sequentially
         through this service's own cache.
 
-        ``parallel=`` is the **deprecated** pre-policy spelling of the same
-        delegation; the shard workers then inherit this service's caching
-        knobs.
-
         Example
         -------
         >>> report = service.run_batch([SkylineRequest(q) for q in queries])  # doctest: +SKIP
         >>> report.page_reads  # doctest: +SKIP
         """
-        if parallel is not None:
-            if policy is not None:
-                raise PolicyError("pass either parallel= or policy=, not both")
-            legacy_kwargs_warning(
-                "QueryService.run_batch", ("parallel",), "workers=..., routing=..., executor=..."
-            )
-            if parallel.workers > 1:
+        if policy is not None:
+            if policy.workers > 1:
                 # Imported lazily: repro.parallel depends on this module.
                 from repro.parallel import ShardedQueryService
 
-                return ShardedQueryService.from_service(self, parallel).run_batch(requests)
-        elif policy is not None:
-            if policy.workers > 1:
-                from repro.parallel import ShardedQueryService
-
                 return ShardedQueryService(self._engine, policy=policy).run_batch(requests)
-            caching = (
-                policy.memoize_results,
-                policy.harvest_settled,
-                policy.max_cached_entries,
-            )
-            if caching != (
-                self._policy.memoize_results,
-                self._policy.harvest_settled,
-                self._policy.max_cached_entries,
-            ):
+            caching = (policy.memoize_results, policy.max_cached_entries)
+            if caching != (self._policy.memoize_results, self._policy.max_cached_entries):
                 # A sequential batch runs through THIS service's cache and
                 # memo, which were fixed at construction — silently ignoring
                 # the override's caching knobs would be worse than refusing.
                 raise PolicyError(
                     "a workers=1 policy override cannot change this service's "
-                    "caching knobs (memoize_results / harvest_settled / "
-                    "max_cached_entries are fixed at construction); build a "
+                    "caching knobs (memoize_results / max_cached_entries are "
+                    "fixed at construction); build a "
                     "QueryService with the desired policy, or go through "
                     "repro.api.Session, which caches one service per "
                     "configuration"
@@ -390,11 +324,7 @@ class QueryService:
                 data_layer=self._cache,
                 seeds=seeds,
             )
-        result = search.run()
-        if self._harvest_settled:
-            for expansion in search.expansions:
-                self._cache.record_settled(seeds, expansion.cost_index, expansion.settled_costs)
-        return result
+        return search.run()
 
     def _memo_key(self, request: QueryRequest) -> QueryRequest | None:
         if not self._memoize_results:

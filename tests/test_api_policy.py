@@ -6,9 +6,12 @@ import json
 
 import pytest
 
+import repro.parallel
 from repro.api import (
     COMPILED_ENV_VAR,
     DEFAULT_POLICY,
+    EXECUTORS,
+    ROUTINGS,
     ExecutionPolicy,
     compiled_env_default,
     policy_from_payload,
@@ -18,7 +21,6 @@ from repro.api import (
 from repro.core.engine import MCNQueryEngine
 from repro.datagen import WorkloadSpec, make_workload
 from repro.errors import PolicyError, QueryError
-from repro.parallel import EXECUTORS, ROUTINGS, ParallelExecution
 
 
 class TestDefaults:
@@ -32,7 +34,6 @@ class TestDefaults:
         assert policy.routing == "round_robin"
         assert policy.executor == "process"
         assert policy.memoize_results is True
-        assert policy.harvest_settled is True
         assert policy.max_cached_entries is None
         assert policy.shard_fallback_threshold == 4
 
@@ -70,7 +71,6 @@ class TestValidation:
             ("routing", "nearest"),
             ("executor", "fiber"),
             ("memoize_results", "yes"),
-            ("harvest_settled", 1),
             ("max_cached_entries", 0),
             ("max_cached_entries", True),
             ("shard_fallback_threshold", 0),
@@ -79,6 +79,16 @@ class TestValidation:
     def test_bad_field_rejected_at_construction(self, field, value):
         with pytest.raises(PolicyError):
             ExecutionPolicy(**{field: value})
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"vector": "off"}, {"harvest_settled": True}],
+        ids=["removed-field", "removed-field-harvest"],
+    )
+    def test_removed_field_rejected_at_construction(self, fields):
+        (field,) = fields
+        with pytest.raises(TypeError, match=field):
+            ExecutionPolicy(**fields)
 
     def test_policy_error_is_a_query_error(self):
         # Pre-policy call sites catch QueryError around service construction.
@@ -96,19 +106,8 @@ class TestValidation:
     def test_vocabulary_shared_with_parallel_package(self):
         # The policy module is the canonical source of the routing/executor
         # vocabulary; repro.parallel re-exports the same tuples.
-        for routing in ROUTINGS:
-            for executor in EXECUTORS:
-                policy = ExecutionPolicy(workers=2, routing=routing, executor=executor)
-                spec = policy.parallel
-                assert isinstance(spec, ParallelExecution)
-                assert (spec.workers, spec.routing, spec.executor) == (
-                    2,
-                    routing,
-                    executor,
-                )
-
-    def test_parallel_is_none_for_sequential_policies(self):
-        assert ExecutionPolicy().parallel is None
+        assert repro.parallel.ROUTINGS is ROUTINGS
+        assert repro.parallel.EXECUTORS is EXECUTORS
 
     def test_buffer_fraction_canonicalised_to_float(self):
         policy = ExecutionPolicy(buffer_fraction=1)
@@ -177,7 +176,6 @@ GOLDEN_POLICY = ExecutionPolicy(
     routing="locality",
     executor="thread",
     memoize_results=False,
-    harvest_settled=False,
     max_cached_entries=64,
     shard_fallback_threshold=2,
 )
@@ -193,7 +191,6 @@ GOLDEN_PAYLOAD = {
     "routing": "locality",
     "executor": "thread",
     "memoize_results": False,
-    "harvest_settled": False,
     "max_cached_entries": 64,
     "shard_fallback_threshold": 2,
     "temporal": "off",
@@ -226,7 +223,9 @@ class TestPayloadCodecs:
         assert decoded == ExecutionPolicy(residency="disk")
 
     @pytest.mark.parametrize(
-        "payload", [{"worker": 3}, {"vector": "off"}], ids=["typo", "removed-field"]
+        "payload",
+        [{"worker": 3}, {"vector": "off"}, {"harvest_settled": True}],
+        ids=["typo", "removed-field", "removed-field-harvest"],
     )
     def test_unknown_field_rejected(self, payload):
         (field,) = payload

@@ -1,4 +1,4 @@
-"""Session facade: equivalence with the direct stacks, caching, shims."""
+"""Session facade: equivalence with the direct stacks, caching, policies."""
 
 from __future__ import annotations
 
@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import MCNQueryEngine, ParallelExecution
+from repro import MCNQueryEngine
 from repro.api import (
     COMPILED_ENV_VAR,
+    DEFAULT_POLICY,
     BatchResponse,
     ExecutionPolicy,
     Response,
@@ -383,15 +384,11 @@ class TestSessionMonitor:
         assert handle.subscription_ids == (second,)
 
 
-class TestDeprecationShims:
+class TestServicePolicies:
+    """The three services take their whole configuration as one policy."""
+
     def _engine(self):
         return MCNQueryEngine(_WORKLOAD.graph, _WORKLOAD.facilities)
-
-    def test_query_service_legacy_kwargs_warn_and_work(self):
-        with pytest.warns(DeprecationWarning, match="ExecutionPolicy"):
-            service = QueryService(self._engine(), memoize_results=False)
-        assert service.memoize_results is False
-        assert service.policy.memoize_results is False
 
     def test_query_service_policy_path_is_silent(self):
         with warnings.catch_warnings():
@@ -400,31 +397,6 @@ class TestDeprecationShims:
                 self._engine(), policy=ExecutionPolicy(memoize_results=False)
             )
         assert service.memoize_results is False
-
-    def test_query_service_policy_and_legacy_conflict(self):
-        with pytest.raises(PolicyError):
-            QueryService(
-                self._engine(),
-                memoize_results=False,
-                policy=ExecutionPolicy(),
-            )
-
-    def test_run_batch_parallel_kwarg_warns(self):
-        service = QueryService(self._engine())
-        with pytest.warns(DeprecationWarning, match="run_batch"):
-            report = service.run_batch(
-                _requests()[:2], parallel=ParallelExecution(workers=2, executor="serial")
-            )
-        assert len(report.outcomes) == 2
-
-    def test_run_batch_parallel_and_policy_conflict(self):
-        service = QueryService(self._engine())
-        with pytest.raises(PolicyError):
-            service.run_batch(
-                _requests()[:2],
-                parallel=ParallelExecution(workers=2, executor="serial"),
-                policy=ExecutionPolicy(workers=2, executor="serial"),
-            )
 
     def test_run_batch_rejects_sequential_caching_override(self):
         # A workers=1 override runs through THIS service's cache, so a
@@ -447,11 +419,6 @@ class TestDeprecationShims:
             )
         assert [shard.size for shard in report.shards] == [3, 3]
 
-    def test_sharded_legacy_kwargs_warn_and_work(self):
-        with pytest.warns(DeprecationWarning, match="ShardedQueryService"):
-            sharded = ShardedQueryService(self._engine(), workers=3, executor="serial")
-        assert (sharded.workers, sharded.executor) == (3, "serial")
-
     def test_sharded_policy_path_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -459,30 +426,6 @@ class TestDeprecationShims:
                 self._engine(), policy=ExecutionPolicy(workers=3, executor="serial")
             )
         assert sharded.policy.workers == 3
-
-    def test_sharded_legacy_defaults_preserved(self):
-        with pytest.warns(DeprecationWarning):
-            sharded = ShardedQueryService(self._engine(), routing="locality")
-        # The pre-policy constructor defaulted to two process workers.
-        assert (sharded.workers, sharded.routing, sharded.executor) == (
-            2,
-            "locality",
-            "process",
-        )
-
-    def test_monitoring_legacy_kwargs_warn_and_work(self):
-        facilities = FacilitySet(_WORKLOAD.graph, iter(_WORKLOAD.facilities))
-        with pytest.warns(DeprecationWarning, match="MonitoringService"):
-            service = MonitoringService(
-                _WORKLOAD.graph,
-                facilities,
-                parallel=ParallelExecution(workers=2, executor="serial"),
-                shard_fallback_threshold=2,
-                compiled=False,
-            )
-        assert service.policy.workers == 2
-        assert service.policy.shard_fallback_threshold == 2
-        assert service.policy.compiled == "off"
 
     def test_monitoring_policy_path_is_silent(self):
         facilities = FacilitySet(_WORKLOAD.graph, iter(_WORKLOAD.facilities))
@@ -493,20 +436,65 @@ class TestDeprecationShims:
             )
         assert service.policy.compiled == "off"
 
-    def test_legacy_and_policy_equivalent_behaviour(self):
-        requests = _requests()
-        with pytest.warns(DeprecationWarning):
-            legacy = QueryService(self._engine(), memoize_results=False, harvest_settled=False)
-        modern = QueryService(
-            self._engine(),
-            policy=ExecutionPolicy(memoize_results=False, harvest_settled=False),
-        )
-        legacy_report = legacy.run_batch(requests)
-        modern_report = modern.run_batch(requests)
-        assert [_signature(o) for o in legacy_report.outcomes] == [
-            _signature(o) for o in modern_report.outcomes
-        ]
-        assert legacy_report.io == modern_report.io
+    def test_bare_constructors_take_default_policy(self):
+        facilities = FacilitySet(_WORKLOAD.graph, iter(_WORKLOAD.facilities))
+        assert QueryService(self._engine()).policy == DEFAULT_POLICY
+        assert MonitoringService(_WORKLOAD.graph, facilities).policy == DEFAULT_POLICY
+
+    def test_sharded_requires_policy(self):
+        # A bare ShardedQueryService used to mean two process workers; the
+        # worker count and executor are now always stated by a policy.
+        with pytest.raises(TypeError, match="policy"):
+            ShardedQueryService(self._engine())  # type: ignore[call-arg]
+
+    # The pre-policy keyword knobs are gone: each one fails loudly rather
+    # than being folded into a policy or silently ignored.
+    @pytest.mark.parametrize(
+        "kwarg, value",
+        [("memoize_results", False), ("harvest_settled", False), ("max_cached_entries", 8)],
+    )
+    def test_query_service_legacy_kwargs_rejected(self, kwarg, value):
+        with pytest.raises(TypeError, match=kwarg):
+            QueryService(self._engine(), **{kwarg: value})
+
+    @pytest.mark.parametrize(
+        "kwarg, value",
+        [
+            ("workers", 3),
+            ("routing", "locality"),
+            ("executor", "serial"),
+            ("memoize_results", False),
+            ("harvest_settled", False),
+            ("max_cached_entries", 8),
+        ],
+    )
+    def test_sharded_legacy_kwargs_rejected(self, kwarg, value):
+        policy = ExecutionPolicy(workers=2, executor="serial")
+        with pytest.raises(TypeError, match=kwarg):
+            ShardedQueryService(self._engine(), policy=policy, **{kwarg: value})
+
+    @pytest.mark.parametrize(
+        "kwarg, value",
+        [
+            ("parallel", ExecutionPolicy(workers=2, executor="serial")),
+            ("shard_fallback_threshold", 2),
+            ("compiled", False),
+        ],
+        ids=["parallel", "shard_fallback_threshold", "compiled"],
+    )
+    def test_monitoring_legacy_kwargs_rejected(self, kwarg, value):
+        facilities = FacilitySet(_WORKLOAD.graph, iter(_WORKLOAD.facilities))
+        with pytest.raises(TypeError, match=kwarg):
+            MonitoringService(_WORKLOAD.graph, facilities, **{kwarg: value})
+
+    def test_run_batch_parallel_kwarg_rejected(self):
+        service = QueryService(self._engine())
+        with pytest.raises(TypeError, match="parallel"):
+            service.run_batch(
+                _requests()[:2], parallel=ExecutionPolicy(workers=2, executor="serial")
+            )
+        # The rejected call ran nothing through the service.
+        assert service.cache.cache_statistics.record_misses == 0
 
 
 class TestSessionLifecycle:

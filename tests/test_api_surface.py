@@ -101,7 +101,6 @@ POLICY_SCHEMA = [
     ("routing", "round_robin"),
     ("executor", "process"),
     ("memoize_results", True),
-    ("harvest_settled", True),
     ("max_cached_entries", None),
     ("shard_fallback_threshold", 4),
     ("temporal", "off"),

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import ExecutionPolicy
 from repro.core.aggregates import MaxCost, WeightedLpNorm, WeightedSum
 from repro.core.engine import MCNQueryEngine
 from repro.datagen import (
@@ -121,9 +122,9 @@ class TestDifferentialOracle:
 
         # Path 5: the sharded parallel service, both executors and routings.
         sharded_runs = [
-            ShardedQueryService(engine, workers=3, routing=routing, executor=executor).run_batch(
-                requests
-            )
+            ShardedQueryService(
+                engine, policy=ExecutionPolicy(workers=3, routing=routing, executor=executor)
+            ).run_batch(requests)
             for routing in ("round_robin", "locality")
             for executor in ("serial", "thread")
         ]
@@ -164,7 +165,9 @@ class TestDifferentialOracle:
         )
         cold_engine = MCNQueryEngine(workload.graph, workload.facilities, storage=cold_storage)
         report = QueryService(cold_engine).run_batch(requests)
-        sharded = ShardedQueryService(cold_engine, workers=2, executor="serial").run_batch(requests)
+        sharded = ShardedQueryService(
+            cold_engine, policy=ExecutionPolicy(workers=2, executor="serial")
+        ).run_batch(requests)
         for outcome_a, outcome_b in zip(report.outcomes, sharded.outcomes):
             if isinstance(outcome_a.request, SkylineRequest):
                 assert skyline_ids(outcome_a.result) == skyline_ids(outcome_b.result)
@@ -285,7 +288,7 @@ class TestDifferentialOracle:
                 requests.append(TopKRequest(query, k=4, weights=(0.5, 0.3, 0.2)))
         sequential = QueryService(engine).run_batch(requests)
         sharded = ShardedQueryService(
-            engine, workers=3, routing="locality", executor="thread"
+            engine, policy=ExecutionPolicy(workers=3, routing="locality", executor="thread")
         ).run_batch(requests)
         assert len(sequential.outcomes) == len(sharded.outcomes) == 100
         for a, b in zip(sequential.outcomes, sharded.outcomes):

@@ -100,7 +100,7 @@ class TestGoldenReplay:
         engine = build_engine(fixture)
         requests = decode_requests(fixture["requests"])
         report = ShardedQueryService(
-            engine, workers=2, routing="locality", executor="serial"
+            engine, policy=ExecutionPolicy(workers=2, routing="locality", executor="serial")
         ).run_batch(requests)
         for outcome, expected_result in zip(report.outcomes, fixture["expected"]["results"]):
             assert_results_match(

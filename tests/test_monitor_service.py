@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.api import ExecutionPolicy
 from repro.core.aggregates import WeightedSum
 from repro.core.maintenance import MaintenanceStatistics
 from repro.datagen import UpdateStreamSpec, WorkloadSpec, make_update_stream, make_workload
@@ -23,7 +24,6 @@ from repro.monitor import (
     tick_report_to_payload,
 )
 from repro.network import Facility, FacilitySet, MultiCostGraph, NetworkLocation
-from repro.parallel import ParallelExecution
 from repro.service import SkylineRequest, TopKRequest
 from tests.helpers import (
     exact_skyline,
@@ -314,14 +314,12 @@ class TestTickValidation:
 
 
 class TestShardedFallback:
-    def build(self, parallel, threshold=1):
+    def build(self, policy):
         workload = make_workload(
             WorkloadSpec(num_nodes=150, num_facilities=60, num_cost_types=3, num_queries=6, seed=31)
         )
         facilities = FacilitySet(workload.graph, iter(workload.facilities))
-        service = MonitoringService(
-            workload.graph, facilities, parallel=parallel, shard_fallback_threshold=threshold
-        )
+        service = MonitoringService(workload.graph, facilities, policy=policy)
         sids = []
         for index, query in enumerate(workload.queries):
             if index % 2 == 0:
@@ -338,9 +336,9 @@ class TestShardedFallback:
 
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_sharded_fallback_matches_sequential(self, executor):
-        sequential, sids, stream = self.build(parallel=None)
+        sequential, sids, stream = self.build(ExecutionPolicy())
         sharded, _sids, _stream = self.build(
-            parallel=ParallelExecution(workers=3, executor=executor), threshold=2
+            ExecutionPolicy(workers=3, executor=executor, shard_fallback_threshold=2)
         )
         sharded_ticks = 0
         for tick in stream:
@@ -357,7 +355,7 @@ class TestShardedFallback:
 
     def test_below_threshold_stays_sequential(self):
         service, sids, _stream = self.build(
-            parallel=ParallelExecution(workers=2, executor="serial"), threshold=50
+            ExecutionPolicy(workers=2, executor="serial", shard_fallback_threshold=50)
         )
         member = next(iter(service.result_signature(sids[0])))
         report = service.apply_tick(UpdateTick((FacilityDelete(member),)))

@@ -6,14 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.driver import ReplaySpec, build_requests, replay_workload
+from repro.api import ExecutionPolicy
+from repro.bench.driver import (
+    MonitorReplaySpec,
+    ReplaySpec,
+    build_requests,
+    replay_workload,
+)
 from repro.cli import build_parser
 from repro.core.engine import MCNQueryEngine
 from repro.datagen import WorkloadSpec, make_workload
 from repro.errors import QueryError
 from repro.network.accessor import InMemoryAccessor
 from repro.parallel import (
-    ParallelExecution,
     ShardedBatchReport,
     ShardedQueryService,
     plan_shards,
@@ -50,6 +55,11 @@ def requests(workload):
         else:
             trace.append(TopKRequest(query, k=3, weights=(0.5, 0.3, 0.2)))
     return trace
+
+
+def _sharded(engine, **fields):
+    """A sharded service over ``engine`` configured by the given policy fields."""
+    return ShardedQueryService(engine, policy=ExecutionPolicy(**fields))
 
 
 def result_signature(outcome):
@@ -187,12 +197,12 @@ class TestShardedQueryService:
     def test_identical_results_and_order(
         self, engine, requests, sequential_report, executor, routing
     ):
-        sharded = ShardedQueryService(engine, workers=3, routing=routing, executor=executor)
+        sharded = _sharded(engine, workers=3, routing=routing, executor=executor)
         report = sharded.run_batch(requests)
         assert_identical_ordering(sequential_report, report)
 
     def test_merged_counters_equal_shard_sums(self, engine, requests):
-        report = ShardedQueryService(engine, workers=4, executor="thread").run_batch(requests)
+        report = _sharded(engine, workers=4, executor="thread").run_batch(requests)
         assert report.io.page_reads == sum(s.report.io.page_reads for s in report.shards)
         assert report.io.buffer_hits == sum(s.report.io.buffer_hits for s in report.shards)
         assert report.io.adjacency_requests == sum(
@@ -207,23 +217,23 @@ class TestShardedQueryService:
     def test_process_pool_runs_in_distinct_processes(self, engine, requests):
         import os
 
-        report = ShardedQueryService(engine, workers=2, executor="process").run_batch(requests)
+        report = _sharded(engine, workers=2, executor="process").run_batch(requests)
         pids = {shard.pid for shard in report.shards}
         assert os.getpid() not in pids
         assert len(report.shards) == 2
 
     def test_single_worker_is_one_shard(self, engine, requests):
-        report = ShardedQueryService(engine, workers=1, executor="serial").run_batch(requests)
+        report = _sharded(engine, workers=1, executor="serial").run_batch(requests)
         assert len(report.shards) == 1
         assert [o.ticket for o in report.outcomes] == list(range(len(requests)))
 
     def test_empty_batch(self, engine):
-        report = ShardedQueryService(engine, workers=3, executor="serial").run_batch([])
+        report = _sharded(engine, workers=3, executor="serial").run_batch([])
         assert report.outcomes == [] and report.shards == []
         assert report.page_reads == 0
 
     def test_describe_includes_parallel_fields(self, engine, requests):
-        report = ShardedQueryService(engine, workers=2, executor="serial").run_batch(requests)
+        report = _sharded(engine, workers=2, executor="serial").run_batch(requests)
         summary = report.describe()
         assert summary["workers"] == 2
         assert summary["routing"] == "round_robin"
@@ -231,7 +241,7 @@ class TestShardedQueryService:
         assert sum(summary["shards"]) == len(requests)
 
     def test_invalid_request_rejected_before_any_work(self, engine, requests):
-        sharded = ShardedQueryService(engine, workers=2, executor="serial")
+        sharded = _sharded(engine, workers=2, executor="serial")
         with pytest.raises(QueryError):
             sharded.run_batch(requests + ["not a request"])
 
@@ -240,27 +250,29 @@ class TestShardedQueryService:
             TopKRequest(workload.queries[0], k=2, aggregate=lambda costs: sum(costs)),
             TopKRequest(workload.queries[1], k=2, aggregate=lambda costs: max(costs)),
         ]
-        sharded = ShardedQueryService(engine, workers=2, executor="process")
+        sharded = _sharded(engine, workers=2, executor="process")
         with pytest.raises(QueryError, match="pickle"):
             sharded.run_batch(trace)
         # The thread executor handles the same batch fine.
-        report = ShardedQueryService(engine, workers=2, executor="thread").run_batch(trace)
+        report = _sharded(engine, workers=2, executor="thread").run_batch(trace)
         assert len(report.outcomes) == 2
 
     def test_constructor_validation(self, engine):
         with pytest.raises(QueryError):
-            ShardedQueryService(engine, workers=0)
+            _sharded(engine, workers=0)
         with pytest.raises(QueryError):
-            ShardedQueryService(engine, routing="nearest")
+            _sharded(engine, routing="nearest")
         with pytest.raises(QueryError):
-            ShardedQueryService(engine, executor="fiber")
+            _sharded(engine, executor="fiber")
+        with pytest.raises(QueryError):
+            ShardedQueryService(engine, policy=None)  # type: ignore[arg-type]
 
     def test_memo_stays_per_worker(self, engine, workload):
         # The same request lands on the same round-robin shard twice: the
         # second occurrence must be a memo hit inside that worker.
         request = SkylineRequest(workload.queries[0])
         trace = [request, SkylineRequest(workload.queries[1]), request, SkylineRequest(workload.queries[1])]
-        report = ShardedQueryService(engine, workers=2, executor="serial").run_batch(trace)
+        report = _sharded(engine, workers=2, executor="serial").run_batch(trace)
         assert report.memo_hits == 2
         assert_identical = [o.served_from_memo for o in report.outcomes]
         assert assert_identical == [False, False, True, True]
@@ -271,23 +283,15 @@ class TestParallelKnob:
         service = QueryService(engine)
         sequential = service.run_batch(requests)
         parallel = service.run_batch(
-            requests, parallel=ParallelExecution(workers=2, executor="thread")
+            requests, policy=ExecutionPolicy(workers=2, executor="thread")
         )
         assert isinstance(parallel, ShardedBatchReport)
         assert_identical_ordering(sequential, parallel)
 
     def test_single_worker_config_stays_sequential(self, engine, requests):
         service = QueryService(engine)
-        report = service.run_batch(requests[:4], parallel=ParallelExecution(workers=1))
+        report = service.run_batch(requests[:4], policy=ExecutionPolicy(workers=1))
         assert not isinstance(report, ShardedBatchReport)
-
-    def test_parallel_execution_validation(self):
-        with pytest.raises(QueryError):
-            ParallelExecution(workers=0)
-        with pytest.raises(QueryError):
-            ParallelExecution(routing="hash")
-        with pytest.raises(QueryError):
-            ParallelExecution(executor="gpu")
 
 
 class TestReplayDriverParallel:
@@ -317,6 +321,16 @@ class TestReplayDriverParallel:
             ReplaySpec(routing="nope")
         with pytest.raises(QueryError):
             ReplaySpec(executor="nope")
+
+    def test_monitor_replay_spec_validation(self):
+        spec = MonitorReplaySpec(workers=2, routing="locality", executor="serial")
+        assert (spec.workers, spec.routing, spec.executor) == (2, "locality", "serial")
+        with pytest.raises(QueryError):
+            MonitorReplaySpec(workers=0)
+        with pytest.raises(QueryError):
+            MonitorReplaySpec(routing="nope")
+        with pytest.raises(QueryError):
+            MonitorReplaySpec(executor="nope")
 
 
 class TestCLIArguments:
@@ -349,10 +363,10 @@ class TestRoutingProperties:
 
         rng = random.Random(subset_seed)
         trace = rng.sample(requests, rng.randint(1, len(requests)))
-        round_robin = ShardedQueryService(
+        round_robin = _sharded(
             engine, workers=workers, routing="round_robin", executor="serial"
         ).run_batch(trace)
-        locality = ShardedQueryService(
+        locality = _sharded(
             engine, workers=workers, routing="locality", executor="serial"
         ).run_batch(trace)
         assert_identical_ordering(round_robin, locality)
@@ -363,7 +377,7 @@ class TestRoutingProperties:
         routing=st.sampled_from(["round_robin", "locality"]),
     )
     def test_merged_counters_are_shard_sums(self, engine, requests, workers, routing):
-        report = ShardedQueryService(
+        report = _sharded(
             engine, workers=workers, routing=routing, executor="serial"
         ).run_batch(requests)
         for counter in ("page_reads", "buffer_hits", "adjacency_requests", "facility_requests"):

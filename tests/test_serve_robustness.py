@@ -351,8 +351,8 @@ class TestMalformedPayloads:
 
     @pytest.mark.parametrize(
         "policy",
-        [{"residency": "floppy"}, {"vector": "off"}],
-        ids=["bad-value", "removed-field"],
+        [{"residency": "floppy"}, {"vector": "off"}, {"harvest_settled": True}],
+        ids=["bad-value", "removed-field", "removed-field-harvest"],
     )
     def test_bad_policy_payload_is_invalid_policy(self, client_app, policy):
         _app_obj, client = client_app

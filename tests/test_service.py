@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.api import ExecutionPolicy
 from repro.core.engine import MCNQueryEngine
 from repro.datagen.workload import WorkloadSpec, make_workload
 from repro.errors import QueryError
@@ -135,16 +136,6 @@ class TestCrossQueryCache:
         stats = cache.cache_statistics
         assert stats.seed_misses == 1 and stats.seed_hits == 1
 
-    def test_settled_costs_merge(self, disk_engine, workload):
-        cache = CrossQueryExpansionCache(disk_engine.accessor)
-        seeds = cache.seeds_for(workload.graph, workload.queries[0])
-        cache.record_settled(seeds, 0, {1: 2.0, 2: 3.0})
-        cache.record_settled(seeds, 0, {2: 3.0, 3: 4.0})
-        assert cache.settled_costs(seeds, 0) == {1: 2.0, 2: 3.0, 3: 4.0}
-        assert cache.known_node_cost(seeds, 0, 3) == 4.0
-        assert cache.known_node_cost(seeds, 1, 3) is None
-        assert cache.cache_statistics.settled_nodes_recorded == 3
-
     def test_clear_drops_state(self, disk_engine, workload):
         cache = CrossQueryExpansionCache(disk_engine.accessor)
         cache.adjacency(next(iter(workload.graph.node_ids())))
@@ -212,21 +203,32 @@ class TestQueryService:
         assert second.result is first.result
 
     def test_memoisation_can_be_disabled(self, disk_engine, workload):
-        service = QueryService(disk_engine, memoize_results=False)
+        service = QueryService(disk_engine, policy=ExecutionPolicy(memoize_results=False))
         request = SkylineRequest(workload.queries[0])
         service.execute(request)
         second = service.execute(request)
         assert not second.served_from_memo
 
-    def test_settle_costs_harvested(self, disk_engine, workload):
-        service = QueryService(disk_engine)
-        query = workload.queries[0]
-        service.execute(SkylineRequest(query))
-        seeds = service.cache.seeds_for(workload.graph, query)
-        assert any(
-            service.cache.settled_costs(seeds, index)
-            for index in range(workload.graph.num_cost_types)
-        )
+    def test_cache_keeps_only_records_and_seeds(self, disk_engine, workload):
+        # Finished queries leave the records they fetched and their seeds
+        # behind and no search state of their own, so replaying a batch adds
+        # no entries.
+        service = QueryService(disk_engine, policy=ExecutionPolicy(memoize_results=False))
+        requests = mixed_requests(workload)
+        service.run_batch(requests)
+        first = service.cache.describe()
+        service.run_batch(requests)
+        second = service.cache.describe()
+        assert set(second) == {
+            "cached_nodes",
+            "cached_edges",
+            "cached_seeds",
+            "hit_rate",
+            "evictions",
+        }
+        for key in ("cached_nodes", "cached_edges", "cached_seeds"):
+            assert second[key] == first[key]
+        assert first["cached_seeds"] == len({request.location for request in requests})
 
     def test_foreign_cache_rejected(self, disk_engine, workload):
         other = MCNQueryEngine(workload.graph, workload.facilities)
@@ -249,16 +251,6 @@ class TestQueryService:
             )
         assert service.pending_count == 0
 
-    def test_harvesting_can_be_disabled(self, disk_engine, workload):
-        service = QueryService(disk_engine, harvest_settled=False)
-        query = workload.queries[0]
-        service.execute(SkylineRequest(query))
-        seeds = service.cache.seeds_for(workload.graph, query)
-        assert all(
-            not service.cache.settled_costs(seeds, index)
-            for index in range(workload.graph.num_cost_types)
-        )
-
     def test_unknown_location_rejected_at_submission(self, disk_engine):
         from repro.errors import LocationError
         from repro.network.location import NetworkLocation
@@ -271,10 +263,10 @@ class TestQueryService:
     def test_cache_and_bound_mutually_exclusive(self, disk_engine):
         cache = CrossQueryExpansionCache(disk_engine.accessor)
         with pytest.raises(QueryError):
-            QueryService(disk_engine, cache=cache, max_cached_entries=8)
+            QueryService(disk_engine, cache=cache, policy=ExecutionPolicy(max_cached_entries=8))
 
     def test_batch_report_cache_counters_are_per_batch(self, disk_engine, workload):
-        service = QueryService(disk_engine, memoize_results=False)
+        service = QueryService(disk_engine, policy=ExecutionPolicy(memoize_results=False))
         requests = mixed_requests(workload)[:4]
         first = service.run_batch(requests)
         second = service.run_batch(requests)
@@ -287,7 +279,8 @@ class TestQueryService:
     def test_bounded_cache_still_correct(self, disk_engine, workload):
         requests = mixed_requests(workload)
         expected = [engine_answer(disk_engine, request) for request in requests]
-        service = QueryService(disk_engine, max_cached_entries=16, memoize_results=False)
+        policy = ExecutionPolicy(max_cached_entries=16, memoize_results=False)
+        service = QueryService(disk_engine, policy=policy)
         report = service.run_batch(requests)
         assert [outcome_signature(outcome) for outcome in report] == expected
 
