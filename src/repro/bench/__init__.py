@@ -7,7 +7,6 @@ from repro.bench.driver import (
     ReplaySpec,
     build_requests,
     format_replay_report,
-    percentile,
     replay_workload,
 )
 from repro.bench.config import (
@@ -30,20 +29,6 @@ from repro.bench.experiments import (
     effect_of_k,
     run_experiment,
 )
-from repro.bench.perf import (
-    HEADLINE_CASE,
-    PERF_SCHEMA,
-    PathMeasurement,
-    PerfCaseReport,
-    PerfRegression,
-    PerfSuiteReport,
-    compare_perf_reports,
-    format_perf_comparison,
-    format_perf_report,
-    load_perf_baseline,
-    run_perf_suite,
-    write_perf_report,
-)
 from repro.bench.reporting import format_series_table, series_to_csv, summarize_speedups
 from repro.bench.runner import (
     AlgorithmMeasurement,
@@ -61,13 +46,7 @@ __all__ = [
     "ExperimentRow",
     "ExperimentScale",
     "ExperimentSeries",
-    "HEADLINE_CASE",
-    "PERF_SCHEMA",
     "PAPER_SCALE",
-    "PathMeasurement",
-    "PerfCaseReport",
-    "PerfRegression",
-    "PerfSuiteReport",
     "ReplayMeasurement",
     "ReplayReport",
     "ReplaySpec",
@@ -75,7 +54,6 @@ __all__ = [
     "TrialResult",
     "build_requests",
     "format_replay_report",
-    "percentile",
     "replay_workload",
     "ablation_probing_policy",
     "ablation_versus_baseline",
@@ -85,14 +63,8 @@ __all__ = [
     "effect_of_distribution",
     "effect_of_facilities",
     "effect_of_k",
-    "compare_perf_reports",
-    "format_perf_comparison",
-    "format_perf_report",
-    "load_perf_baseline",
     "format_series_table",
     "run_experiment",
-    "run_perf_suite",
-    "write_perf_report",
     "run_skyline_trial",
     "run_topk_trial",
     "series_to_csv",

@@ -1,54 +1,41 @@
-"""Cold-cache bench family: file-backed packs vs the simulated disk.
+"""Cold-cache parity check: file-backed packs vs the simulated disk.
 
 The simulated-disk benchmarks always query a storage that was *just built*
-in RAM — the OS page cache, the Python object graph and the pack are one
-and the same, so they cannot say what a genuinely cold dataset costs.  This
-family does: it streams a dataset pack to a file (never materialising the
-graph), re-opens it with checksum verification, and runs queries over the
-``mmap``-backed :class:`~repro.storage.persist.FileDisk` through a cold LRU
-buffer — measuring wall-clock and peak-RSS growth per phase.
+in RAM.  This check streams a dataset pack to a file (never materialising
+the graph), re-opens it with checksum verification, and runs queries over
+the ``mmap``-backed :class:`~repro.storage.persist.FileDisk` through a cold
+LRU buffer.  Its *compare* leg then builds the same dataset on the in-RAM
+:class:`~repro.storage.disk.SimulatedDisk` and replays the identical
+queries: answers and page-read/buffer-hit counters must match exactly (the
+pack is the same page sequence), which makes the check a residency-parity
+oracle.  It measures no time; the repository benchmark's ``pack_reads``
+workload (``perfbench/``) does.
 
-For specs small enough to materialise, the optional *compare* leg builds
-the same dataset on the in-RAM :class:`~repro.storage.disk.SimulatedDisk`
-and replays the identical queries: the page-read/buffer-hit counters must
-match exactly (the pack is the same page sequence), making the family a
-wall-clock benchmark and a residency-parity oracle at once.
-
-Peak RSS is read from ``resource.getrusage`` — ``ru_maxrss`` is a process
-high-water mark, so phase figures are *growth* deltas and a phase that fits
-under an earlier peak reports 0.  Run via ``repro-mcn bench cold-cache``
-(a fresh process) for clean numbers.
+Run via ``repro-mcn bench cold-cache``.
 """
 
 from __future__ import annotations
 
 import os
-import resource
-import sys
 import tempfile
-import time
 from dataclasses import dataclass, field
 
 from repro.api.policy import ExecutionPolicy
 from repro.api.session import Session
-from repro.datagen.road_network import PackedDatasetSpec, build_packed_dataset
+from repro.datagen.road_network import (
+    PackedDatasetSpec,
+    build_packed_dataset,
+    materialize_packed_dataset,
+)
 from repro.errors import QueryError
 from repro.network.location import NetworkLocation
 
 __all__ = [
     "ColdCacheSpec",
-    "ColdCachePhase",
     "ColdCacheReport",
     "run_cold_cache_bench",
     "format_cold_cache_report",
 ]
-
-#: ru_maxrss is kilobytes on Linux, bytes on macOS.
-_RSS_UNIT = 1 if sys.platform == "darwin" else 1024
-
-
-def _peak_rss() -> int:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * _RSS_UNIT
 
 
 @dataclass(frozen=True)
@@ -58,7 +45,6 @@ class ColdCacheSpec:
     dataset: PackedDatasetSpec = field(default_factory=PackedDatasetSpec)
     buffer_fraction: float = 0.01
     num_queries: int = 16
-    compare_simulated: bool = True
 
     def __post_init__(self):
         if self.buffer_fraction <= 0 or self.buffer_fraction > 1:
@@ -75,20 +61,6 @@ class ColdCacheSpec:
 
 
 @dataclass(frozen=True)
-class ColdCachePhase:
-    """Wall-clock and peak-RSS growth of one phase of the run."""
-
-    seconds: float
-    rss_growth_bytes: int
-
-    def to_payload(self) -> dict:
-        return {
-            "seconds": round(self.seconds, 6),
-            "rss_growth_bytes": self.rss_growth_bytes,
-        }
-
-
-@dataclass(frozen=True)
 class ColdCacheReport:
     """The full cold-cache verdict for one spec."""
 
@@ -96,30 +68,24 @@ class ColdCacheReport:
     pack_bytes: int
     num_pages: int
     checksum: str
-    build: ColdCachePhase
-    verify_open: ColdCachePhase
-    cold_query: ColdCachePhase
     buffer_capacity: int
     page_reads: int
     buffer_hits: int
     skyline_sizes: list[int]
-    simulated_seconds: float | None = None
-    simulated_page_reads: int | None = None
-    simulated_buffer_hits: int | None = None
-    results_identical: bool | None = None
+    simulated_page_reads: int
+    simulated_buffer_hits: int
+    results_identical: bool
 
     @property
-    def io_identical(self) -> bool | None:
-        """Page-read/buffer-hit parity with the simulated leg (None if skipped)."""
-        if self.simulated_page_reads is None:
-            return None
+    def io_identical(self) -> bool:
+        """Page-read/buffer-hit parity with the simulated leg."""
         return (
             self.page_reads == self.simulated_page_reads
             and self.buffer_hits == self.simulated_buffer_hits
         )
 
     def to_payload(self) -> dict:
-        payload = {
+        return {
             "spec": {
                 "dataset": self.spec.dataset.to_payload(),
                 "buffer_fraction": self.spec.buffer_fraction,
@@ -128,42 +94,35 @@ class ColdCacheReport:
             "pack_bytes": self.pack_bytes,
             "num_pages": self.num_pages,
             "checksum": self.checksum,
-            "build": self.build.to_payload(),
-            "verify_open": self.verify_open.to_payload(),
-            "cold_query": self.cold_query.to_payload(),
             "buffer_capacity": self.buffer_capacity,
             "page_reads": self.page_reads,
             "buffer_hits": self.buffer_hits,
             "skyline_sizes": list(self.skyline_sizes),
-        }
-        if self.simulated_page_reads is not None:
-            payload["simulated"] = {
-                "seconds": round(self.simulated_seconds or 0.0, 6),
+            "simulated": {
                 "page_reads": self.simulated_page_reads,
                 "buffer_hits": self.simulated_buffer_hits,
                 "io_identical": self.io_identical,
                 "results_identical": self.results_identical,
-            }
-        return payload
+            },
+        }
 
 
-def _query_session(session: Session, nodes: list[int]) -> tuple[list[set], int, int, float]:
+def _query_session(session: Session, nodes: list[int]) -> tuple[list[set], int, int]:
     sizes: list[set] = []
     page_reads = 0
     buffer_hits = 0
-    started = time.perf_counter()
     for node_id in nodes:
         response = session.skyline(NetworkLocation.at_node(node_id))
         sizes.append(response.result.facility_ids())
         page_reads += response.io.page_reads
         buffer_hits += response.io.buffer_hits
-    return sizes, page_reads, buffer_hits, time.perf_counter() - started
+    return sizes, page_reads, buffer_hits
 
 
 def run_cold_cache_bench(
     spec: ColdCacheSpec, *, pack_path: str | None = None, keep_pack: bool = False
 ) -> ColdCacheReport:
-    """Stream, verify, and cold-query one dataset; optionally race the simulated disk.
+    """Stream, verify, and cold-query one dataset, then replay it on the simulated disk.
 
     ``pack_path`` reuses (or names) the pack file; by default a temporary
     file is created next to the working directory and removed afterwards
@@ -175,70 +134,39 @@ def run_cold_cache_bench(
         handle.close()
         pack_path = handle.name
     try:
-        rss_before = _peak_rss()
-        started = time.perf_counter()
         catalog = build_packed_dataset(spec.dataset, pack_path)
-        build = ColdCachePhase(
-            time.perf_counter() - started, max(0, _peak_rss() - rss_before)
-        )
         pack_bytes = os.path.getsize(pack_path)
 
         policy = ExecutionPolicy(buffer_fraction=spec.buffer_fraction)
         nodes = spec.query_nodes()
-
-        rss_before = _peak_rss()
-        started = time.perf_counter()
-        session = Session(dataset_path=pack_path, policy=policy)
-        verify_open = ColdCachePhase(
-            time.perf_counter() - started, max(0, _peak_rss() - rss_before)
-        )
-        with session:
+        with Session(dataset_path=pack_path, policy=policy) as session:
             dataset_policy = policy.replace(
                 residency="dataset", dataset_path=pack_path
             )
             capacity = session.dataset_storage_for(dataset_policy).buffer.capacity
-            rss_before = _peak_rss()
-            cold_sets, page_reads, buffer_hits, cold_seconds = _query_session(
-                session, nodes
-            )
-            cold_query = ColdCachePhase(cold_seconds, max(0, _peak_rss() - rss_before))
+            cold_sets, page_reads, buffer_hits = _query_session(session, nodes)
 
-        simulated_seconds = None
-        simulated_reads = None
-        simulated_hits = None
-        results_identical = None
-        if spec.compare_simulated:
-            from repro.datagen.road_network import materialize_packed_dataset
-
-            graph, facilities = materialize_packed_dataset(spec.dataset)
-            sim_policy = ExecutionPolicy(
-                residency="disk",
-                page_size=spec.dataset.page_size,
-                buffer_fraction=spec.buffer_fraction,
-            )
-            with Session(graph, facilities, policy=sim_policy) as sim_session:
-                sim_session.storage_for(sim_policy)  # build outside the timed loop
-                sim_sets, simulated_reads, simulated_hits, simulated_seconds = (
-                    _query_session(sim_session, nodes)
-                )
-            results_identical = sim_sets == cold_sets
+        graph, facilities = materialize_packed_dataset(spec.dataset)
+        sim_policy = ExecutionPolicy(
+            residency="disk",
+            page_size=spec.dataset.page_size,
+            buffer_fraction=spec.buffer_fraction,
+        )
+        with Session(graph, facilities, policy=sim_policy) as sim_session:
+            sim_sets, simulated_reads, simulated_hits = _query_session(sim_session, nodes)
 
         return ColdCacheReport(
             spec=spec,
             pack_bytes=pack_bytes,
             num_pages=catalog.num_pages,
             checksum=catalog.checksum,
-            build=build,
-            verify_open=verify_open,
-            cold_query=cold_query,
             buffer_capacity=capacity,
             page_reads=page_reads,
             buffer_hits=buffer_hits,
             skyline_sizes=[len(found) for found in cold_sets],
-            simulated_seconds=simulated_seconds,
             simulated_page_reads=simulated_reads,
             simulated_buffer_hits=simulated_hits,
-            results_identical=results_identical,
+            results_identical=sim_sets == cold_sets,
         )
     finally:
         if owned and not keep_pack:
@@ -259,30 +187,13 @@ def format_cold_cache_report(report: ColdCacheReport) -> str:
         f"pack: {report.pack_bytes / mib:.1f} MiB, {report.num_pages} pages, "
         f"sha256 {report.checksum[:16]}...",
         "",
-        f"{'phase':<18} {'seconds':>9} {'rss growth':>12}",
-        f"{'stream+pack':<18} {report.build.seconds:>9.3f} "
-        f"{report.build.rss_growth_bytes / mib:>10.1f}Mi",
-        f"{'verify+open':<18} {report.verify_open.seconds:>9.3f} "
-        f"{report.verify_open.rss_growth_bytes / mib:>10.1f}Mi",
-        f"{'cold queries':<18} {report.cold_query.seconds:>9.3f} "
-        f"{report.cold_query.rss_growth_bytes / mib:>10.1f}Mi",
-        "",
         f"cold FileDisk: {len(report.skyline_sizes)} skylines, "
         f"{report.page_reads} page reads, {report.buffer_hits} buffer hits "
         f"(buffer capacity {report.buffer_capacity} pages)",
+        f"simulated disk: {report.simulated_page_reads} page reads, "
+        f"{report.simulated_buffer_hits} buffer hits",
+        "page-read parity with SimulatedDisk: " + ("yes" if report.io_identical else "NO"),
+        "results identical to SimulatedDisk: "
+        + ("yes" if report.results_identical else "NO"),
     ]
-    if report.simulated_page_reads is not None:
-        lines.append(
-            f"simulated disk: {report.simulated_seconds:.3f}s, "
-            f"{report.simulated_page_reads} page reads, "
-            f"{report.simulated_buffer_hits} buffer hits"
-        )
-        lines.append(
-            "page-read parity with SimulatedDisk: "
-            + ("yes" if report.io_identical else "NO")
-        )
-        lines.append(
-            "results identical to SimulatedDisk: "
-            + ("yes" if report.results_identical else "NO")
-        )
     return "\n".join(lines) + "\n"

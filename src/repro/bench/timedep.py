@@ -14,24 +14,18 @@ against live subscriptions two ways:
 
 Both legs must end with bit-identical subscription answers
 (``results_identical``) — the bench is its own differential check — while
-the logical accessor-request counters and wall-clock expose how much work
-the incremental path avoids.  An optional third leg probes the departure
--time view of the *same* rush hour (``make_profile_network`` shares the
-stream's seeded profile assignment): a profile-registered
-:class:`~repro.api.Session` answers one skyline per tick instant and reports
-the snapshot LRU's build/hit split.
+the logical accessor-request counters expose how much work the incremental
+path avoids.  It measures no time; the repository benchmark's
+``departures`` workload (``perfbench/``) does.
 
 Run via ``repro-mcn bench timedep``.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from repro.api.policy import ExecutionPolicy
-from repro.api.session import Session
-from repro.datagen.updates import EdgeCostStreamSpec, make_edge_cost_stream, make_profile_network
+from repro.datagen.updates import EdgeCostStreamSpec, make_edge_cost_stream
 from repro.datagen.workload import Workload, WorkloadSpec, make_workload
 from repro.errors import QueryError
 from repro.monitor.service import MonitoringService
@@ -42,7 +36,6 @@ from repro.service.requests import QueryRequest, SkylineRequest, TopKRequest
 __all__ = [
     "TimedepBenchSpec",
     "TimedepLeg",
-    "TimedepSnapshotProbe",
     "TimedepReport",
     "run_timedep_bench",
     "format_timedep_report",
@@ -68,7 +61,6 @@ class TimedepBenchSpec:
         )
     )
     k: int = 3
-    probe_snapshots: bool = True
 
     def __post_init__(self):
         if self.workload.num_queries < 1:
@@ -96,9 +88,8 @@ class TimedepBenchSpec:
 
 @dataclass(frozen=True)
 class TimedepLeg:
-    """One replay strategy's cost over the whole stream."""
+    """One replay strategy's work over the whole stream."""
 
-    seconds: float
     total_requests: int
     adjacency_requests: int
     recomputations: int
@@ -107,32 +98,11 @@ class TimedepLeg:
 
     def to_payload(self) -> dict:
         return {
-            "seconds": round(self.seconds, 6),
             "total_requests": self.total_requests,
             "adjacency_requests": self.adjacency_requests,
             "recomputations": self.recomputations,
             "edge_cost_refreshes": self.edge_cost_refreshes,
             "services_built": self.services_built,
-        }
-
-
-@dataclass(frozen=True)
-class TimedepSnapshotProbe:
-    """Departure-time queries over the stream's rush hour, one per tick."""
-
-    seconds: float
-    queries: int
-    builds: int
-    hits: int
-    evictions: int
-
-    def to_payload(self) -> dict:
-        return {
-            "seconds": round(self.seconds, 6),
-            "queries": self.queries,
-            "builds": self.builds,
-            "hits": self.hits,
-            "evictions": self.evictions,
         }
 
 
@@ -148,7 +118,6 @@ class TimedepReport:
     incremental: TimedepLeg
     rebuild: TimedepLeg
     results_identical: bool
-    probe: TimedepSnapshotProbe | None = None
 
     @property
     def work_ratio(self) -> float | None:
@@ -186,8 +155,6 @@ class TimedepReport:
         }
         if self.work_ratio is not None:
             payload["work_ratio"] = round(self.work_ratio, 4)
-        if self.probe is not None:
-            payload["snapshot_probe"] = self.probe.to_payload()
         return payload
 
 
@@ -200,21 +167,18 @@ def _run_incremental_leg(
     subscription_ids = [
         service.subscribe(request) for request in spec.requests(workload)
     ]
-    # Setup (initial subscription queries) stays outside the timed replay;
+    # Setup (initial subscription queries) stays outside the counted replay;
     # both legs start from fully-computed answers.
     io_before = service.access_statistics.snapshot()
     counters_before = service.statistics.snapshot()
-    started = time.perf_counter()
     for tick in stream.ticks:
         service.apply_tick(tick)
-    seconds = time.perf_counter() - started
     io = service.access_statistics
     counters = service.statistics
     signatures = [service.result_signature(sid) for sid in subscription_ids]
     service.close()
     return (
         TimedepLeg(
-            seconds=seconds,
             total_requests=io.total_requests - io_before.total_requests,
             adjacency_requests=io.adjacency_requests - io_before.adjacency_requests,
             recomputations=counters.recomputations - counters_before.recomputations,
@@ -237,7 +201,6 @@ def _run_rebuild_leg(
     adjacency_requests = 0
     recomputations = 0
     signatures: list[dict] = []
-    started = time.perf_counter()
     for tick in stream.ticks:
         for update in tick.updates:
             graph.update_edge_costs(update.edge_id, list(update.costs))
@@ -250,10 +213,8 @@ def _run_rebuild_leg(
         recomputations += len(subscription_ids)
         signatures = [service.result_signature(sid) for sid in subscription_ids]
         service.close()
-    seconds = time.perf_counter() - started
     return (
         TimedepLeg(
-            seconds=seconds,
             total_requests=total_requests,
             adjacency_requests=adjacency_requests,
             recomputations=recomputations,
@@ -261,38 +222,6 @@ def _run_rebuild_leg(
             services_built=len(stream.ticks),
         ),
         signatures,
-    )
-
-
-def _run_snapshot_probe(spec: TimedepBenchSpec) -> TimedepSnapshotProbe:
-    workload = make_workload(spec.workload)
-    network = make_profile_network(workload.graph, spec.stream)
-    stream_spec = spec.stream
-    # A quantum of two tick steps halves the distinct snapshots the probe
-    # needs, so the LRU's hit path is exercised, not just its build path.
-    policy = ExecutionPolicy(
-        temporal="profiles",
-        profile_source="rush",
-        temporal_quantum=2.0 * stream_spec.time_step,
-    )
-    request = SkylineRequest(workload.queries[0])
-    with Session(
-        workload.graph, workload.facilities, profiles={"rush": network}
-    ) as session:
-        started = time.perf_counter()
-        for tick_index in range(stream_spec.num_ticks):
-            departure_time = stream_spec.start_time + tick_index * stream_spec.time_step
-            session.query(
-                replace(request, departure_time=departure_time), policy=policy
-            )
-        seconds = time.perf_counter() - started
-        stats = session._temporal_for(session._resolve(policy)).statistics
-    return TimedepSnapshotProbe(
-        seconds=seconds,
-        queries=stream_spec.num_ticks,
-        builds=stats.builds,
-        hits=stats.hits,
-        evictions=stats.evictions,
     )
 
 
@@ -312,7 +241,6 @@ def run_timedep_bench(spec: TimedepBenchSpec) -> TimedepReport:
 
     incremental, incremental_signatures = _run_incremental_leg(spec, stream)
     rebuild, rebuild_signatures = _run_rebuild_leg(spec, stream)
-    probe = _run_snapshot_probe(spec) if spec.probe_snapshots else None
 
     busy_ticks = sum(1 for tick in stream.ticks if len(tick))
     return TimedepReport(
@@ -324,7 +252,6 @@ def run_timedep_bench(spec: TimedepBenchSpec) -> TimedepReport:
         incremental=incremental,
         rebuild=rebuild,
         results_identical=incremental_signatures == rebuild_signatures,
-        probe=probe,
     )
 
 
@@ -339,12 +266,12 @@ def format_timedep_report(report: TimedepReport) -> str:
         f"(step {stream.time_step}), {report.stream_updates} edge re-profilings, "
         f"{report.busy_ticks} busy / {report.empty_ticks} empty ticks",
         "",
-        f"{'leg':<14} {'seconds':>9} {'requests':>10} {'adjacency':>10} "
+        f"{'leg':<14} {'requests':>10} {'adjacency':>10} "
         f"{'recomputes':>10} {'services':>9}",
     ]
     for name, leg in (("incremental", report.incremental), ("rebuild", report.rebuild)):
         lines.append(
-            f"{name:<14} {leg.seconds:>9.3f} {leg.total_requests:>10} "
+            f"{name:<14} {leg.total_requests:>10} "
             f"{leg.adjacency_requests:>10} {leg.recomputations:>10} "
             f"{leg.services_built:>9}"
         )
@@ -362,11 +289,4 @@ def format_timedep_report(report: TimedepReport) -> str:
         "final answers identical across legs: "
         + ("yes" if report.results_identical else "NO")
     )
-    if report.probe is not None:
-        probe = report.probe
-        lines.append(
-            f"snapshot probe: {probe.queries} departure-time queries in "
-            f"{probe.seconds:.3f}s — {probe.builds} snapshot builds, "
-            f"{probe.hits} LRU hits, {probe.evictions} evictions"
-        )
     return "\n".join(lines) + "\n"

@@ -12,17 +12,24 @@ Sub-commands:
   :class:`~repro.api.Session` replay.
 * ``serve-batch`` — replay a workload trace through the batch
   :class:`~repro.service.QueryService` and compare it against one-shot
-  engine calls (throughput, latency percentiles, page-read savings).
+  engine calls (identical answers, page-read savings).
 * ``monitor`` — replay a facility-update stream through the continuous
   :class:`~repro.monitor.MonitoringService` and compare incremental
   maintenance against recompute-every-tick.
-* ``bench perf`` — run the pinned perf-baseline suite (accessor path vs the
-  compiled-graph kernel, side by side) and write ``BENCH_4.json``.
+* ``bench cold-cache`` — stream a dataset pack to disk, query it cold and
+  check answers and page reads against the in-RAM simulated disk.
+* ``bench timedep`` — replay a rush-hour edge-cost stream incrementally and
+  by rebuilding every tick, and check both end with the same answers.
 * ``build-dataset`` — stream a grid/small-world workload straight into an
   on-disk dataset pack (never materialising the graph in RAM), ready for
   ``Session(dataset_path=...)``.
 * ``inspect-dataset`` — print a pack's catalog and verify its SHA-256.
 * ``list`` — list the available experiments.
+
+``serve --replay``, ``serve-batch``, ``monitor`` and the two ``bench``
+commands are parity checks: each prints counts and a verdict and exits 1
+when the verdict fails.  None of them times anything; the repository
+benchmark (``perfbench/run.py``) does.
 """
 
 from __future__ import annotations
@@ -48,14 +55,6 @@ from repro.bench.driver import (
     replay_workload,
 )
 from repro.bench.experiments import EXPERIMENTS, run_experiment
-from repro.bench.perf import (
-    compare_perf_reports,
-    format_perf_comparison,
-    format_perf_report,
-    load_perf_baseline,
-    run_perf_suite,
-    write_perf_report,
-)
 from repro.bench.reporting import format_series_table, series_to_csv, summarize_speedups
 from repro.datagen.road_network import PackedDatasetSpec, build_packed_dataset
 from repro.datagen.updates import UpdateStreamSpec
@@ -123,11 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("process", "thread", "serial"),
         default="process",
         help="pool kind backing the sharded run",
-    )
-    serve.add_argument(
-        "--fast-path",
-        action="store_true",
-        help="also replay through the compiled-graph kernel and report it side by side",
     )
 
     serve_tier = commands.add_parser(
@@ -238,49 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     bench = commands.add_parser(
-        "bench", help="performance harnesses (perf-baseline trajectory)"
+        "bench", help="parity checks of dataset packs and the time-dependent path"
     )
     bench_commands = bench.add_subparsers(dest="bench_command", required=True)
-    perf = bench_commands.add_parser(
-        "perf",
-        help="run the pinned perf suite (accessor vs compiled kernel) and write BENCH_4.json",
-    )
-    perf.add_argument(
-        "--smoke",
-        action="store_true",
-        help="miniature populations so the suite finishes in seconds (CI)",
-    )
-    perf.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        help="replays of each query trace per path (default: 3 full, 1 smoke)",
-    )
-    perf.add_argument(
-        "--output",
-        default=None,
-        help="where to write the JSON payload (default: BENCH_5.json; '-' skips writing)",
-    )
-    perf.add_argument(
-        "--against",
-        default=None,
-        metavar="BASELINE",
-        help="compare against a pinned BENCH_<n>.json and fail on >10%% "
-        "median regression (speedups always; absolute latency at equal scale)",
-    )
-    perf.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        metavar="FRACTION",
-        help="allowed fractional erosion before --against fails the run "
-        "(default 0.10; smoke-scale medians jitter far more than full-scale "
-        "ones, so CI self-baselines compare with a loose tolerance)",
-    )
     cold = bench_commands.add_parser(
         "cold-cache",
-        help="stream a pack to disk, re-open cold, and measure FileDisk vs "
-        "SimulatedDisk wall-clock and page-read parity",
+        help="stream a pack to disk, re-open it cold, and check its answers "
+        "and page reads against SimulatedDisk",
     )
     cold.add_argument("--rows", type=int, default=64, help="grid rows")
     cold.add_argument("--cols", type=int, default=64, help="grid columns")
@@ -298,12 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cold.add_argument("--queries", type=int, default=16, help="cold skyline queries to run")
     cold.add_argument(
-        "--no-compare",
-        action="store_true",
-        help="skip the materialised SimulatedDisk parity leg (required for "
-        "datasets too large to hold in RAM)",
-    )
-    cold.add_argument(
         "--pack",
         default=None,
         metavar="PATH",
@@ -318,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     timedep = bench_commands.add_parser(
         "timedep",
         help="replay a rush-hour edge-cost stream: incremental re-profiling "
-        "vs rebuild-every-tick, with a departure-time snapshot probe",
+        "vs rebuild-every-tick",
     )
     timedep.add_argument("--nodes", type=int, default=300, help="graph nodes")
     timedep.add_argument("--facilities", type=int, default=60, help="number of facilities")
@@ -340,11 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.25,
         help="fraction of edges with a rush-hour profile",
-    )
-    timedep.add_argument(
-        "--no-probe",
-        action="store_true",
-        help="skip the departure-time snapshot-LRU probe leg",
     )
     timedep.add_argument(
         "--output",
@@ -467,7 +414,6 @@ def _run_serve_batch(args: argparse.Namespace) -> int:
             workers=args.workers,
             routing=args.routing.replace("-", "_"),
             executor=args.executor,
-            fast_path=args.fast_path,
         )
         report = replay_workload(spec)
     except ReproError as error:
@@ -480,33 +426,7 @@ def _run_serve_batch(args: argparse.Namespace) -> int:
 def _run_bench(args: argparse.Namespace) -> int:
     if args.bench_command == "cold-cache":
         return _run_bench_cold_cache(args)
-    if args.bench_command == "timedep":
-        return _run_bench_timedep(args)
-    try:
-        report = run_perf_suite(smoke=args.smoke, repeats=args.repeats)
-    except ReproError as error:
-        print(f"bench perf: {error}", file=sys.stderr)
-        return 2
-    print(format_perf_report(report), end="")
-    output = args.output
-    if output is None:
-        output = "BENCH_5.json"
-    if output != "-":
-        write_perf_report(report, output)
-        print(f"wrote {output}")
-    regressed = False
-    if args.against is not None:
-        try:
-            baseline = load_perf_baseline(args.against)
-            regressions = compare_perf_reports(
-                report.to_payload(), baseline, tolerance=args.tolerance
-            )
-        except (ReproError, OSError, json.JSONDecodeError) as error:
-            print(f"bench perf: {error}", file=sys.stderr)
-            return 2
-        print(format_perf_comparison(regressions, baseline_label=args.against), end="")
-        regressed = bool(regressions)
-    return 0 if report.all_identical and report.all_io_identical and not regressed else 1
+    return _run_bench_timedep(args)
 
 
 def _run_bench_cold_cache(args: argparse.Namespace) -> int:
@@ -528,7 +448,6 @@ def _run_bench_cold_cache(args: argparse.Namespace) -> int:
             ),
             buffer_fraction=args.buffer_fraction,
             num_queries=args.queries,
-            compare_simulated=not args.no_compare,
         )
         report = run_cold_cache_bench(
             spec, pack_path=args.pack, keep_pack=args.pack is not None
@@ -542,9 +461,7 @@ def _run_bench_cold_cache(args: argparse.Namespace) -> int:
             json.dump(report.to_payload(), handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote {args.output}")
-    if report.io_identical is False or report.results_identical is False:
-        return 1
-    return 0
+    return 0 if report.io_identical and report.results_identical else 1
 
 
 def _run_bench_timedep(args: argparse.Namespace) -> int:
@@ -571,7 +488,6 @@ def _run_bench_timedep(args: argparse.Namespace) -> int:
                 affected_fraction=args.affected_fraction,
                 seed=args.seed,
             ),
-            probe_snapshots=not args.no_probe,
         )
         report = run_timedep_bench(spec)
     except ReproError as error:

@@ -168,13 +168,15 @@ def _make_worker_service(engine: MCNQueryEngine, policy: ExecutionPolicy) -> Que
     # (or re-compiling) the network per worker: the snapshot is immutable, so
     # fork workers inherit it copy-on-write and thread workers read it
     # concurrently, while every worker still charges its own snapshot-view
-    # buffer and counters.  With no parent snapshot this passes None, which
-    # defers to the per-engine default (the REPRO_COMPILED environment toggle).
+    # buffer and counters.  With no parent snapshot the workers run the
+    # record path too: the parent engine already resolved the policy, so the
+    # REPRO_COMPILED default must not turn the kernel back on.
+    compiled = engine.compiled_graph
     worker_engine = MCNQueryEngine(
         engine.graph,
         engine.facilities,
         accessor=_snapshot_accessor(engine),
-        compiled=engine.compiled_graph,
+        compiled=False if compiled is None else compiled,
     )
     # workers=1 so a worker's own run_batch could never re-shard recursively.
     return QueryService(worker_engine, policy=policy.replace(workers=1))
@@ -210,8 +212,9 @@ _FORK_LOCK = threading.Lock()
 # The hook runs inside the worker with the shard index right before the shard
 # executes — the fault plane's ``worker_fault_hook`` uses it to kill
 # (``os._exit``) or hang a specific worker.  The timeout bounds how long the
-# parent waits for any one shard before writing the worker off as hung and
-# retrying the shard itself.  Both are ``None`` (and free) in normal runs.
+# parent waits for any one shard before writing the worker off as hung,
+# terminating the pool and retrying the unfinished shards itself.  Both are
+# ``None`` (and free) in normal runs.
 _WORKER_FAULT_HOOK = None
 _SHARD_TIMEOUT: float | None = None
 
@@ -393,18 +396,33 @@ class ShardedQueryService:
                         (shard, pool.submit(_run_shard_in_fork, shard))
                         for shard in plan.shards
                     ]
+                    hung = False
                     for shard, future in futures:
                         try:
-                            reports[shard.index] = future.result(timeout=_SHARD_TIMEOUT)
-                        except (BrokenProcessPool, _FuturesTimeoutError, TimeoutError):
-                            # A worker died (BrokenProcessPool poisons every
-                            # pending future of the pool) or hung past the
-                            # deadline.  The shard's *work* is not lost: it is
-                            # re-executed below, in the parent, once the pool
-                            # is out of the way.
+                            # After one missed deadline the pool is written
+                            # off: later shards count only if already done.
+                            timeout = 0 if hung else _SHARD_TIMEOUT
+                            reports[shard.index] = future.result(timeout=timeout)
+                        except (_FuturesTimeoutError, TimeoutError):
+                            hung = True
                             failed.append(shard)
+                        except BrokenProcessPool:
+                            # A worker died; that poisons every pending
+                            # future of the pool.
+                            failed.append(shard)
+                    if hung:
+                        # Leaving the block joins the workers, the hung one
+                        # too, so terminate them first.  The executor gains a
+                        # public terminate_workers() only in Python 3.14,
+                        # hence its private process table; the pool then
+                        # fails its pending futures and joins the dead
+                        # workers, as after a crash.
+                        for process in list(pool._processes.values()):
+                            process.terminate()
             finally:
                 _FORK_CONTEXT = None
+        # The failed shards' *work* is not lost: it is re-executed here, in
+        # the parent, once the pool is out of the way.
         retried: list[int] = []
         for shard in failed:
             reports[shard.index] = _execute_shard(

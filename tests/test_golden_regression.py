@@ -112,7 +112,7 @@ class TestGoldenReplay:
         requests = decode_requests(fixture["requests"])
         assert encode_requests(requests) == fixture["requests"]
 
-    def test_fast_path_replay_is_bit_identical(self, path):
+    def test_compiled_replay_is_bit_identical(self, path):
         """The compiled-kernel fast path must reproduce every golden fixture
         exactly — answers AND the pinned page-read/buffer-hit totals."""
         fixture = load_fixture(path)

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import ExecutionPolicy, Session
 from repro.core.engine import MCNQueryEngine
 from repro.core.expansion import ExpansionSeeds
 from repro.core.kernel import ExpansionKernel, make_kernel_data_layer
 from repro.datagen import WorkloadSpec, make_workload
+from repro.monitor import FacilityDelete, UpdateTick
 from repro.network.accessor import InMemoryAccessor
 from repro.network.compiled import CompiledGraph
 from repro.network.facilities import FacilitySet
+from repro.service import SkylineRequest
 from repro.storage.scheme import NetworkStorage
 from tests.expansion_conformance import ExpansionConformanceSuite
 
@@ -71,7 +74,7 @@ class TestTiedCostKernelConformance(ExpansionConformanceSuite):
 class TestFreshness:
     """Facility mutations against a live compiled snapshot."""
 
-    def test_mutations_are_visible_through_the_fast_path(self):
+    def test_mutations_are_visible_through_the_kernel(self):
         workload = make_workload(
             WorkloadSpec(num_nodes=120, num_facilities=30, num_cost_types=2, num_queries=1, seed=5)
         )
@@ -125,3 +128,65 @@ class TestFreshness:
 
         with pytest.raises(QueryError):
             compiled.ensure_fresh()
+
+
+# ---------------------------------------------------------------------- #
+# Kernel selection at every entry point
+# ---------------------------------------------------------------------- #
+def _skylines(workload):
+    return [SkylineRequest(query) for query in workload.queries]
+
+
+def _run_query(session, policy, workload):
+    session.query(SkylineRequest(workload.queries[0]), policy=policy)
+
+
+def _run_batch(session, policy, workload):
+    session.run_batch(_skylines(workload), policy=policy)
+
+
+def _run_sharded_batch(session, policy, workload):
+    session.run_batch(_skylines(workload), policy=policy.replace(workers=2, executor="thread"))
+
+
+def _run_iter_top(session, policy, workload):
+    next(session.engine_for(policy).iter_top(workload.queries[0], weights=[0.5, 0.5]))
+
+
+def _run_monitor_tick(session, policy, workload):
+    handle = session.monitor([SkylineRequest(workload.queries[0])], policy=policy)
+    # Deleting a skyline member forces the tick's recompute pass.
+    victim = min(handle.maintainer_of(handle.subscription_ids[0]).skyline_ids())
+    handle.tick(UpdateTick((FacilityDelete(victim),)))
+
+
+class TestPolicySelectsTheKernel:
+    """``compiled="on"`` builds the kernel at every entry point, ``"off"`` never.
+
+    Both paths return identical answers and counters, so no parity oracle
+    notices an entry point that silently skips the kernel; this spies on the
+    kernel's constructor instead.
+    """
+
+    @pytest.mark.parametrize("compiled", ["on", "off"])
+    @pytest.mark.parametrize(
+        "entry",
+        [_run_query, _run_batch, _run_sharded_batch, _run_iter_top, _run_monitor_tick],
+        ids=["query", "run_batch", "run_batch-sharded", "iter_top", "monitor-tick"],
+    )
+    def test_kernel_runs_only_where_the_policy_turns_it_on(self, monkeypatch, entry, compiled):
+        built = []
+        construct = ExpansionKernel.__init__
+
+        def spy(kernel, *args, **kwargs):
+            built.append(kernel)
+            construct(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(ExpansionKernel, "__init__", spy)
+        workload = make_workload(
+            WorkloadSpec(num_nodes=80, num_facilities=20, num_cost_types=2, num_queries=4, seed=5)
+        )
+        facilities = FacilitySet(workload.graph, iter(workload.facilities))
+        with Session(workload.graph, facilities) as session:
+            entry(session, ExecutionPolicy(compiled=compiled), workload)
+        assert bool(built) == (compiled == "on")

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
 import os
 import random
 import threading
+import time
 
 import pytest
 
@@ -904,9 +906,14 @@ class TestWorkerFaults:
         baseline = self._run_sharded(executor="serial")
         plane = FaultPlane(seed=CHAOS_SEED)
         plane.schedule("worker.hang", at=1)
+        started = time.monotonic()
         survived = self._run_sharded(
             hook=worker_fault_hook(plane, hang_seconds=30.0), shard_timeout=0.25
         )
+        # The deadline bounds the batch: the hung worker is terminated, not
+        # waited for, and no pool process outlives the batch.
+        assert time.monotonic() - started < 10.0
+        assert multiprocessing.active_children() == []
         assert 1 in survived.retried_shards
         assert [o.result.facilities for o in survived.outcomes] == [
             o.result.facilities for o in baseline.outcomes

@@ -8,31 +8,12 @@ from repro.bench.driver import (
     ReplaySpec,
     build_requests,
     format_replay_report,
-    percentile,
     replay_workload,
 )
 from repro.cli import build_parser, main
 from repro.datagen.workload import WorkloadSpec, make_workload
 from repro.errors import QueryError
 from repro.service import SkylineRequest, TopKRequest
-
-
-class TestPercentile:
-    def test_nearest_rank(self):
-        values = [float(v) for v in range(1, 11)]
-        assert percentile(values, 50) == 5.0
-        assert percentile(values, 90) == 9.0
-        assert percentile(values, 100) == 10.0
-        assert percentile(values, 0) == 1.0
-
-    def test_single_sample(self):
-        assert percentile([3.5], 99) == 3.5
-
-    def test_errors(self):
-        with pytest.raises(QueryError):
-            percentile([], 50)
-        with pytest.raises(QueryError):
-            percentile([1.0], 101)
 
 
 class TestReplaySpec:
@@ -106,9 +87,7 @@ class TestReplayWorkload:
         report = replay_workload(spec)
         for run in (report.one_shot, report.batched):
             assert run.queries == 8
-            assert len(run.latencies_ms) == 8
-            assert run.throughput_qps > 0
-            assert run.latency_percentile(50) <= run.latency_percentile(99)
+            assert run.page_reads > 0
         assert report.cache.record_hits > 0
 
     def test_formatted_report(self):
