@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 
-from repro import MCNQueryEngine, NetworkLocation
+from repro import MCNQueryEngine, NetworkLocation, NetworkStorage
 from repro.datagen import (
     CostDistribution,
     RoadNetworkSpec,
@@ -51,17 +51,18 @@ def main() -> None:
     port_edge = next(iter(city.edges()))
     port = NetworkLocation.on_edge(port_edge.edge_id, port_edge.length / 2)
 
-    engine = MCNQueryEngine(city, sites, use_disk=True, page_size=1024, buffer_fraction=0.01)
+    storage = NetworkStorage.build(city, sites, page_size=1024, buffer_fraction=0.01)
+    engine = MCNQueryEngine(city, sites, accessor=storage)
     print("city:", city)
     print("candidate sites:", len(sites))
     print("port location:", port.describe(city))
     print()
 
     # 4. Shortlist: the skyline of candidate sites.
-    engine.storage.reset_statistics(clear_buffer=True)
+    storage.reset_statistics(clear_buffer=True)
     shortlist_cea = engine.skyline(port, algorithm="cea")
     cea_reads = shortlist_cea.statistics.io.page_reads
-    engine.storage.reset_statistics(clear_buffer=True)
+    storage.reset_statistics(clear_buffer=True)
     shortlist_lsa = engine.skyline(port, algorithm="lsa")
     lsa_reads = shortlist_lsa.statistics.io.page_reads
 

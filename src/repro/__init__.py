@@ -131,7 +131,7 @@ from repro.service import (
     SkylineRequest,
     TopKRequest,
 )
-from repro.storage.scheme import NetworkStorage, StorageSnapshotView
+from repro.storage.scheme import NetworkStorage
 from repro.temporal import (
     SkylineSweepRequest,
     SweepResponse,
@@ -187,7 +187,6 @@ __all__ = [
     "SkylineResult",
     "SkylineSweepRequest",
     "StorageError",
-    "StorageSnapshotView",
     "SweepResponse",
     "TemporalExecutor",
     "TickReport",

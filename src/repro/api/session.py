@@ -684,31 +684,17 @@ class Session:
         if key not in self._engines:
             compiled = self._resolved_compiled(resolved)
             if resolved.residency == "dataset" and self._dataset_path is None:
-                engine = MCNQueryEngine(
-                    self._graph,
-                    self._facilities,
-                    accessor=self.dataset_storage_for(resolved),
-                    compiled=compiled,
-                )
+                accessor = self.dataset_storage_for(resolved)
             elif self._explicit_accessor is not None:
-                engine = MCNQueryEngine(
-                    self._graph,
-                    self._facilities,
-                    accessor=self._explicit_accessor,
-                    compiled=compiled,
-                )
-            elif resolved.residency == "disk":
-                engine = MCNQueryEngine(
-                    self._graph,
-                    self._facilities,
-                    storage=self.storage_for(resolved),
-                    compiled=compiled,
-                )
+                accessor = self._explicit_accessor
             else:
-                engine = MCNQueryEngine(
-                    self._graph, self._facilities, compiled=compiled
-                )
-            self._engines[key] = engine
+                accessor = self.storage_for(resolved)  # None for memory
+            self._engines[key] = MCNQueryEngine(
+                self._graph,
+                self._facilities,
+                accessor=accessor,
+                compiled=compiled,
+            )
         return self._engines[key]
 
     # ------------------------------------------------------------------ #

@@ -55,23 +55,20 @@ class MCNQueryEngine:
         graph: MultiCostGraph,
         facilities: FacilitySet,
         *,
-        storage: NetworkStorage | None = None,
         accessor: GraphAccessor | None = None,
-        use_disk: bool = False,
-        page_size: int = 4096,
-        buffer_fraction: float = 0.01,
         compiled: bool | CompiledGraph | None = None,
     ):
         """Create an engine over ``graph`` and ``facilities``.
 
-        With ``use_disk=True`` (or an explicit ``storage``), queries run
-        against the simulated disk-resident storage scheme and report page
-        reads; otherwise they run against the in-memory accessor.  An
-        explicit ``accessor`` (mutually exclusive with ``storage``) makes
-        queries run against any :class:`GraphAccessor` — this is how the
-        parallel service gives each shard worker an engine over a read-only
-        :meth:`~repro.storage.NetworkStorage.snapshot_view` of one shared
-        storage instead of a private copy.
+        ``accessor`` is the data layer queries run against; by default an
+        :class:`InMemoryAccessor` over ``graph``.  A
+        :class:`~repro.storage.NetworkStorage` — bulk-loaded with
+        ``NetworkStorage.build(graph, facilities, page_size=...,
+        buffer_fraction=...)``, opened from a dataset pack, or a
+        :meth:`~repro.storage.NetworkStorage.snapshot_view` of either — runs
+        them against the disk-resident storage scheme and reports page
+        reads; it is then also :attr:`storage`.  Any other
+        :class:`GraphAccessor` works too.
 
         ``compiled`` controls the columnar fast path.  ``True`` compiles the
         engine's data layer into a :class:`~repro.network.compiled.CompiledGraph`
@@ -86,29 +83,14 @@ class MCNQueryEngine:
         """
         self._graph = graph
         self._facilities = facilities
-        if storage is not None and accessor is not None:
-            raise QueryError("pass either a storage or an accessor, not both")
-        if accessor is not None and use_disk:
-            raise QueryError("use_disk cannot be combined with an explicit accessor")
-        if storage is not None:
-            self._accessor: GraphAccessor = storage
-            self._storage: NetworkStorage | None = storage
-        elif accessor is not None:
-            if accessor.num_cost_types != graph.num_cost_types:
-                raise QueryError(
-                    f"accessor has {accessor.num_cost_types} cost types "
-                    f"for a {graph.num_cost_types}-cost graph"
-                )
-            self._accessor = accessor
-            self._storage = accessor if isinstance(accessor, NetworkStorage) else None
-        elif use_disk:
-            self._storage = NetworkStorage.build(
-                graph, facilities, page_size=page_size, buffer_fraction=buffer_fraction
+        if accessor is None:
+            accessor = InMemoryAccessor(graph, facilities)
+        elif accessor.num_cost_types != graph.num_cost_types:
+            raise QueryError(
+                f"accessor has {accessor.num_cost_types} cost types "
+                f"for a {graph.num_cost_types}-cost graph"
             )
-            self._accessor = self._storage
-        else:
-            self._storage = None
-            self._accessor = InMemoryAccessor(graph, facilities)
+        self._accessor: GraphAccessor = accessor
         if compiled is None:
             compiled = compiled_env_default()
         if isinstance(compiled, CompiledGraph):
@@ -147,8 +129,9 @@ class MCNQueryEngine:
 
     @property
     def storage(self) -> NetworkStorage | None:
-        """The disk-resident storage, when the engine was built with one."""
-        return self._storage
+        """The data layer when it is a disk-resident :class:`NetworkStorage`."""
+        accessor = self._accessor
+        return accessor if isinstance(accessor, NetworkStorage) else None
 
     @property
     def compiled_graph(self) -> CompiledGraph | None:

@@ -59,8 +59,7 @@ from repro.network.accessor import FacilityRecord, GraphAccessor, InMemoryAccess
 from repro.network.compiled import CompiledGraph
 from repro.network.facilities import FacilityId
 from repro.network.graph import EdgeId, NodeId
-from repro.storage.catalog import PackedNetworkStorage
-from repro.storage.scheme import NetworkStorage, StorageSnapshotView
+from repro.storage.scheme import NetworkStorage
 
 __all__ = [
     "DirectChargeLayer",
@@ -119,17 +118,17 @@ def _check_charge_pairing(compiled: CompiledGraph, target: GraphAccessor) -> Non
 
     Enforced in the charge-layer constructors (not just the factory) so a
     directly constructed layer can never silently mis-account I/O: plans
-    compiled from one storage must charge that storage (or a snapshot view
-    of it), and a plan-free snapshot must charge an in-memory accessor.
+    compiled from one storage must charge a storage over the same disk (it,
+    or a snapshot view of it), and a plan-free snapshot must charge an
+    in-memory accessor.
     """
-    base = target.base if isinstance(target, StorageSnapshotView) else target
-    if isinstance(base, (NetworkStorage, PackedNetworkStorage)):
-        if compiled.storage is not base:
+    if isinstance(target, NetworkStorage):
+        if compiled.storage is None or compiled.storage.disk is not target.disk:
             raise QueryError(
                 "the compiled graph's page plans were built over a different "
                 "storage than the accessor being charged"
             )
-    elif isinstance(base, InMemoryAccessor):
+    elif isinstance(target, InMemoryAccessor):
         if compiled.has_page_plans:
             raise QueryError(
                 "a compiled graph with page plans cannot charge an in-memory accessor"

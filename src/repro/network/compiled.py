@@ -82,20 +82,15 @@ class CompiledGraph:
     def from_accessor(cls, accessor: object) -> "CompiledGraph":
         """Compile the network behind a data layer (in-memory or disk-resident).
 
-        Storage accessors (and their snapshot views) yield a snapshot with
-        page plans bound to their simulated disk; the in-memory accessor
+        A storage accessor (built, packed or a snapshot view) yields a
+        snapshot with page plans bound to its disk; the in-memory accessor
         yields a plan-free snapshot whose charging is pure counter bumps.
         """
         # Imported lazily: repro.storage depends on repro.network.
         from repro.network.accessor import InMemoryAccessor
-        from repro.storage.catalog import PackedNetworkStorage
-        from repro.storage.scheme import NetworkStorage, StorageSnapshotView
+        from repro.storage.scheme import NetworkStorage
 
-        if isinstance(accessor, StorageSnapshotView):
-            accessor = accessor.base
         if isinstance(accessor, NetworkStorage):
-            return cls(accessor.graph, accessor.facilities, storage=accessor)
-        if isinstance(accessor, PackedNetworkStorage):
             # Compilation walks the full in-memory topology, so a pack can
             # only feed the fast path when opened with its source graph
             # attached; the standalone bisect-backed views cannot be compiled.
@@ -111,8 +106,7 @@ class CompiledGraph:
             return cls(accessor.graph, accessor.facilities)
         raise QueryError(
             f"cannot compile a graph from a {type(accessor).__name__}; expected "
-            "an InMemoryAccessor, a NetworkStorage, a PackedNetworkStorage or "
-            "a StorageSnapshotView"
+            "an InMemoryAccessor or a NetworkStorage"
         )
 
     def _build_topology(self) -> None:

@@ -265,11 +265,12 @@ class ShardedQueryService:
 
     Example
     -------
-    >>> from repro import ExecutionPolicy, MCNQueryEngine, SkylineRequest
+    >>> from repro import ExecutionPolicy, MCNQueryEngine, NetworkStorage, SkylineRequest
     >>> from repro.parallel import ShardedQueryService
     >>> from repro.datagen import WorkloadSpec, make_workload
     >>> w = make_workload(WorkloadSpec(num_nodes=150, num_facilities=60, num_queries=4, seed=5))
-    >>> engine = MCNQueryEngine(w.graph, w.facilities, use_disk=True, page_size=1024)
+    >>> storage = NetworkStorage.build(w.graph, w.facilities, page_size=1024)
+    >>> engine = MCNQueryEngine(w.graph, w.facilities, accessor=storage)
     >>> policy = ExecutionPolicy(workers=2, executor="serial")
     >>> sharded = ShardedQueryService(engine, policy=policy)
     >>> report = sharded.run_batch([SkylineRequest(q) for q in w.queries])

@@ -22,10 +22,11 @@ the service is built with (``memoize_results`` / ``max_cached_entries``).
 
 Example
 -------
->>> from repro import MCNQueryEngine, QueryService, SkylineRequest, TopKRequest
+>>> from repro import MCNQueryEngine, NetworkStorage, QueryService, SkylineRequest, TopKRequest
 >>> from repro.datagen import WorkloadSpec, make_workload
 >>> w = make_workload(WorkloadSpec(num_nodes=150, num_facilities=60, num_queries=2, seed=5))
->>> engine = MCNQueryEngine(w.graph, w.facilities, use_disk=True, page_size=1024)
+>>> storage = NetworkStorage.build(w.graph, w.facilities, page_size=1024)
+>>> engine = MCNQueryEngine(w.graph, w.facilities, accessor=storage)
 >>> service = QueryService(engine)
 >>> report = service.run_batch(
 ...     [SkylineRequest(w.queries[0]), TopKRequest(w.queries[1], k=3)]

@@ -21,7 +21,7 @@ from repro.storage.layout import (
 )
 from repro.storage.pages import DEFAULT_PAGE_SIZE, Page, PageKind, RecordSizes
 from repro.storage.persist import FileDisk, PackWriter, SpoolingDisk
-from repro.storage.scheme import NetworkStorage, StorageConfig, StorageSnapshotView
+from repro.storage.scheme import NetworkStorage, StorageConfig
 
 __all__ = [
     "AdjacencyLayout",
@@ -44,7 +44,6 @@ __all__ = [
     "SpoolingDisk",
     "StaticBPlusTree",
     "StorageConfig",
-    "StorageSnapshotView",
     "TreeShape",
     "build_adjacency_file",
     "build_facility_file",

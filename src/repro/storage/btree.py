@@ -190,12 +190,13 @@ class StaticBPlusTree:
         """
         return self._traverse(key, buffer.read)[1]
 
-    def path_pages(self, key: int) -> tuple[int, ...]:
-        """The root-to-leaf page ids a :meth:`lookup` of ``key`` would read.
+    def peek_lookup(self, key: int) -> tuple[tuple[int, ...], object]:
+        """The root-to-leaf page ids a :meth:`lookup` of ``key`` would read, and its value.
 
         The tree is static, so the path is fixed at build time; the compiled
         graph precomputes it per key and replays it through a buffer pool to
         charge exactly the page reads a live traversal would cost.  Reads go
-        through :meth:`SimulatedDisk.peek`, so no counter moves here.
+        through the disk's ``peek``, so no counter moves here.
         """
-        return tuple(self._traverse(key, self._disk.peek)[0])
+        path, value = self._traverse(key, self._disk.peek)
+        return tuple(path), value

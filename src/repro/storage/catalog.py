@@ -4,9 +4,10 @@ The :class:`DatasetCatalog` is the metadata record embedded in every dataset
 pack: page geometry, per-kind page counts, B+-tree shapes and the binary
 section directory.  :func:`open_dataset` maps a pack and returns a
 :class:`PackedDataset`, from which :meth:`~PackedDataset.storage` builds a
-:class:`PackedNetworkStorage` — an accessor with the exact read behaviour
-(same pages, same order, same counters) as the in-RAM
-:class:`~repro.storage.scheme.NetworkStorage` the pack was derived from.
+:class:`PackedNetworkStorage` — the
+:class:`~repro.storage.scheme.NetworkStorage` read path over the pack's
+``FileDisk``, so reads behave exactly (same pages, same order, same
+counters) as on the in-RAM storage the pack was derived from.
 
 A pack can be opened in two modes:
 
@@ -24,16 +25,13 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from repro.errors import GraphError, PackFormatError, StorageError
-from repro.network.accessor import AccessStatistics, AdjacencyRecord, FacilityRecord
+from repro.errors import GraphError, PackFormatError
 from repro.network.costs import CostVector
 from repro.network.graph import Edge, EdgeId, Node, NodeId
 from repro.storage.btree import StaticBPlusTree
-from repro.storage.buffer import LRUBufferPool
-from repro.storage.layout import StoredAdjacencyEntry
 from repro.storage.pages import PageKind
 from repro.storage.persist import FileDisk, PackWriter
-from repro.storage.scheme import StorageSnapshotView
+from repro.storage.scheme import NetworkStorage, StorageConfig
 
 __all__ = [
     "TreeShape",
@@ -78,6 +76,16 @@ class TreeShape:
             root_page_id=None if root is None else int(root),
             height=int(payload.get("height", 0)),
             num_entries=int(payload.get("num_entries", 0)),
+        )
+
+    def adopt(self, disk: FileDisk, kind: PageKind) -> StaticBPlusTree:
+        """The tree of this shape whose pages already live on ``disk`` (no read)."""
+        return StaticBPlusTree.from_built(
+            disk,
+            kind,
+            root_page_id=self.root_page_id,
+            height=self.height,
+            num_entries=self.num_entries,
         )
 
 
@@ -303,16 +311,40 @@ class PackedFacilityView:
         return self._catalog.num_facilities / self._catalog.num_edges
 
 
-class PackedNetworkStorage:
-    """File-backed counterpart of :class:`~repro.storage.scheme.NetworkStorage`.
+class _FacilityPageIndex:
+    """A pack's edge → facility-file pages index, bisected in place.
 
-    Reads the same page sequences through the same LRU buffer pool — the
-    adjacency tree resolves a node to its adjacency-file pages, the
-    adjacency entries carry facility-file pointers, the facility tree
-    resolves facility ids — so page-read/buffer-hit accounting is
-    bit-identical to the simulated disk for the same dataset and buffer
-    configuration.  Implements the accessor protocol plus the page-plan
-    surface the compiled fast path binds to.
+    Three sections back it: the sorted facility-bearing edge ids, each
+    edge's ``[start, end)`` offsets, and the flat page-id blob.  Nothing is
+    copied out of the map; :meth:`get` answers like ``dict.get``.
+    """
+
+    def __init__(self, disk: FileDisk):
+        self._disk = disk
+        self._ids_base, ids_bytes = disk.section_bounds(SECTION_FACILITY_EDGE_IDS)
+        self._num_edges = ids_bytes // _I64.size
+        self._offsets_base, _ = disk.section_bounds(SECTION_FACILITY_EDGE_OFFSETS)
+        self._pages_base, _ = disk.section_bounds(SECTION_FACILITY_EDGE_PAGES)
+
+    def get(self, edge_id: EdgeId, default: tuple[int, ...] = ()) -> tuple[int, ...]:
+        mm = self._disk.buffer
+        index = _bisect_section(mm, self._ids_base, self._num_edges, edge_id)
+        if index < 0:
+            return default
+        start, end = struct.unpack_from("<QQ", mm, self._offsets_base + index * _U64.size)
+        return struct.unpack_from(f"<{end - start}q", mm, self._pages_base + start * _I64.size)
+
+
+class PackedNetworkStorage(NetworkStorage):
+    """A :class:`~repro.storage.scheme.NetworkStorage` over a dataset pack.
+
+    The pack holds the pages the source storage held, so the inherited read
+    path produces bit-identical answers and page-read/buffer-hit counters
+    for the same buffer configuration.  Opening reads no page: the tree
+    shapes and page counts come from the catalog, and an edge's facility
+    pages are bisected out of the pack's index sections on demand.  Without
+    ``graph``/``facilities`` the storage answers through the bisect-backed
+    :class:`PackedGraphView` / :class:`PackedFacilityView`.
     """
 
     def __init__(
@@ -325,183 +357,26 @@ class PackedNetworkStorage:
         graph=None,
         facilities=None,
     ):
-        if buffer_fraction < 0:
-            raise StorageError("buffer fraction cannot be negative")
-        self._disk = disk
-        self._catalog = catalog
-        self._buffer_fraction = buffer_fraction
-        self._adjacency_tree = StaticBPlusTree.from_built(
-            disk,
-            PageKind.ADJACENCY_INDEX,
-            root_page_id=catalog.adjacency_tree.root_page_id,
-            height=catalog.adjacency_tree.height,
-            num_entries=catalog.adjacency_tree.num_entries,
-        )
-        self._facility_tree = StaticBPlusTree.from_built(
-            disk,
-            PageKind.FACILITY_INDEX,
-            root_page_id=catalog.facility_tree.root_page_id,
-            height=catalog.facility_tree.height,
-            num_entries=catalog.facility_tree.num_entries,
-        )
-        if buffer_capacity is None:
-            buffer_capacity = max(int(round(self.mcn_page_count * buffer_fraction)), 0)
-            if buffer_fraction > 0:
-                buffer_capacity = max(buffer_capacity, 1)
-        self._buffer = LRUBufferPool(disk, buffer_capacity)
-        self._stats = AccessStatistics()
+        config = StorageConfig(page_size=catalog.page_size, buffer_fraction=buffer_fraction)
         if graph is None:
             graph = PackedGraphView(disk, catalog)
         if facilities is None and isinstance(graph, PackedGraphView):
             facilities = PackedFacilityView(graph, catalog)
-        self._graph = graph
-        self._facilities = facilities
-        # Facility-page index sections: sorted facility-bearing edge ids, the
-        # per-edge [start, end) offsets, and the flat page-id blob.
-        self._fac_ids_base, fac_ids_bytes = disk.section_bounds(SECTION_FACILITY_EDGE_IDS)
-        self._num_facility_edges = fac_ids_bytes // _I64.size
-        self._fac_offsets_base, _ = disk.section_bounds(SECTION_FACILITY_EDGE_OFFSETS)
-        self._fac_pages_base, _ = disk.section_bounds(SECTION_FACILITY_EDGE_PAGES)
-
-    # ------------------------------------------------------------------ #
-    # Sizing / introspection (NetworkStorage parity)
-    # ------------------------------------------------------------------ #
-    @property
-    def graph(self):
-        return self._graph
-
-    @property
-    def facilities(self):
-        return self._facilities
+        super().__init__(
+            disk,
+            catalog.adjacency_tree.adopt(disk, PageKind.ADJACENCY_INDEX),
+            catalog.facility_tree.adopt(disk, PageKind.FACILITY_INDEX),
+            _FacilityPageIndex(disk),
+            graph,
+            facilities,
+            config,
+            buffer_capacity=buffer_capacity,
+        )
+        self._catalog = catalog
 
     @property
     def catalog(self) -> DatasetCatalog:
         return self._catalog
-
-    @property
-    def disk(self) -> FileDisk:
-        return self._disk
-
-    @property
-    def buffer(self) -> LRUBufferPool:
-        return self._buffer
-
-    @property
-    def num_cost_types(self) -> int:
-        return self._catalog.num_cost_types
-
-    @property
-    def mcn_page_count(self) -> int:
-        return self._catalog.mcn_page_count
-
-    @property
-    def total_page_count(self) -> int:
-        return self._catalog.num_pages
-
-    @property
-    def statistics(self) -> AccessStatistics:
-        stats = self._stats
-        stats.page_reads = self._buffer.statistics.misses
-        stats.buffer_hits = self._buffer.statistics.hits
-        return stats
-
-    def reset_statistics(self, *, clear_buffer: bool = False) -> None:
-        self._stats.reset()
-        self._buffer.statistics.reset()
-        self._disk.statistics.reset()
-        if clear_buffer:
-            self._buffer.clear()
-
-    # ------------------------------------------------------------------ #
-    # Accessor protocol
-    # ------------------------------------------------------------------ #
-    def adjacency(self, node_id: NodeId) -> list[AdjacencyRecord]:
-        self._stats.adjacency_requests += 1
-        return self._read_adjacency(node_id, self._buffer)
-
-    def edge_facilities(self, edge_id: EdgeId) -> list[FacilityRecord]:
-        self._stats.facility_requests += 1
-        return self._read_edge_facilities(edge_id, self._buffer)
-
-    def facility_edge(self, facility_id: int) -> EdgeId:
-        self._stats.facility_tree_requests += 1
-        return self._read_facility_edge(facility_id, self._buffer)
-
-    # Shared with StorageSnapshotView, exactly as on NetworkStorage.
-    def _read_adjacency(self, node_id: NodeId, buffer: LRUBufferPool) -> list[AdjacencyRecord]:
-        try:
-            pages = self._adjacency_tree.lookup(node_id, buffer)
-        except StorageError:
-            raise StorageError(f"node {node_id} not present in the adjacency tree") from None
-        records: list[AdjacencyRecord] = []
-        for page_id in pages:  # type: ignore[union-attr]
-            page = buffer.read(page_id)
-            for stored in page.records:
-                if isinstance(stored, StoredAdjacencyEntry) and stored.node == node_id:
-                    records.append(stored.record)
-        return records
-
-    def _read_edge_facilities(self, edge_id: EdgeId, buffer: LRUBufferPool) -> list[FacilityRecord]:
-        records: list[FacilityRecord] = []
-        for page_id in self._facility_pages_of(edge_id):
-            page = buffer.read(page_id)
-            for stored in page.records:
-                if isinstance(stored, FacilityRecord) and stored.edge_id == edge_id:
-                    records.append(stored)
-        return records
-
-    def _read_facility_edge(self, facility_id: int, buffer: LRUBufferPool) -> EdgeId:
-        try:
-            edge_id, _pages = self._facility_tree.lookup(facility_id, buffer)
-        except StorageError:
-            raise StorageError(
-                f"facility {facility_id} not present in the facility tree"
-            ) from None
-        return edge_id
-
-    def _facility_pages_of(self, edge_id: EdgeId) -> tuple[int, ...]:
-        """The facility-file pages of ``edge_id`` (empty when it hosts none)."""
-        mm = self._disk.buffer
-        index = _bisect_section(mm, self._fac_ids_base, self._num_facility_edges, edge_id)
-        if index < 0:
-            return ()
-        start, end = struct.unpack_from(
-            "<QQ", mm, self._fac_offsets_base + index * _U64.size
-        )
-        return struct.unpack_from(
-            f"<{end - start}q", mm, self._fac_pages_base + start * _I64.size
-        )
-
-    # ------------------------------------------------------------------ #
-    # Page plans (compiled fast path)
-    # ------------------------------------------------------------------ #
-    def adjacency_page_plan(self, node_id: NodeId) -> tuple[int, ...]:
-        path, pages = self._adjacency_tree._traverse(node_id, self._disk.peek)
-        return tuple(path) + tuple(pages)
-
-    def facility_page_plan(self, edge_id: EdgeId) -> tuple[int, ...]:
-        return self._facility_pages_of(edge_id)
-
-    def facility_tree_page_plan(self, facility_id: int) -> tuple[int, ...]:
-        return self._facility_tree.path_pages(facility_id)
-
-    def snapshot_view(self, *, buffer_capacity: int | None = None) -> StorageSnapshotView:
-        """A read-only sibling view with a private buffer (shard workers)."""
-        if buffer_capacity is None:
-            buffer_capacity = self._buffer.capacity
-        return StorageSnapshotView(self, buffer_capacity)
-
-    def describe(self) -> dict[str, int]:
-        counts = self._catalog.page_kind_counts
-        return {
-            "adjacency_file_pages": counts.get(PageKind.ADJACENCY.value, 0),
-            "adjacency_tree_pages": counts.get(PageKind.ADJACENCY_INDEX.value, 0),
-            "facility_file_pages": counts.get(PageKind.FACILITY.value, 0),
-            "facility_tree_pages": counts.get(PageKind.FACILITY_INDEX.value, 0),
-            "mcn_pages": self.mcn_page_count,
-            "total_pages": self.total_page_count,
-            "buffer_capacity": self._buffer.capacity,
-        }
 
 
 class PackedDataset:
@@ -629,7 +504,7 @@ def pack_network_storage(storage, path: str, *, extras: dict | None = None) -> D
                 *edge.costs.values,
             )
         )
-    _write_facility_index(writer, storage._facility_layout.edge_pages)
+    _write_facility_index(writer, storage._facility_pages)
 
     payload = {
         "directed": graph.directed,

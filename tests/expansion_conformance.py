@@ -100,27 +100,20 @@ class ExpansionConformanceSuite:
 
     def make_engines(self, workload, *, use_disk, page_size=1024, buffer_fraction=0.01):
         """A (legacy, fast) engine pair over the same workload."""
-        if use_disk:
-            legacy = MCNQueryEngine(
-                workload.graph,
-                workload.facilities,
-                use_disk=True,
-                page_size=page_size,
-                buffer_fraction=buffer_fraction,
-                compiled=False,
+        def engine(compiled):
+            storage = None
+            if use_disk:
+                storage = NetworkStorage.build(
+                    workload.graph,
+                    workload.facilities,
+                    page_size=page_size,
+                    buffer_fraction=buffer_fraction,
+                )
+            return MCNQueryEngine(
+                workload.graph, workload.facilities, accessor=storage, compiled=compiled
             )
-            fast = MCNQueryEngine(
-                workload.graph,
-                workload.facilities,
-                use_disk=True,
-                page_size=page_size,
-                buffer_fraction=buffer_fraction,
-                compiled=True,
-            )
-        else:
-            legacy = MCNQueryEngine(workload.graph, workload.facilities, compiled=False)
-            fast = MCNQueryEngine(workload.graph, workload.facilities, compiled=True)
-        return legacy, fast
+
+        return engine(False), engine(True)
 
     @staticmethod
     def reset(engine):

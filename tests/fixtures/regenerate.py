@@ -120,7 +120,7 @@ def regenerate_case(name: str, case: dict) -> Path:
         page_size=case["page_size"],
         buffer_fraction=case["buffer_fraction"],
     )
-    engine = MCNQueryEngine(workload.graph, workload.facilities, storage=storage)
+    engine = MCNQueryEngine(workload.graph, workload.facilities, accessor=storage)
     requests = build_trace(workload, case["mix"], case["k"])
     report = QueryService(engine).run_batch(requests)
     fixture = {

@@ -24,6 +24,7 @@ from repro.network.accessor import InMemoryAccessor
 from repro.network.facilities import FacilitySet
 from repro.parallel import ShardedQueryService
 from repro.service import QueryService, SkylineRequest, TopKRequest
+from repro.storage import NetworkStorage
 
 _WORKLOAD = make_workload(
     WorkloadSpec(
@@ -54,12 +55,18 @@ def _signature(item):
 
 def _direct_report(policy: ExecutionPolicy, requests):
     """The pre-facade path: hand-built engine + direct service construction."""
+    storage = None
+    if policy.residency == "disk":
+        storage = NetworkStorage.build(
+            _WORKLOAD.graph,
+            _WORKLOAD.facilities,
+            page_size=policy.page_size,
+            buffer_fraction=policy.buffer_fraction,
+        )
     engine = MCNQueryEngine(
         _WORKLOAD.graph,
         _WORKLOAD.facilities,
-        use_disk=(policy.residency == "disk"),
-        page_size=policy.page_size,
-        buffer_fraction=policy.buffer_fraction,
+        accessor=storage,
         compiled=policy.resolved_compiled(),
     )
     if policy.workers > 1:

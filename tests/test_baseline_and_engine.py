@@ -9,6 +9,7 @@ from repro.core.baseline import baseline_cost_vectors, baseline_skyline, baselin
 from repro.core.engine import MCNQueryEngine
 from repro.errors import QueryError
 from repro.network import InMemoryAccessor, NetworkLocation
+from repro.storage import NetworkStorage
 from tests.helpers import exact_skyline, exact_top_k, facility_vectors
 
 
@@ -61,15 +62,14 @@ class TestEngineConstruction:
         assert isinstance(engine.accessor, InMemoryAccessor)
 
     def test_disk_engine_builds_storage(self, tiny_graph, tiny_facilities):
-        engine = MCNQueryEngine(tiny_graph, tiny_facilities, use_disk=True, page_size=512)
+        storage = NetworkStorage.build(tiny_graph, tiny_facilities, page_size=512)
+        engine = MCNQueryEngine(tiny_graph, tiny_facilities, accessor=storage)
         assert engine.storage is not None
         assert engine.accessor is engine.storage
 
     def test_explicit_storage_reused(self, tiny_graph, tiny_facilities):
-        from repro.storage import NetworkStorage
-
         storage = NetworkStorage.build(tiny_graph, tiny_facilities)
-        engine = MCNQueryEngine(tiny_graph, tiny_facilities, storage=storage)
+        engine = MCNQueryEngine(tiny_graph, tiny_facilities, accessor=storage)
         assert engine.storage is storage
 
     def test_graph_and_facilities_exposed(self, tiny_graph, tiny_facilities):
@@ -142,7 +142,9 @@ class TestEngineOnDisk:
     def test_disk_and_memory_engines_agree(self, small_workload):
         graph, facilities = small_workload.graph, small_workload.facilities
         memory_engine = MCNQueryEngine(graph, facilities)
-        disk_engine = MCNQueryEngine(graph, facilities, use_disk=True, page_size=512)
+        disk_engine = MCNQueryEngine(
+            graph, facilities, accessor=NetworkStorage.build(graph, facilities, page_size=512)
+        )
         for query in small_workload.queries[:2]:
             assert (
                 memory_engine.skyline(query).facility_ids()
@@ -155,13 +157,17 @@ class TestEngineOnDisk:
 
     def test_disk_engine_reports_page_reads(self, small_workload):
         graph, facilities = small_workload.graph, small_workload.facilities
-        engine = MCNQueryEngine(graph, facilities, use_disk=True, page_size=512)
+        engine = MCNQueryEngine(
+            graph, facilities, accessor=NetworkStorage.build(graph, facilities, page_size=512)
+        )
         result = engine.skyline(small_workload.queries[0])
         assert result.statistics.io.page_reads > 0
 
     def test_cea_uses_fewer_page_reads_than_lsa(self, small_workload):
         graph, facilities = small_workload.graph, small_workload.facilities
-        engine = MCNQueryEngine(graph, facilities, use_disk=True, page_size=512)
+        engine = MCNQueryEngine(
+            graph, facilities, accessor=NetworkStorage.build(graph, facilities, page_size=512)
+        )
         query = small_workload.queries[0]
         engine.storage.reset_statistics(clear_buffer=True)
         lsa = engine.skyline(query, algorithm="lsa")

@@ -77,7 +77,7 @@ def build_case(config):
         page_size=1024,
         buffer_fraction=config["buffer"],
     )
-    engine = MCNQueryEngine(workload.graph, workload.facilities, storage=storage)
+    engine = MCNQueryEngine(workload.graph, workload.facilities, accessor=storage)
     aggregate = make_aggregate(config["aggregate"], config["dims"])
     requests = []
     for index, query in enumerate(workload.queries):
@@ -163,7 +163,7 @@ class TestDifferentialOracle:
         cold_storage = NetworkStorage.build(
             workload.graph, workload.facilities, page_size=1024, buffer_fraction=0.0
         )
-        cold_engine = MCNQueryEngine(workload.graph, workload.facilities, storage=cold_storage)
+        cold_engine = MCNQueryEngine(workload.graph, workload.facilities, accessor=cold_storage)
         report = QueryService(cold_engine).run_batch(requests)
         sharded = ShardedQueryService(
             cold_engine, policy=ExecutionPolicy(workers=2, executor="serial")
@@ -279,7 +279,7 @@ class TestDifferentialOracle:
         storage = NetworkStorage.build(
             workload.graph, workload.facilities, page_size=1024, buffer_fraction=0.01
         )
-        engine = MCNQueryEngine(workload.graph, workload.facilities, storage=storage)
+        engine = MCNQueryEngine(workload.graph, workload.facilities, accessor=storage)
         requests = []
         for index, query in enumerate(workload.queries):
             if index % 2 == 0:

@@ -42,7 +42,7 @@ def build_engine(fixture: dict, *, compiled: bool = False) -> MCNQueryEngine:
     return MCNQueryEngine(
         workload.graph,
         workload.facilities,
-        storage=storage,
+        accessor=storage,
         compiled=compiled,
     )
 

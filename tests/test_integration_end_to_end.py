@@ -23,7 +23,7 @@ class TestDiskMemoryConsistency:
     def test_full_pipeline_agreement(self, medium_workload):
         graph, facilities = medium_workload.graph, medium_workload.facilities
         storage = NetworkStorage.build(graph, facilities, page_size=1024, buffer_fraction=0.01)
-        disk_engine = MCNQueryEngine(graph, facilities, storage=storage)
+        disk_engine = MCNQueryEngine(graph, facilities, accessor=storage)
         memory_engine = MCNQueryEngine(graph, facilities)
         for query in medium_workload.queries:
             for algorithm in ("lsa", "cea"):
@@ -41,7 +41,7 @@ class TestDiskMemoryConsistency:
         results = []
         for fraction in (0.0, 0.01, 0.05):
             storage = NetworkStorage.build(graph, facilities, page_size=512, buffer_fraction=fraction)
-            engine = MCNQueryEngine(graph, facilities, storage=storage)
+            engine = MCNQueryEngine(graph, facilities, accessor=storage)
             results.append(engine.skyline(query).facility_ids())
         assert results[0] == results[1] == results[2]
 
@@ -51,7 +51,7 @@ class TestDiskMemoryConsistency:
         results = set()
         for page_size in (256, 1024, 4096):
             storage = NetworkStorage.build(graph, facilities, page_size=page_size)
-            engine = MCNQueryEngine(graph, facilities, storage=storage)
+            engine = MCNQueryEngine(graph, facilities, accessor=storage)
             results.add(frozenset(engine.skyline(query).facility_ids()))
         assert len(results) == 1
 

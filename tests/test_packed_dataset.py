@@ -122,7 +122,7 @@ class TestStreamingParity:
         storage = NetworkStorage.build(
             graph, facilities, page_size=SPEC.page_size, buffer_fraction=0.02
         )
-        sim = MCNQueryEngine(graph, facilities, storage=storage)
+        sim = MCNQueryEngine(graph, facilities, accessor=storage)
         with open_dataset(str(streamed_path)) as dataset:
             packed = dataset.storage(
                 buffer_fraction=0.02, graph=graph, facilities=facilities

@@ -43,7 +43,7 @@ def storage(workload):
 
 @pytest.fixture(scope="module")
 def engine(workload, storage):
-    return MCNQueryEngine(workload.graph, workload.facilities, storage=storage)
+    return MCNQueryEngine(workload.graph, workload.facilities, accessor=storage)
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +128,7 @@ class TestSnapshotViews:
     def test_view_shares_pages_but_owns_buffer(self, storage):
         view_a = storage.snapshot_view()
         view_b = storage.snapshot_view()
-        assert view_a.base is storage
+        assert view_a.disk is storage.disk
         assert view_a.buffer is not view_b.buffer
         assert view_a.num_cost_types == storage.num_cost_types
 
@@ -156,9 +156,12 @@ class TestSnapshotViews:
     def test_view_reset_statistics(self, workload, storage):
         view = storage.snapshot_view()
         view.adjacency(next(iter(workload.graph.nodes())).node_id)
+        disk_reads = storage.disk.statistics.page_reads
         view.reset_statistics(clear_buffer=True)
         assert view.statistics.page_reads == 0
         assert view.buffer.resident_pages == 0
+        # The disk's physical-read counter is shared with the siblings.
+        assert storage.disk.statistics.page_reads == disk_reads > 0
 
     def test_in_memory_snapshot_view(self, workload):
         accessor = InMemoryAccessor(workload.graph, workload.facilities)
@@ -172,18 +175,9 @@ class TestSnapshotViews:
         view = storage.snapshot_view()
         engine = MCNQueryEngine(workload.graph, workload.facilities, accessor=view)
         assert engine.accessor is view
-        assert engine.storage is None
+        assert engine.storage is view
         result = engine.skyline(workload.queries[0])
         assert len(result) >= 1
-
-    def test_engine_rejects_storage_and_accessor_together(self, workload, storage):
-        with pytest.raises(QueryError):
-            MCNQueryEngine(
-                workload.graph,
-                workload.facilities,
-                storage=storage,
-                accessor=storage.snapshot_view(),
-            )
 
 
 class TestShardedQueryService:

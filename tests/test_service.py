@@ -16,6 +16,7 @@ from repro.service import (
     SkylineRequest,
     TopKRequest,
 )
+from repro.storage import NetworkStorage
 
 from tests.helpers import random_mcn, random_query
 
@@ -37,7 +38,8 @@ def workload():
 
 @pytest.fixture()
 def disk_engine(workload):
-    return MCNQueryEngine(workload.graph, workload.facilities, use_disk=True, page_size=1024)
+    storage = NetworkStorage.build(workload.graph, workload.facilities, page_size=1024)
+    return MCNQueryEngine(workload.graph, workload.facilities, accessor=storage)
 
 
 def mixed_requests(workload, k=3):

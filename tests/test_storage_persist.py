@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import ExecutionPolicy, Session
 from repro.core.engine import MCNQueryEngine
 from repro.datagen import WorkloadSpec, make_workload
 from repro.errors import (
@@ -25,6 +26,7 @@ from repro.errors import (
     ReproError,
     StorageError,
 )
+from repro.service import SkylineRequest, TopKRequest
 from repro.storage import NetworkStorage, open_dataset, pack_network_storage
 from repro.storage.pages import PageKind
 from repro.storage.persist import (
@@ -160,7 +162,7 @@ class TestDifferentialOracle:
             facilities=workload.facilities,
         )
         assert packed.buffer.capacity == storage.buffer.capacity
-        sim_engine = MCNQueryEngine(workload.graph, workload.facilities, storage=storage)
+        sim_engine = MCNQueryEngine(workload.graph, workload.facilities, accessor=storage)
         file_engine = MCNQueryEngine(
             workload.graph, workload.facilities, accessor=packed
         )
@@ -200,6 +202,65 @@ class TestDifferentialOracle:
             workload.graph, workload.facilities, page_size=PAGE_SIZE
         )
         assert records == probe.adjacency(some_node)
+
+
+class TestShardedBatchOverPack:
+    """Shard workers read a pack through snapshot views of its storage.
+
+    A sharded batch over the pack must count exactly like the same batch
+    over the simulated disk: the views share the pack's pages and trees but
+    each owns its buffer, as on the simulated disk.
+    """
+
+    SHARD_SPEC = WorkloadSpec(
+        num_nodes=400, num_facilities=120, num_cost_types=3, num_queries=12, seed=7
+    )
+
+    @pytest.fixture(scope="class")
+    def shard_case(self, tmp_path_factory):
+        workload = make_workload(self.SHARD_SPEC)
+        storage = NetworkStorage.build(
+            workload.graph, workload.facilities, page_size=1024, buffer_fraction=0.02
+        )
+        path = tmp_path_factory.mktemp("shard-pack") / "workload.mcnpack"
+        pack_network_storage(storage, str(path))
+        requests = [
+            SkylineRequest(query)
+            if index % 2 == 0
+            else TopKRequest(query, 3, weights=(0.5, 0.3, 0.2))
+            for index, query in enumerate(workload.queries)
+        ]
+        return workload, storage, str(path), requests
+
+    @staticmethod
+    def _answers(batch):
+        return [
+            [(member.facility_id, member.costs) for member in response.result]
+            if isinstance(response.request, SkylineRequest)
+            else [(member.facility_id, member.score) for member in response.result]
+            for response in batch.responses
+        ]
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_sharded_batch_matches_the_simulated_disk(self, shard_case, executor):
+        workload, storage, path, requests = shard_case
+        policy = ExecutionPolicy(buffer_fraction=0.02, workers=2, executor=executor)
+        with Session(
+            workload.graph,
+            workload.facilities,
+            storage=storage,
+            policy=policy.replace(residency="disk", page_size=1024),
+        ) as simulated:
+            want = simulated.run_batch(requests)
+        with Session.from_dataset(path, policy=policy) as packed:
+            got = packed.run_batch(requests)
+        assert self._answers(got) == self._answers(want)
+        assert (got.io.page_reads, got.io.buffer_hits) == (
+            want.io.page_reads,
+            want.io.buffer_hits,
+        )
+        assert len(got.shard_io) == 2
+        assert got.shard_io == want.shard_io
 
 
 def _corrupt(path, tmp_path, name, mutate):
