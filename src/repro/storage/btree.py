@@ -12,12 +12,14 @@ import bisect
 from dataclasses import dataclass
 from collections.abc import Iterable
 
-from repro.errors import StorageError
+from repro.errors import PackFormatError, StorageError
 from repro.storage.buffer import LRUBufferPool
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pages import PageKind, RecordSizes
 
 __all__ = ["StaticBPlusTree"]
+
+_INDEX_ENTRY_BYTES = RecordSizes().index_entry()
 
 
 @dataclass(frozen=True)
@@ -25,11 +27,20 @@ class _LeafRecord:
     keys: tuple[int, ...]
     values: tuple[object, ...]
 
+    def value(self, key: int) -> object:
+        position = bisect.bisect_left(self.keys, key)
+        if position < len(self.keys) and self.keys[position] == key:
+            return self.values[position]
+        raise StorageError(f"key {key} not found in index")
+
 
 @dataclass(frozen=True)
 class _InternalRecord:
     separators: tuple[int, ...]  # smallest key reachable under each child except the first
     children: tuple[int, ...]  # child page ids
+
+    def child(self, key: int) -> int:
+        return self.children[bisect.bisect_right(self.separators, key)]
 
 
 class StaticBPlusTree:
@@ -45,7 +56,6 @@ class StaticBPlusTree:
         kind: PageKind,
         entries: Iterable[tuple[int, object]],
         *,
-        record_sizes: RecordSizes | None = None,
         presorted: bool = False,
     ):
         """Bulk-load the tree from ``entries``.
@@ -58,9 +68,7 @@ class StaticBPlusTree:
         """
         self._disk = disk
         self._kind = kind
-        sizes = record_sizes or RecordSizes()
-        fanout = max(disk.page_size // sizes.index_entry(), 2)
-        self._fanout = fanout
+        self._fanout = max(disk.page_size // _INDEX_ENTRY_BYTES, 2)
         if not presorted:
             entries = sorted(entries, key=lambda pair: pair[0])
             keys = [key for key, _ in entries]
@@ -79,7 +87,6 @@ class StaticBPlusTree:
         root_page_id: int | None,
         height: int,
         num_entries: int,
-        record_sizes: RecordSizes | None = None,
     ) -> "StaticBPlusTree":
         """Adopt a tree whose pages already live on ``disk`` (no bulk load).
 
@@ -90,8 +97,6 @@ class StaticBPlusTree:
         tree = object.__new__(cls)
         tree._disk = disk
         tree._kind = kind
-        sizes = record_sizes or RecordSizes()
-        tree._fanout = max(disk.page_size // sizes.index_entry(), 2)
         tree._num_entries = num_entries
         tree._height = height
         tree._root_page_id = root_page_id
@@ -117,7 +122,7 @@ class StaticBPlusTree:
     def _flush_leaf(self, keys: list[int], values: list[object]) -> tuple[int, int]:
         page = self._disk.allocate(self._kind)
         page.records.append(_LeafRecord(keys=tuple(keys), values=tuple(values)))
-        page.used_bytes = len(keys) * RecordSizes().index_entry()
+        page.used_bytes = len(keys) * _INDEX_ENTRY_BYTES
         return keys[0], page.page_id
 
     def _bulk_load(self, sorted_entries) -> int | None:
@@ -154,7 +159,7 @@ class StaticBPlusTree:
                     children=tuple(page_id for _, page_id in chunk),
                 )
                 page.records.append(record)
-                page.used_bytes = len(chunk) * RecordSizes().index_entry()
+                page.used_bytes = len(chunk) * _INDEX_ENTRY_BYTES
                 next_level.append((chunk[0][0], page.page_id))
             level = next_level
             self._height += 1
@@ -165,23 +170,30 @@ class StaticBPlusTree:
 
         ``read`` supplies each page — the buffered (counted) reader for live
         lookups, :meth:`SimulatedDisk.peek` for plan extraction — so both
-        callers share one descent and can never diverge.  Raises
-        :class:`StorageError` when the key is absent.
+        callers share one descent and can never diverge.  The descent reads
+        exactly :attr:`height` pages, so a pack whose child pointers loop
+        cannot hang it.  Raises :class:`StorageError` when the key is
+        absent, and :class:`PackFormatError` when a page on the way is not
+        an index page of this tree.
         """
         if self._root_page_id is None:
             raise StorageError(f"key {key} not found in empty index")
         path: list[int] = []
         page_id = self._root_page_id
-        while True:
+        for _ in range(self._height - 1):
             path.append(page_id)
-            record = read(page_id).records[0]
-            if isinstance(record, _LeafRecord):
-                position = bisect.bisect_left(record.keys, key)
-                if position < len(record.keys) and record.keys[position] == key:
-                    return path, record.values[position]
-                raise StorageError(f"key {key} not found in index")
-            child_index = bisect.bisect_right(record.separators, key)
-            page_id = record.children[child_index]
+            page_id = self._index_page(page_id, read).index_child(key)
+        path.append(page_id)
+        return path, self._index_page(page_id, read).index_value(key)
+
+    def _index_page(self, page_id: int, read):
+        page = read(page_id)
+        if page.kind is not self._kind:
+            raise PackFormatError(
+                f"page {page_id} is a {page.kind.value} page inside the "
+                f"{self._kind.value} tree (corrupt pack)"
+            )
+        return page
 
     def lookup(self, key: int, buffer: LRUBufferPool) -> object:
         """Return the value stored under ``key``; every page visited is a buffered read.

@@ -30,7 +30,7 @@ from repro.network.costs import CostVector
 from repro.network.graph import Edge, EdgeId, Node, NodeId
 from repro.storage.btree import StaticBPlusTree
 from repro.storage.pages import PageKind
-from repro.storage.persist import FileDisk, PackWriter
+from repro.storage.persist import FileDisk, PackWriter, bisect_column
 from repro.storage.scheme import NetworkStorage, StorageConfig
 
 __all__ = [
@@ -79,7 +79,16 @@ class TreeShape:
         )
 
     def adopt(self, disk: FileDisk, kind: PageKind) -> StaticBPlusTree:
-        """The tree of this shape whose pages already live on ``disk`` (no read)."""
+        """The tree of this shape whose pages already live on ``disk`` (no read).
+
+        A lookup reads ``height`` pages, one per level, so a height beyond
+        the pack's page count can only come from a corrupt catalog.
+        """
+        if not 0 <= self.height <= disk.num_pages:
+            raise PackFormatError(
+                f"{kind.value} tree of height {self.height} in a pack of "
+                f"{disk.num_pages} pages (corrupt catalog)"
+            )
         return StaticBPlusTree.from_built(
             disk,
             kind,
@@ -165,20 +174,11 @@ class DatasetCatalog:
         }
 
 
-def _bisect_section(mm, base: int, count: int, key: int) -> int:
-    """Index of ``key`` in a sorted i64 array at ``base`` (or -1)."""
-    lo, hi = 0, count
-    while lo < hi:
-        mid = (lo + hi) // 2
-        (value,) = _I64.unpack_from(mm, base + mid * _I64.size)
-        if value < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo < count:
-        (value,) = _I64.unpack_from(mm, base + lo * _I64.size)
-        if value == key:
-            return lo
+def _bisect_section(mm, base: int, count: int, key: int, stride: int = _I64.size) -> int:
+    """Index of ``key`` in a sorted i64 column at ``base`` (or -1)."""
+    index = bisect_column(mm, base, count, key, stride)
+    if index < count and _I64.unpack_from(mm, base + index * stride)[0] == key:
+        return index
     return -1
 
 
@@ -220,20 +220,9 @@ class PackedGraphView:
         return self._num_edges
 
     def _edge_index(self, edge_id: EdgeId) -> int:
-        mm = self._disk.buffer
-        lo, hi = 0, self._num_edges
-        while lo < hi:
-            mid = (lo + hi) // 2
-            (value,) = _I64.unpack_from(mm, self._edge_base + mid * self._edge_stride)
-            if value < edge_id:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < self._num_edges:
-            (value,) = _I64.unpack_from(mm, self._edge_base + lo * self._edge_stride)
-            if value == edge_id:
-                return lo
-        return -1
+        return _bisect_section(
+            self._disk.buffer, self._edge_base, self._num_edges, edge_id, self._edge_stride
+        )
 
     def has_node(self, node_id: NodeId) -> bool:
         return _bisect_section(self._disk.buffer, self._node_base, self._num_nodes, node_id) >= 0

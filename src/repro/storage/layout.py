@@ -102,11 +102,9 @@ def pack_record_groups(
 def build_facility_file(
     disk: SimulatedDisk,
     facilities: FacilitySet,
-    *,
-    record_sizes: RecordSizes | None = None,
 ) -> FacilityLayout:
     """Pack all facilities into facility-file pages, grouped by edge."""
-    sizes = record_sizes or RecordSizes()
+    sizes = RecordSizes()
     edge_pages: dict[EdgeId, tuple[int, ...]] = {}
     groups = (
         (
@@ -134,11 +132,9 @@ def build_adjacency_file(
     graph: MultiCostGraph,
     facilities: FacilitySet,
     facility_layout: FacilityLayout,
-    *,
-    record_sizes: RecordSizes | None = None,
 ) -> AdjacencyLayout:
     """Pack every node's adjacency list into adjacency-file pages."""
-    sizes = record_sizes or RecordSizes()
+    sizes = RecordSizes()
     node_pages: dict[NodeId, tuple[int, ...]] = {}
 
     def groups():

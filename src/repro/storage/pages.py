@@ -53,6 +53,24 @@ class Page:
         self.used_bytes += size
         return True
 
+    # The read path's three lookups; a pack's ``PageView`` answers the same
+    # ones by bisecting its slot in place.
+    def adjacency_records(self, node_id: int) -> list:
+        """The adjacency records of ``node_id`` stored on this page, in order."""
+        return [stored.record for stored in self.records if stored.node == node_id]
+
+    def facility_records(self, edge_id: int) -> list:
+        """The facility records of ``edge_id`` stored on this page, in order."""
+        return [record for record in self.records if record.edge_id == edge_id]
+
+    def index_child(self, key: int) -> int:
+        """The child page this internal index page routes ``key`` to."""
+        return self.records[0].child(key)
+
+    def index_value(self, key: int) -> object:
+        """The value this leaf index page stores under ``key`` (``StorageError`` if absent)."""
+        return self.records[0].value(key)
+
 
 @dataclass(frozen=True)
 class RecordSizes:

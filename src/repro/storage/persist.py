@@ -26,6 +26,30 @@ encoded page, so ``page_id -> file offset`` is a multiply-add), which lets
 :class:`FileDisk` serve :meth:`read`/:meth:`peek` straight off an ``mmap``
 with the exact interface of :class:`~repro.storage.disk.SimulatedDisk`.  The
 checksum is the SHA-256 of the whole file with the checksum field zeroed.
+
+Slot layout, format version 2.  Every slot opens with an 8-byte header —
+kind code (u8), pad, record count ``n`` (u16), used bytes (u32) — and the
+body depends on the kind::
+
+    adjacency  node ids (i64 x n, ascending) | each record's offset in the
+               slot (u32 x n) | n records: node, neighbour, edge id, first
+               node (i64), length (f64), facility count (u32), d costs
+               (f64), facility pages (u32 count + i64 ids)
+    facility   n records of 24 bytes, in edge order: facility id, edge id
+               (i64), offset (f64)
+    index      one record: type (u8), then a leaf — keys (u32 count m +
+               i64 x m) | each value's offset in the slot (u32 x m) | m
+               values (adjacency tree: page ids as u32 count + i64 ids;
+               facility tree: edge id (i64) + page ids) — or an internal
+               node — separators, then children (each u32 count + i64 ids)
+
+The node directory, the facility records' fixed stride and the leaf's
+value offsets are what make pages lazy: :meth:`FileDisk.read` returns a
+:class:`PageView` that decodes nothing up front and answers the read
+path's three lookups — one node's adjacency records, one edge's facility
+records, one B+-tree step — by bisecting the slot in place and decoding
+only the records it returns.  Version-1 packs, which lack the offset
+tables, are refused with :class:`~repro.errors.PackVersionError`.
 """
 
 from __future__ import annotations
@@ -54,14 +78,16 @@ __all__ = [
     "PACK_MAGIC",
     "PACK_VERSION",
     "FileDisk",
+    "PageView",
     "PackWriter",
     "SpoolingDisk",
+    "bisect_column",
     "compute_pack_checksum",
     "read_pack_header",
 ]
 
 PACK_MAGIC = b"MCNPACK1"
-PACK_VERSION = 1
+PACK_VERSION = 2
 # Written as a native little-endian u32; a pack produced on (or doctored
 # for) a big-endian layout reads back as 0x04030201 and is rejected.
 _ENDIAN_TAG = 0x01020304
@@ -76,8 +102,9 @@ _SLOT_HEADER = struct.Struct("<BxHI")  # page kind, pad, record count, used_byte
 _U8 = struct.Struct("<B")
 _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
 _FACILITY_RECORD = struct.Struct("<qqd")
+# node, neighbour, edge id, first node, length, facility count
+_ADJACENCY_ENTRY = struct.Struct("<qqqqdI")
 
 _KIND_CODES = {
     PageKind.ADJACENCY: 0,
@@ -94,62 +121,76 @@ _INTERNAL = 1
 # --------------------------------------------------------------------- #
 # Page slot codec
 # --------------------------------------------------------------------- #
-def _append_ids(parts: list[bytes], ids) -> None:
-    parts.append(_U32.pack(len(ids)))
-    for value in ids:
-        parts.append(_I64.pack(value))
+def _append_ids(out: bytearray, ids) -> None:
+    out += _U32.pack(len(ids))
+    out += struct.pack(f"<{len(ids)}q", *ids)
+
+
+def _require_sorted(keys: list[int], page: Page) -> None:
+    # The reader bisects these keys in place; a page out of order would
+    # read back wrong instead of failing.
+    if any(later < earlier for earlier, later in zip(keys, keys[1:])):
+        raise StorageError(f"page {page.page_id}: {page.kind.value} records out of key order")
 
 
 def encode_page(page: Page, num_cost_types: int) -> bytes:
-    """Serialise one page (without slot padding)."""
-    parts: list[bytes] = [
+    """Serialise one page (without slot padding) in the version-2 layout."""
+    out = bytearray(
         _SLOT_HEADER.pack(_KIND_CODES[page.kind], len(page.records), page.used_bytes)
-    ]
+    )
     if page.kind is PageKind.ADJACENCY:
-        for stored in page.records:
+        nodes = [stored.node for stored in page.records]
+        _require_sorted(nodes, page)
+        out += struct.pack(f"<{len(nodes)}q", *nodes)
+        table = len(out)
+        out += bytes(_U32.size * len(nodes))
+        for index, stored in enumerate(page.records):
+            _U32.pack_into(out, table + index * _U32.size, len(out))
             record = stored.record
-            parts.append(
-                struct.pack(
-                    "<qqqqdI",
-                    stored.node,
-                    record.neighbor,
-                    record.edge_id,
-                    record.first_node,
-                    record.length,
-                    record.facility_count,
-                )
+            out += _ADJACENCY_ENTRY.pack(
+                stored.node,
+                record.neighbor,
+                record.edge_id,
+                record.first_node,
+                record.length,
+                record.facility_count,
             )
-            for cost in record.costs:
-                parts.append(_F64.pack(cost))
-            _append_ids(parts, stored.facility_pages)
+            out += struct.pack(f"<{len(record.costs)}d", *record.costs)
+            _append_ids(out, stored.facility_pages)
     elif page.kind is PageKind.FACILITY:
+        _require_sorted([record.edge_id for record in page.records], page)
         for record in page.records:
-            parts.append(
-                _FACILITY_RECORD.pack(record.facility_id, record.edge_id, record.offset)
-            )
+            out += _FACILITY_RECORD.pack(record.facility_id, record.edge_id, record.offset)
     else:
         for record in page.records:
             if isinstance(record, _LeafRecord):
-                parts.append(_U8.pack(_LEAF))
-                _append_ids(parts, record.keys)
-                if page.kind is PageKind.ADJACENCY_INDEX:
-                    # Adjacency-tree values are adjacency-file page tuples.
-                    for pages in record.values:
-                        _append_ids(parts, pages)
-                else:
-                    # Facility-tree values are (edge id, facility-page tuple).
-                    for edge_id, pages in record.values:
-                        parts.append(_I64.pack(edge_id))
-                        _append_ids(parts, pages)
+                out += _U8.pack(_LEAF)
+                _append_ids(out, record.keys)
+                table = len(out)
+                out += bytes(_U32.size * len(record.keys))
+                for index, value in enumerate(record.values):
+                    _U32.pack_into(out, table + index * _U32.size, len(out))
+                    if page.kind is PageKind.ADJACENCY_INDEX:
+                        # Adjacency-tree values are adjacency-file page tuples.
+                        _append_ids(out, value)
+                    else:
+                        # Facility-tree values are (edge id, facility-page tuple).
+                        edge_id, pages = value
+                        out += _I64.pack(edge_id)
+                        _append_ids(out, pages)
             elif isinstance(record, _InternalRecord):
-                parts.append(_U8.pack(_INTERNAL))
-                _append_ids(parts, record.separators)
-                _append_ids(parts, record.children)
+                out += _U8.pack(_INTERNAL)
+                _append_ids(out, record.separators)
+                _append_ids(out, record.children)
             else:  # pragma: no cover - guarded by the storage layer itself
                 raise PackFormatError(
                     f"unencodable index record {type(record).__name__}"
                 )
-    return b"".join(parts)
+    return bytes(out)
+
+
+def _overrun(page_id: int) -> PackFormatError:
+    return PackFormatError(f"page {page_id}: slot ends mid-record (corrupt pack)")
 
 
 class _Cursor:
@@ -169,6 +210,11 @@ class _Cursor:
         self.offset += fmt.size
         return values
 
+    def skip(self, size: int) -> None:
+        if self.offset + size > self.end:
+            raise PackFormatError("page slot ends mid-record (corrupt pack)")
+        self.offset += size
+
     def read_ids(self) -> tuple[int, ...]:
         (count,) = self.unpack(_U32)
         if count > (self.end - self.offset) // _I64.size:
@@ -179,7 +225,12 @@ class _Cursor:
 
 
 def decode_page(buffer, offset: int, slot_size: int, page_id: int, num_cost_types: int) -> Page:
-    """Decode the page stored in the slot starting at ``offset``."""
+    """Decode every record of the page stored in the slot starting at ``offset``.
+
+    The query path never calls this: it asks a :class:`PageView` for the
+    records it needs.  The full decode serves inspection and the tests that
+    compare a pack page by page with the simulated disk it was written from.
+    """
     cursor = _Cursor(buffer, offset, offset + slot_size)
     kind_code, record_count, used_bytes = cursor.unpack(_SLOT_HEADER)
     kind = _CODE_KINDS.get(kind_code)
@@ -187,10 +238,13 @@ def decode_page(buffer, offset: int, slot_size: int, page_id: int, num_cost_type
         raise PackFormatError(f"page {page_id} has unknown kind code {kind_code}")
     records: list[object] = []
     if kind is PageKind.ADJACENCY:
-        entry = struct.Struct("<qqqqdI")
+        # The node directory and offset table only index the records below.
+        cursor.skip(record_count * (_I64.size + _U32.size))
         costs_struct = struct.Struct(f"<{num_cost_types}d")
         for _ in range(record_count):
-            node, neighbor, edge_id, first_node, length, facility_count = cursor.unpack(entry)
+            node, neighbor, edge_id, first_node, length, facility_count = cursor.unpack(
+                _ADJACENCY_ENTRY
+            )
             costs = cursor.unpack(costs_struct)
             facility_pages = cursor.read_ids()
             records.append(
@@ -216,6 +270,7 @@ def decode_page(buffer, offset: int, slot_size: int, page_id: int, num_cost_type
             (record_type,) = cursor.unpack(_U8)
             if record_type == _LEAF:
                 keys = cursor.read_ids()
+                cursor.skip(len(keys) * _U32.size)  # the value offset table
                 values: list[object] = []
                 if kind is PageKind.ADJACENCY_INDEX:
                     for _ in keys:
@@ -234,6 +289,188 @@ def decode_page(buffer, offset: int, slot_size: int, page_id: int, num_cost_type
                     f"page {page_id} has unknown index record type {record_type}"
                 )
     return Page(page_id=page_id, kind=kind, records=records, used_bytes=used_bytes)
+
+
+def bisect_column(buffer, base: int, count: int, key: int, stride: int = _I64.size) -> int:
+    """Leftmost insertion point of ``key`` in a sorted i64 column, read in place.
+
+    The column's ``count`` values start at ``base`` and lie ``stride`` bytes
+    apart; the result is what :func:`bisect.bisect_left` would return for
+    them.  Nothing is copied out of ``buffer``.
+    """
+    unpack = _I64.unpack_from
+    lo, hi = 0, count
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if unpack(buffer, base + mid * stride)[0] < key:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+class PageView:
+    """One page of a pack, read in place from its ``mmap`` slot.
+
+    Building a view reads only the 8-byte slot header.  The three lookups of
+    the Figure-2 read path — :meth:`adjacency_records`,
+    :meth:`facility_records` and the B+-tree step (:meth:`index_child`,
+    :meth:`index_value`) — bisect the slot's sorted keys in place and decode
+    only the records they return; :class:`~repro.storage.pages.Page` answers
+    the same lookups on the simulated disk.  Every count and offset read
+    from the slot is checked against the slot's end, so a corrupt slot
+    raises :class:`~repro.errors.PackFormatError`, and a view used after
+    its pack is closed raises :class:`~repro.errors.StorageError`.
+    """
+
+    __slots__ = ("page_id", "kind", "used_bytes", "_disk", "_base", "_end", "_count")
+
+    def __init__(self, disk: "FileDisk", page_id: int):
+        base = HEADER_SIZE + page_id * disk._slot_size
+        kind_code, count, used_bytes = _SLOT_HEADER.unpack_from(disk._mm, base)
+        kind = _CODE_KINDS.get(kind_code)
+        if kind is None:
+            raise PackFormatError(f"page {page_id} has unknown kind code {kind_code}")
+        self.page_id = page_id
+        self.kind = kind
+        self.used_bytes = used_bytes
+        self._disk = disk
+        self._base = base
+        self._end = base + disk._slot_size
+        self._count = count
+
+    def _buffer(self):
+        disk = self._disk
+        if disk._closed:
+            raise StorageError(f"{disk.path}: pack is closed")
+        return disk._mm
+
+    def _buffer_as(self, kind: PageKind):
+        mm = self._buffer()
+        if self.kind is not kind:
+            raise PackFormatError(
+                f"page {self.page_id} is a {self.kind.value} page, not a {kind.value} page"
+            )
+        return mm
+
+    @property
+    def records(self) -> list[object]:
+        """Every record of the page, fully decoded (inspection and tests only)."""
+        disk = self._disk
+        page = decode_page(
+            self._buffer(), self._base, disk._slot_size, self.page_id, disk._num_cost_types
+        )
+        return page.records
+
+    def adjacency_records(self, node_id: int) -> list[AdjacencyRecord]:
+        """The adjacency records of ``node_id`` stored on this page, in order."""
+        mm = self._buffer_as(PageKind.ADJACENCY)
+        count = self._count
+        ids = self._base + _SLOT_HEADER.size
+        table = ids + count * _I64.size
+        if table + count * _U32.size > self._end:
+            raise _overrun(self.page_id)
+        entry = self._disk._adjacency_record
+        limit = self._end - entry.size
+        records: list[AdjacencyRecord] = []
+        index = bisect_column(mm, ids, count, node_id)
+        while index < count and _I64.unpack_from(mm, ids + index * _I64.size)[0] == node_id:
+            start = self._base + _U32.unpack_from(mm, table + index * _U32.size)[0]
+            if start > limit:
+                raise _overrun(self.page_id)
+            values = entry.unpack_from(mm, start)
+            # values: node, neighbour, edge id, first node, length,
+            # facility count, then the d costs.
+            records.append(
+                AdjacencyRecord(values[1], values[2], values[6:], values[4], values[3], values[5])
+            )
+            index += 1
+        return records
+
+    def facility_records(self, edge_id: int) -> list[FacilityRecord]:
+        """The facility records of ``edge_id`` stored on this page, in order."""
+        mm = self._buffer_as(PageKind.FACILITY)
+        count = self._count
+        base = self._base + _SLOT_HEADER.size
+        if base + count * _FACILITY_RECORD.size > self._end:
+            raise _overrun(self.page_id)
+        stride = _FACILITY_RECORD.size
+        records: list[FacilityRecord] = []
+        # Records sit in edge order; the edge id is each record's second field.
+        index = bisect_column(mm, base + _I64.size, count, edge_id, stride)
+        while index < count:
+            facility_id, record_edge, offset = _FACILITY_RECORD.unpack_from(
+                mm, base + index * stride
+            )
+            if record_edge != edge_id:
+                break
+            records.append(FacilityRecord(facility_id, record_edge, offset))
+            index += 1
+        return records
+
+    def _index_record(self, record_type: int):
+        """The map and the body offset of this index page's one record."""
+        mm = self._buffer()
+        if self.kind is PageKind.ADJACENCY or self.kind is PageKind.FACILITY:
+            raise PackFormatError(
+                f"page {self.page_id} is a {self.kind.value} page, not an index page"
+            )
+        if self._count != 1:
+            raise PackFormatError(
+                f"index page {self.page_id} holds {self._count} records, not 1 (corrupt pack)"
+            )
+        start = self._base + _SLOT_HEADER.size
+        if start + _U8.size + _U32.size > self._end:
+            raise _overrun(self.page_id)
+        if mm[start] != record_type:
+            expected = "leaf" if record_type == _LEAF else "internal"
+            raise PackFormatError(
+                f"index page {self.page_id}: record type {mm[start]} where a {expected} "
+                "record belongs (corrupt pack)"
+            )
+        return mm, start + _U8.size
+
+    def index_child(self, key: int) -> int:
+        """The child page this internal index page routes ``key`` to."""
+        mm, start = self._index_record(_INTERNAL)
+        (count,) = _U32.unpack_from(mm, start)
+        separators = start + _U32.size
+        children = separators + count * _I64.size + _U32.size
+        if children > self._end:
+            raise _overrun(self.page_id)
+        (num_children,) = _U32.unpack_from(mm, children - _U32.size)
+        if children + num_children * _I64.size > self._end:
+            raise _overrun(self.page_id)
+        # bisect_right over integer separators is bisect_left of key + 1.
+        index = bisect_column(mm, separators, count, key + 1)
+        if index >= num_children:
+            raise PackFormatError(
+                f"index page {self.page_id} has fewer children than separators (corrupt pack)"
+            )
+        return _I64.unpack_from(mm, children + index * _I64.size)[0]
+
+    def index_value(self, key: int):
+        """The value this leaf index page stores under ``key``.
+
+        An adjacency-tree value is a tuple of adjacency-file page ids; a
+        facility-tree value is ``(edge id, facility-file page ids)``.
+        Raises :class:`~repro.errors.StorageError` when ``key`` is absent.
+        """
+        mm, start = self._index_record(_LEAF)
+        (count,) = _U32.unpack_from(mm, start)
+        keys = start + _U32.size
+        table = keys + count * _I64.size
+        if table + count * _U32.size > self._end:
+            raise _overrun(self.page_id)
+        index = bisect_column(mm, keys, count, key)
+        if index == count or _I64.unpack_from(mm, keys + index * _I64.size)[0] != key:
+            raise StorageError(f"key {key} not found in index")
+        (offset,) = _U32.unpack_from(mm, table + index * _U32.size)
+        cursor = _Cursor(mm, self._base + offset, self._end)
+        if self.kind is PageKind.ADJACENCY_INDEX:
+            return cursor.read_ids()
+        (edge_id,) = cursor.unpack(_I64)
+        return edge_id, cursor.read_ids()
 
 
 # --------------------------------------------------------------------- #
@@ -495,6 +732,13 @@ def read_pack_header(path: str) -> dict:
         raise PackFormatError(
             f"{path}: truncated pack ({size} bytes, catalog ends at {expected})"
         )
+    if num_pages and slot_size < _SLOT_HEADER.size:
+        raise PackFormatError(f"{path}: slot size {slot_size} cannot hold a page header")
+    if HEADER_SIZE + num_pages * slot_size > catalog_offset:
+        raise PackFormatError(
+            f"{path}: {num_pages} slots of {slot_size} bytes overrun the catalog "
+            f"at {catalog_offset}"
+        )
     return {
         "page_size": page_size,
         "slot_size": slot_size,
@@ -512,10 +756,11 @@ class FileDisk:
     Satisfies the read interface of :class:`~repro.storage.disk.SimulatedDisk`
     — counted :meth:`read`, uncounted :meth:`peek` (page-plan extraction),
     ``page_size`` / ``num_pages`` / ``statistics`` / :meth:`pages_of_kind` —
-    so the LRU buffer pool, ``NetworkStorage``-style accessors, golden
-    page-read fixtures and the differential oracle run unchanged over it.
-    Pages are decoded fresh on every read; resident memory is therefore
-    bounded by the buffer pool holding the decoded pages, not the dataset.
+    so the LRU buffer pool, ``NetworkStorage``, golden page-read fixtures
+    and the differential oracle run unchanged over it.  A read returns a
+    :class:`PageView` over the page's slot, which decodes only the records
+    a lookup returns; resident memory is therefore bounded by the buffer
+    pool's views and the records callers keep, not by the dataset.
     """
 
     def __init__(self, path: str, *, verify_checksum: bool = True):
@@ -551,6 +796,9 @@ class FileDisk:
                 raise PackFormatError(f"{self._path}: catalog is not a JSON object")
             self._catalog_payload = payload
             self._num_cost_types = int(payload.get("num_cost_types", 1))
+            self._adjacency_record = struct.Struct(
+                f"{_ADJACENCY_ENTRY.format}{self._num_cost_types}d"
+            )
             counts = payload.get("page_kind_counts", {})
             self._kind_counts = {
                 kind: int(counts.get(kind.value, 0)) for kind in PageKind
@@ -580,24 +828,23 @@ class FileDisk:
     def allocate(self, kind: PageKind) -> Page:
         raise StorageError("a pack-backed disk is read-only")
 
-    def _decode(self, page_id: int) -> Page:
+    def _view(self, page_id: int) -> PageView:
         if self._closed:
             raise StorageError(f"{self._path}: pack is closed")
         if not 0 <= page_id < self._num_pages:
             raise StorageError(f"unknown page {page_id}")
-        offset = HEADER_SIZE + page_id * self._slot_size
-        return decode_page(self._mm, offset, self._slot_size, page_id, self._num_cost_types)
+        return PageView(self, page_id)
 
-    def read(self, page_id: int) -> Page:
+    def read(self, page_id: int) -> PageView:
         """Physically read a page (counted; safe under concurrent readers)."""
-        page = self._decode(page_id)
+        view = self._view(page_id)
         with self._stats_lock:
             self._stats.page_reads += 1
-        return page
+        return view
 
-    def peek(self, page_id: int) -> Page:
+    def peek(self, page_id: int) -> PageView:
         """Read a page without touching any counter (page-plan extraction)."""
-        return self._decode(page_id)
+        return self._view(page_id)
 
     def pages_of_kind(self, kind: PageKind) -> int:
         return self._kind_counts[kind]

@@ -23,12 +23,8 @@ from repro.network.facilities import FacilityId, FacilitySet
 from repro.network.graph import EdgeId, MultiCostGraph, NodeId
 from repro.storage.buffer import LRUBufferPool
 from repro.storage.disk import SimulatedDisk
-from repro.storage.layout import (
-    StoredAdjacencyEntry,
-    build_adjacency_file,
-    build_facility_file,
-)
-from repro.storage.pages import DEFAULT_PAGE_SIZE, PageKind, RecordSizes
+from repro.storage.layout import build_adjacency_file, build_facility_file
+from repro.storage.pages import DEFAULT_PAGE_SIZE, PageKind
 from repro.storage.btree import StaticBPlusTree
 
 __all__ = ["StorageConfig", "NetworkStorage"]
@@ -45,7 +41,6 @@ class StorageConfig:
 
     page_size: int = DEFAULT_PAGE_SIZE
     buffer_fraction: float = 0.01
-    record_sizes: RecordSizes = RecordSizes()
 
     def __post_init__(self) -> None:
         if self.page_size <= 0:
@@ -114,21 +109,15 @@ class NetworkStorage:
     ) -> "NetworkStorage":
         """Bulk-load a fresh :class:`SimulatedDisk` with the paper's two knobs."""
         config = StorageConfig(page_size=page_size, buffer_fraction=buffer_fraction)
-        sizes = config.record_sizes
         disk = SimulatedDisk(config.page_size)
         # The allocation order (facility file, adjacency file, adjacency
         # tree, facility tree) fixes every page id, and
         # ``build_packed_dataset`` replays it.
-        facility_layout = build_facility_file(disk, facilities, record_sizes=sizes)
+        facility_layout = build_facility_file(disk, facilities)
         edge_pages = facility_layout.edge_pages
-        adjacency_layout = build_adjacency_file(
-            disk, graph, facilities, facility_layout, record_sizes=sizes
-        )
+        adjacency_layout = build_adjacency_file(disk, graph, facilities, facility_layout)
         adjacency_tree = StaticBPlusTree(
-            disk,
-            PageKind.ADJACENCY_INDEX,
-            adjacency_layout.node_pages.items(),
-            record_sizes=sizes,
+            disk, PageKind.ADJACENCY_INDEX, adjacency_layout.node_pages.items()
         )
         facility_tree = StaticBPlusTree(
             disk,
@@ -137,7 +126,6 @@ class NetworkStorage:
                 (facility.facility_id, (facility.edge_id, edge_pages.get(facility.edge_id, ())))
                 for facility in facilities
             ),
-            record_sizes=sizes,
         )
         return cls(disk, adjacency_tree, facility_tree, edge_pages, graph, facilities, config)
 
@@ -221,34 +209,26 @@ class NetworkStorage:
     # ------------------------------------------------------------------ #
     # Page-level reads through this storage's buffer pool
     # ------------------------------------------------------------------ #
+    # Each page answers the lookup itself: a simulated ``Page`` filters its
+    # records, a pack's ``PageView`` bisects its slot and decodes only the
+    # records it returns.  Either way the same pages are read in the same
+    # order, so the counters cannot tell the disks apart.
     def _read_adjacency(self, node_id: NodeId) -> list[AdjacencyRecord]:
         buffer = self._buffer
-        try:
-            pages = self._adjacency_tree.lookup(node_id, buffer)
-        except StorageError:
-            raise StorageError(f"node {node_id} not present in the adjacency tree") from None
         records: list[AdjacencyRecord] = []
-        for page_id in pages:  # type: ignore[union-attr]
-            page = buffer.read(page_id)
-            for stored in page.records:
-                if isinstance(stored, StoredAdjacencyEntry) and stored.node == node_id:
-                    records.append(stored.record)
+        for page_id in self._adjacency_tree.lookup(node_id, buffer):  # type: ignore[union-attr]
+            records.extend(buffer.read(page_id).adjacency_records(node_id))
         return records
 
     def _read_edge_facilities(self, edge_id: EdgeId) -> list[FacilityRecord]:
+        buffer = self._buffer
         records: list[FacilityRecord] = []
         for page_id in self._facility_pages.get(edge_id, ()):
-            page = self._buffer.read(page_id)
-            for stored in page.records:
-                if isinstance(stored, FacilityRecord) and stored.edge_id == edge_id:
-                    records.append(stored)
+            records.extend(buffer.read(page_id).facility_records(edge_id))
         return records
 
     def _read_facility_edge(self, facility_id: FacilityId) -> EdgeId:
-        try:
-            edge_id, _pages = self._facility_tree.lookup(facility_id, self._buffer)
-        except StorageError:
-            raise StorageError(f"facility {facility_id} not present in the facility tree") from None
+        edge_id, _pages = self._facility_tree.lookup(facility_id, self._buffer)
         return edge_id
 
     # ------------------------------------------------------------------ #

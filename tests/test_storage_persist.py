@@ -1,20 +1,29 @@
 """The dataset pack format: round-trip fidelity, FileDisk, corruption.
 
-Three pillars:
+Four pillars:
 
 * **golden page fidelity** — every page decoded off the ``mmap``-backed
   :class:`FileDisk` equals the page the :class:`SimulatedDisk` holds, slot
   by slot, so the pack is a faithful serialisation of the Figure-2 scheme;
+* **page views** — every lookup the read path asks of a pack page (one
+  node's adjacency records, one edge's facility records, one B+-tree step)
+  equals the same lookup on the page's full decode;
 * **differential oracle** — the same queries over :class:`NetworkStorage`
   and :class:`PackedNetworkStorage` produce identical answers AND identical
   I/O counters (page reads, buffer hits, logical requests);
-* **corruption** — truncation, bit flips, endianness and version mismatches
-  all surface as the typed pack errors, never as struct garbage.
+* **corruption** — truncation, bit flips, endianness and version mismatches,
+  crafted index pages and arbitrary page bytes all surface as the typed
+  pack errors, never as struct garbage, a traceback or a hang.
 """
 
 from __future__ import annotations
 
+import os
+import struct
+import threading
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import ExecutionPolicy, Session
 from repro.core.engine import MCNQueryEngine
@@ -28,11 +37,15 @@ from repro.errors import (
 )
 from repro.service import SkylineRequest, TopKRequest
 from repro.storage import NetworkStorage, open_dataset, pack_network_storage
-from repro.storage.pages import PageKind
+from repro.storage.btree import _LeafRecord
+from repro.storage.catalog import TreeShape
+from repro.storage.pages import Page, PageKind
 from repro.storage.persist import (
     HEADER_SIZE,
     PACK_MAGIC,
     FileDisk,
+    PackWriter,
+    compute_pack_checksum,
     read_pack_header,
 )
 
@@ -149,6 +162,85 @@ class TestFileDiskInterface:
     def test_unknown_section_rejected(self, dataset):
         with pytest.raises(PackFormatError, match="no section"):
             dataset.disk.section_bounds("nope")
+
+
+class TestPageViewLookups:
+    """A pack page answers each read-path lookup exactly as its full decode does."""
+
+    def test_lookups_equal_the_full_decode(self, dataset):
+        disk = dataset.disk
+        seen = set()
+        for page_id in range(disk.num_pages):
+            view = disk.peek(page_id)
+            records = view.records
+            if view.kind is PageKind.ADJACENCY:
+                nodes = sorted({stored.node for stored in records})
+                for node in nodes:
+                    want = [stored.record for stored in records if stored.node == node]
+                    assert view.adjacency_records(node) == want, f"page {page_id}"
+                assert view.adjacency_records(nodes[0] - 1) == []
+                assert view.adjacency_records(nodes[-1] + 1) == []
+                seen.add("adjacency")
+            elif view.kind is PageKind.FACILITY:
+                edges = sorted({record.edge_id for record in records})
+                for edge in edges:
+                    want = [record for record in records if record.edge_id == edge]
+                    assert view.facility_records(edge) == want, f"page {page_id}"
+                assert view.facility_records(edges[-1] + 1) == []
+                seen.add("facility")
+            else:
+                (record,) = records
+                if isinstance(record, _LeafRecord):
+                    for key, value in zip(record.keys, record.values):
+                        assert view.index_value(key) == value, f"page {page_id}"
+                    for missing in (record.keys[0] - 1, record.keys[-1] + 1):
+                        with pytest.raises(StorageError, match="not found"):
+                            view.index_value(missing)
+                    seen.add("leaf")
+                else:
+                    for position, separator in enumerate(record.separators):
+                        assert view.index_child(separator) == record.children[position + 1]
+                        assert view.index_child(separator - 1) == record.children[position]
+                    seen.add("internal")
+        assert seen == {"adjacency", "facility", "leaf", "internal"}
+
+    def test_writer_refuses_records_out_of_key_order(self, storage, tmp_path):
+        # The reader bisects a page's node ids in place, so the writer must
+        # never store them out of order.
+        page = next(
+            storage.disk.peek(page_id)
+            for page_id in range(storage.disk.num_pages)
+            if storage.disk.peek(page_id).kind is PageKind.ADJACENCY
+        )
+        shuffled = Page(0, page.kind, list(reversed(page.records)), page.used_bytes)
+        writer = PackWriter(tmp_path / "unordered.mcnpack", page_size=PAGE_SIZE, num_cost_types=2)
+        with pytest.raises(StorageError, match="out of key order"):
+            writer.add_page(shuffled)
+
+    def test_view_after_close_raises_storage_error(self, pack_path):
+        disk = FileDisk(str(pack_path))
+        views = [disk.read(page_id) for page_id in range(disk.num_pages)]
+        disk.close()  # views hold no buffer export, so this cannot fail
+        for view in views:
+            with pytest.raises(StorageError, match="pack is closed"):
+                view.records
+            lookup = {
+                PageKind.ADJACENCY: view.adjacency_records,
+                PageKind.FACILITY: view.facility_records,
+            }.get(view.kind, view.index_value)
+            with pytest.raises(StorageError, match="pack is closed"):
+                lookup(0)
+
+    def test_buffer_hit_after_close_raises_storage_error(self, pack_path, workload):
+        node = sorted(workload.graph.node_ids())[0]
+        with open_dataset(str(pack_path)) as opened:
+            storage = opened.storage(buffer_capacity=8)
+            first = storage.adjacency(node)
+        assert first
+        # Every page the lookup needs is now a buffered view of a closed pack.
+        with pytest.raises(StorageError, match="pack is closed"):
+            storage.adjacency(node)
+        assert storage.statistics.buffer_hits > 0
 
 
 class TestDifferentialOracle:
@@ -308,13 +400,29 @@ class TestCorruption:
         with pytest.raises(PackFormatError, match="endianness"):
             open_dataset(path)
 
-    def test_version_mismatch(self, pack_path, tmp_path):
-        def bump_version(data):
-            data[12] = 99  # little-endian u32 at offset 12
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_version_mismatch(self, pack_path, tmp_path, version):
+        def set_version(data):
+            data[12:16] = version.to_bytes(4, "little")  # u32 at offset 12
 
-        path = _corrupt(pack_path, tmp_path, "version.mcnpack", bump_version)
-        with pytest.raises(PackVersionError, match="version 99"):
+        path = _corrupt(pack_path, tmp_path, "version.mcnpack", set_version)
+        with pytest.raises(PackVersionError, match=f"format version {version},"):
             open_dataset(path)
+
+    def test_slot_region_overrunning_the_catalog(self, pack_path, tmp_path):
+        def double_pages(data):
+            (num_pages,) = struct.unpack_from("<Q", data, 32)  # u64 at offset 32
+            struct.pack_into("<Q", data, 32, 2 * num_pages)
+
+        path = _corrupt(pack_path, tmp_path, "pages.mcnpack", double_pages)
+        with pytest.raises(PackFormatError, match="overrun the catalog"):
+            open_dataset(path, verify_checksum=False)
+
+    def test_tree_taller_than_the_pack_refused(self, dataset):
+        shape = dataset.catalog.adjacency_tree
+        tall = TreeShape(shape.root_page_id, dataset.disk.num_pages + 1, shape.num_entries)
+        with pytest.raises(PackFormatError, match="corrupt catalog"):
+            tall.adopt(dataset.disk, PageKind.ADJACENCY_INDEX)
 
     def test_bad_magic(self, pack_path, tmp_path):
         path = _corrupt(
@@ -335,3 +443,118 @@ class TestCorruption:
 
     def test_magic_constant_pinned(self):
         assert PACK_MAGIC == b"MCNPACK1"
+
+
+def _restamp(path: str) -> None:
+    """Give a doctored pack a valid SHA-256, so only its structure is wrong."""
+    with open(path, "r+b") as handle:
+        checksum = compute_pack_checksum(handle, os.path.getsize(path))
+        handle.seek(HEADER_SIZE - len(checksum))
+        handle.write(checksum)
+
+
+class TestCraftedIndexPages:
+    """A B+-tree descent over a doctored root ends in a typed error, never a hang."""
+
+    @staticmethod
+    def _craft(data, root_slot, craft, adjacency_page, root):
+        if craft == "root-holds-no-records":
+            data[root_slot + 2 : root_slot + 4] = (0).to_bytes(2, "little")
+            return
+        # The root's one internal record: type byte, separators, children.
+        body = root_slot + 8
+        assert data[body] == 1
+        (separators,) = struct.unpack_from("<I", data, body + 1)
+        count_at = body + 5 + 8 * separators
+        (children,) = struct.unpack_from("<I", data, count_at)
+        target = adjacency_page if craft == "children-on-an-adjacency-page" else root
+        for index in range(children):
+            struct.pack_into("<q", data, count_at + 4 + 8 * index, target)
+
+    @pytest.mark.parametrize(
+        "craft",
+        ["root-holds-no-records", "children-on-an-adjacency-page", "children-loop-to-the-root"],
+    )
+    def test_descent_ends_in_a_typed_error(self, dataset, pack_path, workload, tmp_path, craft):
+        disk = dataset.disk
+        root = dataset.catalog.adjacency_tree.root_page_id
+        assert dataset.catalog.adjacency_tree.height >= 2
+        adjacency_page = next(
+            page_id
+            for page_id in range(disk.num_pages)
+            if disk.peek(page_id).kind is PageKind.ADJACENCY
+        )
+        root_slot = HEADER_SIZE + root * read_pack_header(str(pack_path))["slot_size"]
+        path = _corrupt(
+            pack_path,
+            tmp_path,
+            f"{craft}.mcnpack",
+            lambda data: self._craft(data, root_slot, craft, adjacency_page, root),
+        )
+        _restamp(path)
+        node = sorted(workload.graph.node_ids())[0]
+        outcome: dict[str, BaseException] = {}
+
+        def descend():
+            try:
+                with open_dataset(path) as crafted:  # the checksum verifies
+                    crafted.storage().adjacency(node)
+            except BaseException as error:  # recorded and asserted below
+                outcome["error"] = error
+
+        worker = threading.Thread(target=descend, daemon=True)
+        worker.start()
+        worker.join(timeout=5.0)
+        assert not worker.is_alive(), "the descent did not end within 5 s"
+        assert isinstance(outcome.get("error"), PackFormatError), outcome
+
+
+class TestPackReaderFuzz:
+    """Bytes overwritten anywhere in the page region end in a value or a typed error."""
+
+    @pytest.fixture(scope="class")
+    def fuzz_case(self, pack_path, workload, tmp_path_factory):
+        header = read_pack_header(str(pack_path))
+        nodes = sorted(workload.graph.node_ids())[::12]
+        edges = sorted(edge.edge_id for edge in workload.graph.edges())[::20]
+        facilities = sorted(facility.facility_id for facility in workload.facilities)[::5]
+        target = tmp_path_factory.mktemp("fuzz") / "fuzzed.mcnpack"
+        return pack_path.read_bytes(), header, (nodes, edges, facilities), target
+
+    @settings(
+        max_examples=60,
+        deadline=1000,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_reads_return_or_raise_typed_errors(self, fuzz_case, data):
+        pristine, header, (nodes, edges, facilities), target = fuzz_case
+        slot_size = header["slot_size"]
+        # Offsets near a slot's start hit its header, directory and tables.
+        edits = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, header["num_pages"] - 1),
+                    st.one_of(st.integers(0, 63), st.integers(0, slot_size - 1)),
+                    st.integers(0, 255),
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        )
+        fuzzed = bytearray(pristine)
+        for page_id, offset, value in edits:
+            fuzzed[HEADER_SIZE + page_id * slot_size + offset] = value
+        target.write_bytes(bytes(fuzzed))
+        with open_dataset(str(target), verify_checksum=False) as opened:
+            storage = opened.storage(buffer_capacity=2)
+            for read, ids in (
+                (storage.adjacency, nodes),
+                (storage.edge_facilities, edges),
+                (storage.facility_edge, facilities),
+            ):
+                for item in ids:
+                    try:
+                        read(item)
+                    except ReproError:
+                        pass
