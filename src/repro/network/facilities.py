@@ -160,6 +160,18 @@ class FacilitySet:
         self._log.append(facility)
         return facility
 
+    def _rebound(self, graph: MultiCostGraph) -> "FacilitySet":
+        """The body of :func:`repro.timedep.rebind_facilities`.
+
+        The copy starts at revision 0 with an empty changelog.
+        """
+        rebound = FacilitySet(graph)
+        for facility in self._facilities.values():
+            rebound.validate_placement(facility)
+        rebound._facilities = dict(self._facilities)
+        rebound._by_edge = {edge_id: list(ids) for edge_id, ids in self._by_edge.items()}
+        return rebound
+
     def __len__(self) -> int:
         return len(self._facilities)
 

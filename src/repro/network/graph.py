@@ -96,7 +96,8 @@ class MultiCostGraph:
     The graph is the in-memory "source of truth"; the simulated disk layout
     (:class:`repro.storage.NetworkStorage`) is built from it, and the
     in-memory accessor (:class:`repro.network.accessor.InMemoryAccessor`)
-    reads it directly.
+    reads it directly.  :meth:`recosted` derives a graph that shares this
+    one's topology and owns only its edge costs.
     """
 
     def __init__(self, num_cost_types: int, *, directed: bool = False):
@@ -110,12 +111,16 @@ class MultiCostGraph:
         self._next_edge_id = 0
         self._costs_revision = 0
         self._cost_log: deque[EdgeId] = deque(maxlen=_CHANGELOG_LIMIT)
+        # Set on a graph made by recosted(): its node and adjacency
+        # containers belong to the graph it was derived from.
+        self._shares_topology = False
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
     def add_node(self, node_id: NodeId, x: float = 0.0, y: float = 0.0) -> Node:
         """Add a node; re-adding an existing id with the same coordinates is a no-op."""
+        self._check_owns_topology()
         existing = self._nodes.get(node_id)
         node = Node(node_id, float(x), float(y))
         if existing is not None:
@@ -140,17 +145,14 @@ class MultiCostGraph:
         For undirected graphs the edge is traversable in both directions
         with the same cost vector (the paper's default assumption).
         """
+        self._check_owns_topology()
         if u not in self._nodes:
             raise GraphError(f"unknown end-node {u}")
         if v not in self._nodes:
             raise GraphError(f"unknown end-node {v}")
         if u == v:
             raise GraphError("self-loop edges are not allowed in a road network")
-        vector = costs if isinstance(costs, CostVector) else CostVector(costs)
-        if vector.dimensions != self._num_cost_types:
-            raise GraphError(
-                f"edge cost vector has {vector.dimensions} components, expected {self._num_cost_types}"
-            )
+        vector = self._cost_vector(costs)
         if edge_id is None:
             edge_id = self._next_edge_id
         if edge_id in self._edges:
@@ -181,17 +183,59 @@ class MultiCostGraph:
         compiled snapshot patches exactly the touched edges).
         """
         old = self.edge(edge_id)
+        edge = Edge(edge_id, old.u, old.v, self._cost_vector(costs), old.length)
+        self._edges[edge_id] = edge
+        self._costs_revision += 1
+        self._cost_log.append(edge_id)
+        return edge
+
+    def recosted(
+        self, costs_by_edge: Mapping[EdgeId, Sequence[float] | CostVector]
+    ) -> "MultiCostGraph":
+        """A graph over this graph's topology with the listed edges re-costed.
+
+        The result shares this graph's node and adjacency containers by
+        reference, so node order, edge order and every node's neighbour order
+        are exactly this graph's.  It owns only its edge dict: a copy of this
+        graph's, with a new :class:`Edge` (same end-nodes, id and ``length``)
+        for each listed edge, plus its own :attr:`costs_revision` and
+        changelog starting at zero.  Each listed vector passes the same checks
+        as :meth:`update_edge_costs`.
+
+        Because the topology is shared, the result refuses :meth:`add_node`
+        and :meth:`add_edge` with :class:`GraphError`, while
+        :meth:`update_edge_costs` on it writes only its own edge dict.  This
+        graph's topology must not change while a re-costed graph is alive;
+        nothing checks that, because a graph a session serves is static
+        already (:class:`~repro.network.compiled.CompiledGraph` requires it,
+        and no session, monitor or serve path adds nodes or edges).
+        """
+        edges = dict(self._edges)
+        for edge_id, costs in costs_by_edge.items():
+            old = self.edge(edge_id)
+            edges[edge_id] = Edge(edge_id, old.u, old.v, self._cost_vector(costs), old.length)
+        graph = MultiCostGraph(self._num_cost_types, directed=self._directed)
+        graph._nodes = self._nodes
+        graph._adjacency = self._adjacency
+        graph._edges = edges
+        graph._shares_topology = True
+        return graph
+
+    def _cost_vector(self, costs: Sequence[float] | CostVector) -> CostVector:
         vector = costs if isinstance(costs, CostVector) else CostVector(costs)
         if vector.dimensions != self._num_cost_types:
             raise GraphError(
                 f"edge cost vector has {vector.dimensions} components, "
                 f"expected {self._num_cost_types}"
             )
-        edge = Edge(edge_id, old.u, old.v, vector, old.length)
-        self._edges[edge_id] = edge
-        self._costs_revision += 1
-        self._cost_log.append(edge_id)
-        return edge
+        return vector
+
+    def _check_owns_topology(self) -> None:
+        if self._shares_topology:
+            raise GraphError(
+                "a re-costed graph shares the topology of the graph it was "
+                "derived from and cannot add nodes or edges"
+            )
 
     @property
     def costs_revision(self) -> int:

@@ -6,14 +6,18 @@ session's registered profile set) into the ordinary static MCN valid at one
 departure time, wraps it in a full static :class:`~repro.api.Session` stack
 (engine, caches, optionally storage), and keeps a small LRU of those stacks
 keyed by *quantised* departure time, so nearby requests share one warm
-snapshot instead of re-materialising the graph per query.
+stack instead of opening a cold session per query.  A snapshot shares the
+base graph's topology and owns only the costs of the profiled edges, so
+building one re-costs those edges and copies the facility indexes, nothing
+more.
 
 Every cached stack remembers the base graph's cost revision and the live
 facility set's revision at build time; a monitoring tick that re-profiles an
 edge (:class:`~repro.monitor.EdgeCostUpdate`) or mutates the facility set
 therefore invalidates the stack on its next use — the executor rebuilds it
 from the current base state, which is exactly the "fresh static session over
-the profile-evaluated snapshot" the temporal differential oracle pins.
+the profile-evaluated snapshot" the temporal differential oracle pins.  The
+rebuild is the only staleness path: a stack is never patched in place.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ from collections.abc import Mapping, Sequence
 
 from repro.errors import GraphError
 from repro.network.costs import CostVector
-from repro.network.facilities import Facility, FacilitySet
+from repro.network.facilities import FacilitySet
 from repro.network.graph import EdgeId, MultiCostGraph
 from repro.timedep.profiles import ConstantProfile, CostProfile
 
@@ -76,28 +76,25 @@ class TimeVaryingMCN:
         )
 
     def snapshot(self, time: float) -> MultiCostGraph:
-        """The static MCN whose edge costs are the time-varying costs at ``time``."""
-        snapshot = MultiCostGraph(self._base.num_cost_types, directed=self._base.directed)
-        for node in self._base.nodes():
-            snapshot.add_node(node.node_id, node.x, node.y)
-        for edge in self._base.edges():
-            snapshot.add_edge(
-                edge.u,
-                edge.v,
-                self.cost_at(edge.edge_id, time),
-                length=edge.length,
-                edge_id=edge.edge_id,
-            )
-        return snapshot
+        """The static MCN whose edge costs are the time-varying costs at ``time``.
+
+        Only the profiled edges are re-costed; the snapshot shares the base
+        graph's topology and refuses ``add_node``/``add_edge`` (see
+        :meth:`MultiCostGraph.recosted`).
+        """
+        return self._base.recosted(
+            {edge_id: self.cost_at(edge_id, time) for edge_id in self._profiles}
+        )
 
 
 def rebind_facilities(snapshot: MultiCostGraph, facilities: FacilitySet) -> FacilitySet:
     """Bind an existing facility placement to a snapshot of the same network.
 
     Snapshots preserve edge identifiers and lengths, so the placement carries
-    over unchanged; only the owning graph object differs.
+    over unchanged; only the owning graph object differs.  The result reuses
+    the frozen facilities but owns its indexes, so it can be mutated without
+    touching ``facilities``; each placement is still checked against
+    ``snapshot`` (:class:`~repro.errors.FacilityError` if an edge is missing
+    or too short).
     """
-    rebound = FacilitySet(snapshot)
-    for facility in facilities:
-        rebound.add(Facility(facility.facility_id, facility.edge_id, facility.offset, facility.attributes))
-    return rebound
+    return facilities._rebound(snapshot)

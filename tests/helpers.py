@@ -7,6 +7,7 @@ from collections.abc import Mapping, Sequence
 
 from repro.network import (
     CostVector,
+    Facility,
     FacilitySet,
     InMemoryAccessor,
     MultiCostGraph,
@@ -47,6 +48,40 @@ def facility_vectors(
         fid: tuple(vector)
         for fid, vector in all_facility_cost_vectors(graph, facilities, query).items()
     }
+
+
+def reference_snapshot(network, time: float) -> MultiCostGraph:
+    """The snapshot of a ``TimeVaryingMCN`` at ``time`` as a whole-graph copy.
+
+    Every node and edge of the base is re-added through the validating
+    ``add_node``/``add_edge``, each edge costed by ``network.cost_at``, so the
+    copy owns all of its containers: the independent reference that
+    ``TimeVaryingMCN.snapshot`` (which shares the base's topology) is
+    checked against.
+    """
+    base = network.base_graph
+    snapshot = MultiCostGraph(base.num_cost_types, directed=base.directed)
+    for node in base.nodes():
+        snapshot.add_node(node.node_id, node.x, node.y)
+    for edge in base.edges():
+        snapshot.add_edge(
+            edge.u,
+            edge.v,
+            network.cost_at(edge.edge_id, time),
+            length=edge.length,
+            edge_id=edge.edge_id,
+        )
+    return snapshot
+
+
+def reference_facilities(graph: MultiCostGraph, facilities: FacilitySet) -> FacilitySet:
+    """``facilities`` re-added facility by facility onto ``graph`` (the rebind reference)."""
+    rebound = FacilitySet(graph)
+    for facility in facilities:
+        rebound.add(
+            Facility(facility.facility_id, facility.edge_id, facility.offset, facility.attributes)
+        )
+    return rebound
 
 
 def random_mcn(

@@ -6,8 +6,10 @@ correctness:
 * **Departure-time oracle** — every answer a profile-registered
   :class:`~repro.api.Session` gives under ``temporal="profiles"`` must be
   *bit-identical* (result payload AND I/O counters) to a fresh static
-  session built over ``TimeVaryingMCN.snapshot(departure_time)`` with
-  rebound facilities.  The executor's LRU, quantisation and staleness
+  session built over the reference snapshot at ``departure_time`` (a
+  whole-graph copy with every facility re-added, from ``tests/helpers.py``,
+  so the oracle shares no code with ``TimeVaryingMCN.snapshot`` or
+  ``rebind_facilities``).  The executor's LRU, quantisation and staleness
   machinery must therefore never be observable in an answer.
 
 * **Edge-tick oracle** — after any prefix of an
@@ -35,11 +37,11 @@ from repro.datagen import (
     make_profile_network,
     make_workload,
 )
-from repro.monitor import MonitoringService
+from repro.monitor import FacilityDelete, FacilityInsert, MonitoringService, UpdateTick
 from repro.network.facilities import FacilitySet
 from repro.serve.payloads import io_to_payload, result_to_payload
 from repro.service.requests import SkylineRequest, TopKRequest
-from repro.timedep.network import rebind_facilities
+from tests.helpers import reference_facilities, reference_snapshot
 
 SPEC = WorkloadSpec(
     num_nodes=110, num_facilities=30, num_cost_types=2, clustered=True,
@@ -77,8 +79,8 @@ class TestDepartureTimeOracle:
         ) as session:
             facilities = session.facilities
             for departure_time in DEPARTURE_TIMES:
-                snapshot = network.snapshot(departure_time)
-                rebound = rebind_facilities(snapshot, facilities)
+                snapshot = reference_snapshot(network, departure_time)
+                rebound = reference_facilities(snapshot, facilities)
                 with Session(snapshot, rebound) as oracle:
                     for request in requests:
                         timed = replace(request, departure_time=departure_time)
@@ -102,8 +104,8 @@ class TestDepartureTimeOracle:
             workload.graph, workload.facilities, profiles={"rush": network}
         ) as session:
             lived = session.run_batch(requests, policy=POLICY)
-            snapshot = network.snapshot(8.0)
-            rebound = rebind_facilities(snapshot, session.facilities)
+            snapshot = reference_snapshot(network, 8.0)
+            rebound = reference_facilities(snapshot, session.facilities)
             with Session(snapshot, rebound) as oracle:
                 fresh = oracle.run_batch(
                     [replace(request, departure_time=None) for request in requests]
@@ -126,11 +128,75 @@ class TestDepartureTimeOracle:
             lived = session.query(
                 replace(request, departure_time=7.9), policy=policy
             )
-            snapshot = network.snapshot(8.0)
-            rebound = rebind_facilities(snapshot, session.facilities)
+            snapshot = reference_snapshot(network, 8.0)
+            rebound = reference_facilities(snapshot, session.facilities)
             with Session(snapshot, rebound) as oracle:
                 fresh = oracle.query(request)
         assert answer_signature(lived) == answer_signature(fresh)
+
+
+class TestTickedDepartureOracle:
+    """Departure-time reads after ticks answer from the mutated base.
+
+    Ticks are applied the way ``PATCH /v1/edges`` applies them: through the
+    session's monitor, followed by ``invalidate_result_caches()``.  Every
+    later read must equal a fresh static session over the reference
+    snapshot of the mutated base and the live facility set.  The checks
+    alternate direction over the departure times, so with two LRU slots a
+    check starts on stale cached stacks (rebuilds) and ends by evicting
+    them; with eight slots every stack is rebuilt after each tick.
+    """
+
+    @pytest.mark.parametrize("cache_size", [2, 8])
+    def test_reads_after_ticks_match_fresh_snapshot_sessions(self, cache_size):
+        workload = make_workload(SPEC)
+        network = make_profile_network(workload.graph, STREAM_SPEC)
+        edge_ticks = [
+            tick
+            for tick in make_edge_cost_stream(workload.graph, STREAM_SPEC).ticks
+            if len(tick)
+        ]
+        assert len(edge_ticks) >= 3, "the stream spec must produce three busy ticks"
+        requests = build_requests(workload)
+        policy = replace(POLICY, temporal_cache_size=cache_size)
+        with Session(
+            workload.graph, workload.facilities, profiles={"rush": network}
+        ) as session:
+            handle = session.monitor(())
+
+            def check(times):
+                for departure_time in times:
+                    snapshot = reference_snapshot(network, departure_time)
+                    rebound = reference_facilities(snapshot, session.facilities)
+                    with Session(snapshot, rebound) as oracle:
+                        for request in requests:
+                            lived = session.query(
+                                replace(request, departure_time=departure_time),
+                                policy=policy,
+                            )
+                            assert answer_signature(lived) == answer_signature(
+                                oracle.query(request)
+                            )
+
+            victim = next(iter(session.facilities))
+            host = session.graph.edge(victim.edge_id)
+            facility_tick = UpdateTick(
+                (
+                    FacilityDelete(victim.facility_id),
+                    FacilityInsert(10_000, host.edge_id, host.length / 3),
+                )
+            )
+            check(DEPARTURE_TIMES)
+            for index, tick in enumerate(edge_ticks[:3] + [facility_tick]):
+                handle.tick(tick)
+                session.invalidate_result_caches()
+                check(DEPARTURE_TIMES[::-1] if index % 2 == 0 else DEPARTURE_TIMES)
+            assert 10_000 in session.facilities
+            assert victim.facility_id not in session.facilities
+            statistics = session._temporal_for(session._resolve(policy)).statistics
+        # Every tick left stale stacks behind, and only the small LRU evicts.
+        assert statistics.rebuilds > 0
+        assert (statistics.evictions > 0) == (cache_size < len(DEPARTURE_TIMES))
 
 
 class TestEdgeTickOracle:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.aggregates import WeightedSum
-from repro.errors import GraphError, QueryError
+from repro.datagen import EdgeCostStreamSpec, WorkloadSpec, make_profile_network, make_workload
+from repro.errors import FacilityError, GraphError, QueryError
 from repro.network import FacilitySet, InMemoryAccessor, MultiCostGraph, NetworkLocation
 from repro.timedep import (
     ConstantProfile,
@@ -18,7 +19,12 @@ from repro.timedep import (
     top_k_over_period,
 )
 from repro.timedep.queries import TimedResult
-from tests.helpers import exact_skyline, facility_vectors
+from tests.helpers import (
+    exact_skyline,
+    facility_vectors,
+    reference_facilities,
+    reference_snapshot,
+)
 
 
 class TestProfiles:
@@ -119,6 +125,124 @@ class TestTimeVaryingMCN:
         assert rebound.graph is snapshot
         for facility in tiny_facilities:
             assert rebound.facility(facility.facility_id).offset == facility.offset
+
+
+class TestSnapshotAgainstReference:
+    """``snapshot`` shares the base's topology; the reference copies all of it.
+
+    Both must describe the same graph in the same order (node, edge and
+    neighbour order decide heap push order, hence answers and I/O), and the
+    sharing must never let a snapshot and its base or a rebound facility set
+    and its source write into each other.
+    """
+
+    @pytest.fixture
+    def scenario(self):
+        workload = make_workload(
+            WorkloadSpec(num_nodes=110, num_facilities=30, num_cost_types=2, seed=81)
+        )
+        spec = EdgeCostStreamSpec(start_time=6.0, affected_fraction=0.25, seed=82)
+        return workload, make_profile_network(workload.graph, spec)
+
+    @staticmethod
+    def update_profiled_and_plain_edge(network: TimeVaryingMCN) -> None:
+        """Re-cost one edge that has a profile and one that has none."""
+        base = network.base_graph
+        # Every profile of the scenario peaks near 8.0, so exactly the
+        # profiled edges cost more then than their base.
+        profiled = [
+            edge for edge in base.edges() if network.cost_at(edge.edge_id, 8.0) != edge.costs
+        ]
+        plain = next(edge for edge in base.edges() if edge not in profiled)
+        for edge, factor in ((profiled[0], 3.0), (plain, 0.5)):
+            base.update_edge_costs(edge.edge_id, [cost * factor for cost in edge.costs])
+
+    @pytest.mark.parametrize("updated", [False, True], ids=["base", "updated-base"])
+    @pytest.mark.parametrize("time", [0.0, 6.5, 8.0, 9.5])
+    def test_snapshot_equals_the_reference(self, scenario, time, updated):
+        _workload, network = scenario
+        if updated:
+            self.update_profiled_and_plain_edge(network)
+        snapshot = network.snapshot(time)
+        reference = reference_snapshot(network, time)
+        assert list(snapshot.node_ids()) == list(reference.node_ids())
+
+        def edge_rows(graph):
+            return [
+                (edge.edge_id, edge.u, edge.v, edge.costs.values, edge.length)
+                for edge in graph.edges()
+            ]
+
+        assert edge_rows(snapshot) == edge_rows(reference)
+        for node_id in reference.node_ids():
+            assert snapshot.neighbors(node_id) == reference.neighbors(node_id)
+
+    def test_snapshot_refuses_topology_changes(self, scenario):
+        _workload, network = scenario
+        base = network.base_graph
+        snapshot = network.snapshot(8.0)
+        nodes, edges = base.num_nodes, base.num_edges
+        first, second = list(base.node_ids())[:2]
+        with pytest.raises(GraphError):
+            snapshot.add_node(10_000, 1.0, 1.0)
+        with pytest.raises(GraphError):
+            snapshot.add_edge(first, second, [1.0, 1.0])
+        assert (base.num_nodes, base.num_edges) == (nodes, edges)
+        assert (snapshot.num_nodes, snapshot.num_edges) == (nodes, edges)
+
+    def test_base_cost_updates_leave_snapshots_alone(self, scenario):
+        _workload, network = scenario
+        base = network.base_graph
+        snapshot = network.snapshot(8.0)
+        before = {edge.edge_id: edge.costs for edge in snapshot.edges()}
+        for edge in list(base.edges())[:10]:
+            base.update_edge_costs(edge.edge_id, [cost * 2.0 for cost in edge.costs])
+        assert {edge.edge_id: edge.costs for edge in snapshot.edges()} == before
+        # ...and a snapshot's own update stays in the snapshot.
+        edge = next(iter(snapshot.edges()))
+        base_costs = base.edge(edge.edge_id).costs
+        snapshot.update_edge_costs(edge.edge_id, [cost + 1.0 for cost in edge.costs])
+        assert base.edge(edge.edge_id).costs == base_costs
+
+    def test_rebound_set_is_independent_of_its_source(self, scenario):
+        workload, network = scenario
+        snapshot = network.snapshot(8.0)
+        rebound = rebind_facilities(snapshot, workload.facilities)
+        assert rebound.graph is snapshot
+        assert list(rebound) == list(reference_facilities(snapshot, workload.facilities))
+
+        def placement(facilities):
+            return list(facilities), {
+                edge_id: facilities.on_edge(edge_id)
+                for edge_id in facilities.edges_with_facilities()
+            }
+
+        before = placement(workload.facilities)
+        removed, kept = before[0][0], before[0][1]
+        rebound.remove(removed.facility_id)
+        rebound.add_on_edge(10_000, kept.edge_id, kept.offset)
+        assert placement(workload.facilities) == before
+
+    def test_rebinding_checks_each_placement(self, tiny_graph, tiny_facilities):
+        placed = tiny_facilities.facility(0)
+        host = tiny_graph.edge(placed.edge_id)
+
+        def copy_of_tiny_graph(host_length):
+            graph = MultiCostGraph(tiny_graph.num_cost_types)
+            for node in tiny_graph.nodes():
+                graph.add_node(node.node_id, node.x, node.y)
+            for edge in tiny_graph.edges():
+                length = edge.length if edge.edge_id != host.edge_id else host_length
+                if length is not None:
+                    graph.add_edge(
+                        edge.u, edge.v, edge.costs, length=length, edge_id=edge.edge_id
+                    )
+            return graph
+
+        with pytest.raises(FacilityError):
+            rebind_facilities(copy_of_tiny_graph(None), tiny_facilities)
+        with pytest.raises(FacilityError):
+            rebind_facilities(copy_of_tiny_graph(placed.offset / 2), tiny_facilities)
 
 
 class TestPeriodQueries:
