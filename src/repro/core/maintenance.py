@@ -6,11 +6,14 @@ This module implements that extension for the common update mix of
 location-based services — frequent insertions and deletions of facilities,
 occasional query relocation:
 
-* **Insertion** is handled incrementally: the new facility's cost vector is
-  priced in O(d) against lazily materialised settled-distance maps (node
-  distances depend only on the graph and the query, never on the facility
-  set, so they are computed once per query location and reused by every
-  later insertion) and the cached result is patched.
+* **Insertion** is handled incrementally.  Node distances depend only on
+  the graph and the query, never on the facility set, so each maintainer
+  keeps its d expansions paused between insertions and resumes one only as
+  far as an insertion needs.  The stopping rule is the bound the paper's
+  own searches stop on: the facility is rejected as soon as a skyline
+  member dominates its lower-bound vector (or, for a full top-k, the
+  bound's aggregate scores worse than the k-th), and priced exactly only
+  when it may enter.  The cached result is then patched.
 * **Deletion of a facility outside the current result** is free: an excluded
   facility is always dominated by (respectively scored worse than) a result
   member, so removing it cannot change the result.
@@ -18,8 +21,8 @@ occasional query relocation:
   fresh CEA computation — the cases the paper leaves open.  The maintainers
   count how often each path is taken so applications can see the saving.
 
-Updates are *atomic*: an insertion validates its placement and computes the
-new facility's cost vector **before** touching the
+Updates are *atomic*: an insertion validates its placement and its
+reachability from the query **before** touching the
 :class:`~repro.network.facilities.FacilitySet`, so a rejected update (bad
 edge, bad offset, unreachable facility) leaves both the set and the
 maintained result exactly as they were.
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 
 from repro.core.aggregates import AggregateFunction
 from repro.core.expansion import ExpansionSeeds, NearestFacilityExpansion
-from repro.core.kernel import ExpansionKernel, make_kernel_data_layer
+from repro.core.kernel import ExpansionKernel, KernelDataLayer, make_kernel_data_layer
 from repro.core.results import SkylineResult, TopKResult
 from repro.core.skyline import MCNSkylineSearch
 from repro.core.topk import MCNTopKSearch
@@ -57,6 +60,8 @@ from repro.network.graph import MultiCostGraph
 from repro.network.location import NetworkLocation
 
 __all__ = ["MaintenanceStatistics", "SkylineMaintainer", "TopKMaintainer"]
+
+_INF = float("inf")
 
 
 @dataclass
@@ -102,22 +107,49 @@ class MaintenanceStatistics:
         self.edge_cost_refreshes += other.edge_cost_refreshes
 
 
+def _unreachable(facility: Facility) -> QueryError:
+    return QueryError(
+        f"facility {facility.facility_id} is unreachable from the query location"
+    )
+
+
 class _QueryDistanceMaps:
-    """Full settled-distance maps from one query location, one per cost type.
+    """The query's d expansions, paused between requests.
 
-    Node-to-query network distances depend only on the graph and the query —
-    never on the facility set — so a maintainer computes them once (lazily,
-    at the first insertion) and prices every later insertion in O(d) lookups
-    instead of running a fresh early-terminating expansion per update.  The
-    d full expansions share adjacency fetches through a
-    :class:`~repro.network.accessor.FetchOnceCache`, exactly as CEA shares
-    them within one query.
+    Node-to-query network distances depend only on the graph and the query,
+    never on the facility set.  So a maintainer keeps one expansion per cost
+    type alive, created at the first request that needs it, and resumes it
+    with ``pop_step`` only as far as a request needs:
 
-    The per-facility pricing replicates the expansion's own arithmetic
-    (settled end-node distance plus the pro-rated partial edge weight, the
-    direct along-edge path for facilities on the query's own edge, forward
-    traversal only on directed graphs), so the values are bit-identical to
-    what :class:`NearestFacilityExpansion` would report.
+    * :meth:`cost_vector` prices a facility exactly.  Cost type i resumes
+      until the end nodes of the facility's edge are settled (only ``u`` on a
+      directed graph), the head key is at least the best path found so far,
+      or the heap is empty.  An unsettled node lies at least the head key
+      away and float addition is monotone, so the vector holds the same
+      doubles as a whole-graph expansion.
+    * :meth:`bound` is one step of that: the exact value once exact pricing
+      would stop, the head key (a lower bound) before.  The maintainers'
+      pruned pricing resumes only until their result's bound decides.
+
+    The pricing arithmetic is the expansion's own (settled end-node distance
+    plus the pro-rated partial edge weight, the direct along-edge path for a
+    facility on the query's own edge, forward traversal only on directed
+    graphs).
+
+    The expansions run in candidate mode with no candidates and share one
+    :class:`~repro.network.accessor.FetchOnceCache` (on the kernel path, one
+    ``fetch_once`` charge layer), as CEA shares them within one query.  The
+    cache outlives the facility updates of many ticks.  That is sound only
+    because candidate mode with no candidates never reads an adjacency
+    record's ``facility_count`` or an edge's facility list: the query-edge
+    list a seed reads is discarded unread.  What the cache does keep,
+    neighbours and edge costs, changes only with the query or the edge
+    costs, and those replace this object.
+
+    Reachability comes from the graph's component labels
+    (:meth:`~repro.network.graph.MultiCostGraph.component_of`).  They read the
+    topology the way :class:`ExpansionSeeds` and the pricing read
+    ``graph.edge()``, so they are not charged as accessor requests.
     """
 
     def __init__(
@@ -131,77 +163,112 @@ class _QueryDistanceMaps:
         self._graph = graph
         self._compiled = compiled
         self._seeds = ExpansionSeeds.from_query(graph, query)
-        self._settled: list[dict[int, float]] | None = None
+        self._component = graph.component_of(self._seeds.anchors[0][0])
+        self._shared: FetchOnceCache | KernelDataLayer | None = None
+        self._expansions: list[NearestFacilityExpansion | ExpansionKernel | None] = [
+            None
+        ] * graph.num_cost_types
 
-    def _materialise(self) -> list[dict[int, float]]:
-        if self._settled is None:
-            maps = []
-            if self._compiled is not None:
-                # The kernel fast path: candidate mode with no candidates
-                # drains the node heap over the CSR columns.  The charge
-                # layer mirrors the FetchOnceCache the legacy path uses, so
-                # the accessor counters move identically.  No blanket
-                # ensure_fresh(): settled distances never read the facility
-                # columns (the query-edge facility slots a possibly stale
-                # snapshot seeds are all discarded by the empty candidate
-                # set), so skipping the refresh keeps per-update insertion
-                # pricing from rebuilding facility columns on every
-                # monitoring tick.  Arc columns *are* cost-dependent, so a
-                # cost-revision drift alone forces the refresh.
-                if self._compiled.costs_revision != self._graph.costs_revision:
-                    self._compiled.ensure_fresh()
-                layer = make_kernel_data_layer(
+    def _expansion(self, cost_index: int) -> NearestFacilityExpansion | ExpansionKernel:
+        expansion = self._expansions[cost_index]
+        if expansion is not None:
+            return expansion
+        if self._compiled is not None:
+            # No blanket ensure_fresh(): candidate mode never reads the
+            # facility columns, so skipping the refresh keeps insertion
+            # pricing from rebuilding them on every monitoring tick.  Arc
+            # columns *are* cost-dependent, so a cost-revision drift alone
+            # forces the refresh.
+            if self._compiled.costs_revision != self._graph.costs_revision:
+                self._compiled.ensure_fresh()
+            if self._shared is None:
+                self._shared = make_kernel_data_layer(
                     self._compiled, target=self._accessor, fetch_once=True
                 )
-                for cost_index in range(self._graph.num_cost_types):
-                    kernel = ExpansionKernel(layer, self._seeds, cost_index)
-                    kernel.enter_candidate_mode({})
-                    while kernel.next_facility() is not None:  # pragma: no cover - no candidates
-                        pass
-                    maps.append(kernel.settled_costs)
-            else:
-                shared = FetchOnceCache(self._accessor)
-                for cost_index in range(self._graph.num_cost_types):
-                    expansion = NearestFacilityExpansion(shared, self._seeds, cost_index)
-                    # No candidates: the expansion drains the whole node heap
-                    # without ever reading a facility file.
-                    expansion.enter_candidate_mode({})
-                    while expansion.next_facility() is not None:  # pragma: no cover - no candidates
-                        pass
-                    maps.append(expansion.settled_costs)
-            self._settled = maps
-        return self._settled
+            expansion = ExpansionKernel(self._shared, self._seeds, cost_index)
+        else:
+            if self._shared is None:
+                self._shared = FetchOnceCache(self._accessor)
+            expansion = NearestFacilityExpansion(self._shared, self._seeds, cost_index)
+        expansion.enter_candidate_mode({})
+        self._expansions[cost_index] = expansion
+        return expansion
+
+    def check_component(self, facility: Facility) -> None:
+        """Raise :class:`QueryError` unless ``facility``'s edge has the query's label."""
+        edge = self._graph.edge(facility.edge_id)
+        if self._graph.component_of(edge.u) != self._component:
+            raise _unreachable(facility)
+
+    def check_reachable(self, facility: Facility) -> None:
+        """Raise :class:`QueryError` if the query cannot reach ``facility``.
+
+        A different component label refuses at once.  On an undirected graph
+        the same label means reachable; on a directed graph it does not, so
+        the facility is priced exactly, which raises when no path exists.
+        """
+        if self._graph.directed:
+            self.cost_vector(facility)
+        else:
+            self.check_component(facility)
 
     def cost_vector(self, facility: Facility) -> tuple[float, ...]:
         """The d-dimensional cost vector of ``facility`` from the query."""
-        settled = self._materialise()
+        self.check_component(facility)
+        costs = []
+        for cost_index in range(self._graph.num_cost_types):
+            value, _exact = self.bound(facility, cost_index, exact=True)
+            if value is None:
+                raise _unreachable(facility)
+            costs.append(value)
+        return tuple(costs)
+
+    def bound(
+        self, facility: Facility, cost_index: int, *, exact: bool = False
+    ) -> tuple[float | None, bool]:
+        """Price ``facility`` under one cost type as far as its expansion got.
+
+        Returns ``(value, True)`` once exact pricing would stop (``None``
+        then means no path), else ``(head key, False)``: any path not yet
+        found costs at least the head key.  With ``exact`` the expansion is
+        resumed until the value is exact.
+        """
+        expansion = self._expansion(cost_index)
         edge = self._graph.edge(facility.edge_id)
         if edge.length > 0:
             fraction_u = facility.offset / edge.length
             fraction_v = (edge.length - facility.offset) / edge.length
         else:
             fraction_u = fraction_v = 0.0
-        costs = []
-        for cost_index in range(self._graph.num_cost_types):
-            edge_cost = edge.costs.values[cost_index]
-            best = self._direct_cost(facility, cost_index)
-            via_u = settled[cost_index].get(edge.u)
-            if via_u is not None:
-                candidate = via_u + edge_cost * fraction_u
+        ends = ((edge.u, fraction_u),)
+        if not self._graph.directed:
+            ends += ((edge.v, fraction_v),)
+        edge_cost = edge.costs.values[cost_index]
+        direct = self._direct_cost(facility, cost_index)
+        settled = expansion.settled_costs
+        while True:
+            best = direct
+            complete = True
+            for node, fraction in ends:
+                distance = settled.get(node)
+                if distance is None:
+                    complete = False
+                    continue
+                candidate = distance + edge_cost * fraction
                 if best is None or candidate < best:
                     best = candidate
-            if not self._graph.directed:
-                via_v = settled[cost_index].get(edge.v)
-                if via_v is not None:
-                    candidate = via_v + edge_cost * fraction_v
-                    if best is None or candidate < best:
-                        best = candidate
-            if best is None:
-                raise QueryError(
-                    f"facility {facility.facility_id} is unreachable from the query location"
-                )
-            costs.append(best)
-        return tuple(costs)
+            if complete:
+                return best, True
+            head = expansion.head_key()
+            if head >= (_INF if best is None else best):
+                return best, True
+            if not exact:
+                return head, False
+            expansion.pop_step()
+
+    def step(self, cost_index: int) -> None:
+        """Resume one cost type's expansion by a single heap pop."""
+        self._expansion(cost_index).pop_step()
 
     def _direct_cost(self, facility: Facility, cost_index: int) -> float | None:
         """The along-edge cost for a facility on the query's own edge, if any."""
@@ -283,15 +350,26 @@ class _MaintainerBase:
         self._facilities.validate_placement(facility)
         return self._distances.cost_vector(facility)
 
+    def check_reachable(self, facility: Facility) -> None:
+        """Raise :class:`QueryError` if the query cannot reach ``facility``.
+
+        Prices nothing on an undirected graph, where the component labels
+        decide.  On a directed graph a shared label proves nothing, so the
+        facility is then priced exactly.
+        """
+        self._distances.check_reachable(facility)
+
     def insert(self, facility: Facility, *, costs: tuple[float, ...] | None = None) -> bool:
         """Insert a facility; return True when the result changed.
 
         The insertion is atomic: placement and reachability are validated
-        (and the cost vector computed) *before* the facility set is touched,
-        so a rejected insert leaves both the set and the result unchanged.
+        *before* the facility set is touched, so a rejected insert leaves
+        both the set and the result unchanged.  Without ``costs`` the
+        facility is priced only as far as the result's bound needs.
         """
         if costs is None and not self._stale:
-            costs = self.cost_vector(facility)
+            self._facilities.validate_placement(facility)
+            self.check_reachable(facility)
         self._facilities.add(facility)
         return self.note_insert(facility, costs=costs)
 
@@ -308,6 +386,11 @@ class _MaintainerBase:
     def note_insert(self, facility: Facility, *, costs: tuple[float, ...] | None = None) -> bool:
         """Patch the result for a facility the caller already added to the set.
 
+        Without ``costs`` the facility is priced only until the result's
+        bound decides it.  An unreachable facility raises
+        :class:`QueryError` or, since it can never enter the result, may be
+        rejected by the bound first.
+
         While the maintainer is stale (a deferred fallback is pending) the
         patch is skipped — the pending :meth:`refresh` sees the final set
         anyway, so incremental work in between would be thrown away.
@@ -316,8 +399,10 @@ class _MaintainerBase:
         if self._stale:
             return False
         if costs is None:
-            costs = self._distances.cost_vector(facility)
+            costs = self._price_insert(facility)
         self._statistics.incremental_updates += 1
+        if costs is None:
+            return False
         return self._patch_insert(facility.facility_id, costs)
 
     def note_delete(self, facility_id: FacilityId, *, defer_recompute: bool = False) -> bool:
@@ -361,11 +446,12 @@ class _MaintainerBase:
     def note_edge_costs_changed(self, *, defer_recompute: bool = False) -> None:
         """React to edge cost-vector changes (always a fallback recomputation).
 
-        Settled distance maps embed the edge costs they were expanded over,
-        so any re-profiled edge invalidates them wholesale — there is no
-        cheap incremental patch analogous to the facility cases.  The maps
-        are rebuilt lazily (nothing is expanded until the next read) and the
-        result is recomputed, immediately or deferred like the other hooks.
+        The paused expansions (and their fetch-once cache) embed the edge
+        costs they were expanded over, so any re-profiled edge invalidates
+        them wholesale — there is no cheap incremental patch analogous to
+        the facility cases.  They are dropped (nothing is expanded until the
+        next read) and the result is recomputed, immediately or deferred
+        like the other hooks.
         """
         self._distances = _QueryDistanceMaps(
             self._accessor, self._graph, self._query, self._compiled
@@ -392,10 +478,52 @@ class _MaintainerBase:
         self._install(result)
         self._stale = False
 
+    def _price_insert(self, facility: Facility) -> tuple[float, ...] | None:
+        """``facility``'s exact cost vector, or ``None`` once the bound rejects it.
+
+        The bound holds, per cost type, the exact value once exact pricing
+        would stop and the head key before.  Until every component is exact
+        or the result rejects the bound, the undecided cost type with the
+        smallest head key is resumed by one pop.  Checking after every pop
+        is a choice of frequency, not a condition of correctness: every
+        component only grows towards the exact value.
+        """
+        distances = self._distances
+        if not self._bound_can_reject():
+            return distances.cost_vector(facility)
+        distances.check_component(facility)
+        bound: list[float | None] = []
+        open_types: list[int] = []
+        for cost_index in range(self._graph.num_cost_types):
+            value, exact = distances.bound(facility, cost_index)
+            bound.append(value)
+            if not exact:
+                open_types.append(cost_index)
+        while True:
+            if None in bound:
+                raise _unreachable(facility)
+            if not open_types:
+                return tuple(bound)
+            if self._rejects(bound, facility.facility_id):
+                return None
+            cost_index = min(open_types, key=bound.__getitem__)
+            distances.step(cost_index)
+            bound[cost_index], exact = distances.bound(facility, cost_index)
+            if exact:
+                open_types.remove(cost_index)
+
     # ------------------------------------------------------------------ #
     # Hooks implemented by the concrete maintainers
     # ------------------------------------------------------------------ #
     def _patch_insert(self, facility_id: FacilityId, costs: tuple[float, ...]) -> bool:
+        raise NotImplementedError
+
+    def _bound_can_reject(self) -> bool:
+        """Whether some bound could reject an insertion (else price exactly)."""
+        raise NotImplementedError
+
+    def _rejects(self, bound: list[float], facility_id: FacilityId) -> bool:
+        """True when a facility whose costs are at least ``bound`` cannot enter."""
         raise NotImplementedError
 
     def _drop_member(self, facility_id: FacilityId) -> bool:
@@ -458,6 +586,12 @@ class SkylineMaintainer(_MaintainerBase):
             del self._skyline[fid]
         self._skyline[facility_id] = costs
         return True
+
+    def _bound_can_reject(self) -> bool:
+        return bool(self._skyline)
+
+    def _rejects(self, bound: list[float], facility_id: FacilityId) -> bool:
+        return any(dominates(member, bound) for member in self._skyline.values())
 
     def _drop_member(self, facility_id: FacilityId) -> bool:
         if facility_id not in self._skyline:
@@ -546,6 +680,14 @@ class TopKMaintainer(_MaintainerBase):
             self._top.sort(key=lambda item: (item[0], item[1]))
             return True
         return False
+
+    def _bound_can_reject(self) -> bool:
+        return len(self._top) >= self._k
+
+    def _rejects(self, bound: list[float], facility_id: FacilityId) -> bool:
+        # A monotone aggregate of the bound is at most the facility's score.
+        worst_score, worst_id, _ = self._top[-1]
+        return (self._aggregate(tuple(bound)), facility_id) > (worst_score, worst_id)
 
     def _drop_member(self, facility_id: FacilityId) -> bool:
         for index, (_score, member_id, _costs) in enumerate(self._top):

@@ -9,9 +9,10 @@ batches over a frozen facility set, it registers long-lived
 
 * every update is routed through the **cheap incremental paths** of the
   per-subscription :class:`~repro.core.maintenance.SkylineMaintainer` /
-  :class:`~repro.core.maintenance.TopKMaintainer` — insertions patch the
-  cached result after one early-terminating expansion per cost type, and
-  deletions of non-members are free;
+  :class:`~repro.core.maintenance.TopKMaintainer` — an insertion is priced
+  on the subscription's paused expansions, resumed only until the cached
+  result's bound accepts or rejects it, and deletions of non-members are
+  free;
 * the **hard cases** (deletion of a result member, query relocation) are
   deferred and resolved by one batched CEA pass at the end of the tick,
   executed through a :class:`~repro.service.QueryService` over the live
@@ -396,14 +397,16 @@ class MonitoringService:
         Simulates the tick's sequencing against the current facility ids, so
         intra-tick chains (insert then delete the same id, or delete then
         re-insert it) validate exactly as they will apply.  Insertions are
-        additionally priced against every subscription's distance maps, so
-        an unreachable facility is rejected *here* rather than surfacing
-        mid-application (node-to-query distances never depend on the
-        facility set, so pre-tick pricing stays valid throughout the tick;
-        a mid-tick relocation only defers its subscription, whose pricing is
-        then skipped anyway).  Raises :class:`FacilityError` /
-        :class:`QueryError`; on raise, no update of the tick has been
-        applied.
+        additionally checked for reachability from every subscription's
+        query, so an unreachable facility is rejected *here* rather than
+        surfacing mid-application: reachability is the only way pricing an
+        insertion can fail.  The graph's component labels decide it and
+        nothing is priced, except on a directed graph, where a facility in
+        the query's component is priced exactly.  Topology never changes, so
+        the pre-tick check holds throughout the tick; a mid-tick relocation
+        only defers its subscription, whose pricing is then skipped anyway.
+        Raises :class:`FacilityError` / :class:`QueryError`; on raise, no
+        update of the tick has been applied.
         """
         if not isinstance(tick, UpdateTick):
             raise QueryError(f"expected an UpdateTick, got {type(tick).__name__}")
@@ -417,7 +420,7 @@ class MonitoringService:
                 facility = Facility(update.facility_id, update.edge_id, update.offset)
                 self._facilities.validate_placement(facility)
                 for subscription in self._subscriptions.values():
-                    subscription.maintainer.cost_vector(facility)
+                    subscription.maintainer.check_reachable(facility)
                 live.add(update.facility_id)
             elif isinstance(update, FacilityDelete):
                 if update.facility_id not in live:
@@ -465,7 +468,7 @@ class MonitoringService:
         self._ensure_open()
         start = time.perf_counter()
         io_before = self._accessor.statistics.snapshot()
-        self.validate_tick(tick)  # may materialise distance maps: counted
+        self.validate_tick(tick)  # prices only on a directed graph: counted
         subscriptions = list(self._subscriptions.values())
         before = {sub.subscription_id: self._signature(sub) for sub in subscriptions}
         counters_before = {
@@ -476,18 +479,9 @@ class MonitoringService:
         for update in tick:
             if isinstance(update, FacilityInsert):
                 facility = Facility(update.facility_id, update.edge_id, update.offset)
-                # Cost the insertion for every fresh subscription before any
-                # mutation, so an unreachable facility aborts cleanly.
-                vectors = {
-                    sub.subscription_id: sub.maintainer.cost_vector(facility)
-                    for sub in subscriptions
-                    if not sub.maintainer.stale
-                }
                 self._facilities.add(facility)
                 for sub in subscriptions:
-                    sub.maintainer.note_insert(
-                        facility, costs=vectors.get(sub.subscription_id)
-                    )
+                    sub.maintainer.note_insert(facility)
             elif isinstance(update, FacilityDelete):
                 self._facilities.remove(update.facility_id)
                 for sub in subscriptions:
@@ -497,8 +491,8 @@ class MonitoringService:
                 maintainer.move_query(update.location, defer_recompute=True)
             else:  # EdgeCostUpdate
                 self._graph.update_edge_costs(update.edge_id, update.costs)
-                # A re-profiled edge invalidates every subscription's settled
-                # distance maps; all of them defer to the batched pass below.
+                # A re-profiled edge invalidates every subscription's paused
+                # expansions; all of them defer to the batched pass below.
                 for sub in subscriptions:
                     sub.maintainer.note_edge_costs_changed(defer_recompute=True)
 

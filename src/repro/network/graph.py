@@ -114,6 +114,8 @@ class MultiCostGraph:
         # Set on a graph made by recosted(): its node and adjacency
         # containers belong to the graph it was derived from.
         self._shares_topology = False
+        # Node -> connected-component label, derived lazily from the topology.
+        self._components: dict[NodeId, NodeId] | None = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -129,6 +131,7 @@ class MultiCostGraph:
             return existing
         self._nodes[node_id] = node
         self._adjacency[node_id] = []
+        self._components = None
         return node
 
     def add_edge(
@@ -167,6 +170,7 @@ class MultiCostGraph:
         self._adjacency[u].append(_AdjacencyEntry(v, edge_id))
         if not self._directed:
             self._adjacency[v].append(_AdjacencyEntry(u, edge_id))
+        self._components = None
         return edge
 
     # ------------------------------------------------------------------ #
@@ -331,24 +335,44 @@ class MultiCostGraph:
                 return self._edges[entry.edge_id]
         return None
 
+    def component_of(self, node_id: NodeId) -> NodeId:
+        """The label of the connected component holding ``node_id``.
+
+        Direction is ignored: two nodes share a label exactly when a path of
+        edges, each taken either way, joins them.  So on an undirected graph
+        a shared label means reachable, while on a directed graph a different
+        label only proves that no directed path exists.  The labels are
+        derived once per topology (one union-find pass over the edges) and
+        :meth:`add_node` / :meth:`add_edge` drop them.
+        """
+        labels = self._component_labels()
+        try:
+            return labels[node_id]
+        except KeyError:
+            raise GraphError(f"unknown node {node_id}") from None
+
     def is_connected(self) -> bool:
         """True if every node is reachable from every other (ignoring direction)."""
-        if not self._nodes:
-            return True
-        undirected: dict[NodeId, set[NodeId]] = {nid: set() for nid in self._nodes}
-        for edge in self._edges.values():
-            undirected[edge.u].add(edge.v)
-            undirected[edge.v].add(edge.u)
-        start = next(iter(self._nodes))
-        seen = {start}
-        stack = [start]
-        while stack:
-            current = stack.pop()
-            for neighbor in undirected[current]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    stack.append(neighbor)
-        return len(seen) == len(self._nodes)
+        return len(set(self._component_labels().values())) <= 1
+
+    def _component_labels(self) -> dict[NodeId, NodeId]:
+        labels = self._components
+        if labels is None:
+            parent = {node_id: node_id for node_id in self._nodes}
+
+            def root(node_id: NodeId) -> NodeId:
+                while parent[node_id] != node_id:
+                    parent[node_id] = parent[parent[node_id]]
+                    node_id = parent[node_id]
+                return node_id
+
+            for edge in self._edges.values():
+                root_u, root_v = root(edge.u), root(edge.v)
+                if root_u != root_v:
+                    parent[root_u] = root_v
+            labels = {node_id: root(node_id) for node_id in self._nodes}
+            self._components = labels
+        return labels
 
     def total_cost_statistics(self) -> dict[str, list[float]]:
         """Per-cost-type minimum / mean / maximum over all edges (for reporting)."""

@@ -15,6 +15,7 @@ from repro.bench.driver import (
     ServeReplaySpec,
     format_serve_report,
     replay_serve_workload,
+    replay_update_stream,
 )
 from repro.bench.experiments import (
     EXPERIMENTS,
@@ -238,6 +239,25 @@ class TestCLI:
     def test_unknown_experiment_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
+
+    def test_monitor_saves_requests_at_the_small_config(self, monkeypatch, capsys):
+        """Incremental maintenance beats recomputing every tick, with the
+        CLI's own spec: the replay the command runs is recorded, not rebuilt."""
+        reports = []
+
+        def recording(spec):
+            reports.append(replay_update_stream(spec))
+            return reports[-1]
+
+        monkeypatch.setattr("repro.cli.replay_update_stream", recording)
+        argv = ["monitor", "--nodes", "150", "--facilities", "60", "--ticks", "5"]
+        assert main(argv) == 0
+        (report,) = reports
+        assert report.identical_results
+        assert report.requests_saved > 0
+        output = capsys.readouterr().out
+        assert f"accessor requests at subscribe: {report.subscribe_requests}" in output
+        assert report.subscribe_requests > 0
 
     @pytest.mark.parametrize(
         "argv",

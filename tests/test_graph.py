@@ -164,6 +164,37 @@ class TestConnectivity:
         graph.add_node(1)
         graph.add_edge(0, 1, [1.0])
         assert graph.is_connected()
+        assert graph.component_of(0) == graph.component_of(1)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_labels_follow_added_nodes_and_edges(self, directed):
+        graph = MultiCostGraph(1, directed=directed)
+        for node_id in range(4):
+            graph.add_node(node_id)
+        graph.add_edge(0, 1, [1.0])
+        graph.add_edge(3, 2, [1.0])
+        assert graph.component_of(0) == graph.component_of(1)
+        assert graph.component_of(2) == graph.component_of(3)
+        assert graph.component_of(0) != graph.component_of(2)
+        assert not graph.is_connected()
+        graph.add_edge(2, 1, [1.0])
+        assert len({graph.component_of(node_id) for node_id in range(4)}) == 1
+        assert graph.is_connected()
+        graph.add_node(4)
+        assert graph.component_of(4) != graph.component_of(0)
+        assert not graph.is_connected()
+        graph.add_edge(4, 0, [1.0])
+        assert graph.component_of(4) == graph.component_of(3)
+        assert graph.is_connected()
+
+    def test_component_of_unknown_node(self, simple_graph):
+        with pytest.raises(GraphError):
+            simple_graph.component_of(99)
+
+    def test_recosted_graph_labels_its_shared_topology(self, simple_graph):
+        recosted = simple_graph.recosted({0: [5.0, 5.0]})
+        assert recosted.is_connected()
+        assert recosted.component_of(1) == recosted.component_of(3)
 
 
 class TestDirectedGraphs:

@@ -190,6 +190,23 @@ class TestTopKMaintainer:
         maintainer.move_query(new_query)
         assert maintainer.facility_ids() == self.oracle(tiny_graph, tiny_facilities, new_query, aggregate, 2)
 
+    def test_insert_tying_the_kth_score_enters_on_a_smaller_id(self, line_graph):
+        """The bound rejects only when (score, id) is worse than the k-th:
+        a tie on the score alone must be priced until the id decides."""
+        facilities = FacilitySet(line_graph)
+        facilities.add(Facility(60, line_graph.edge_between(0, 1).edge_id, 1.0))
+        facilities.add(Facility(50, line_graph.edge_between(1, 2).edge_id, 2.0))
+        maintainer = TopKMaintainer(
+            line_graph, facilities, NetworkLocation.at_node(0), WeightedSum((1.0,)), 2
+        )
+        assert maintainer.ranking() == [(60, 1.0), (50, 3.0)]
+        # At node 2, three away like facility 50: the smaller id wins the tie.
+        assert maintainer.insert(Facility(40, line_graph.edge_between(2, 3).edge_id, 0.0))
+        assert maintainer.ranking() == [(60, 1.0), (40, 3.0)]
+        # At node 2 again, but the larger id loses the tie.
+        assert not maintainer.insert(Facility(70, line_graph.edge_between(2, 3).edge_id, 0.0))
+        assert maintainer.ranking() == [(60, 1.0), (40, 3.0)]
+
 
 def disconnected_instance():
     """Two components: the query lives in one, edge B sits unreachable in the other."""
@@ -374,6 +391,19 @@ class TestCostVectorPricing:
             probe.add(facility)
             truth = facility_vectors(graph, probe, query)[facility.facility_id]
             assert priced == pytest.approx(truth, abs=1e-9)
+
+    def test_end_node_keyed_just_below_the_best_path_is_settled(self):
+        """Exact pricing stops on ``head key >= best path`` and not earlier:
+        node 1's key sits 1e-7 below the path already found through node 2."""
+        graph = MultiCostGraph(num_cost_types=1)
+        for node_id in range(3):
+            graph.add_node(node_id)
+        graph.add_edge(0, 2, [1.0])
+        facility_edge = graph.add_edge(1, 2, [1.0])
+        graph.add_edge(0, 1, [2.0 - 1e-7])
+        facilities = FacilitySet(graph)
+        maintainer = SkylineMaintainer(graph, facilities, NetworkLocation.at_node(0))
+        assert maintainer.cost_vector(Facility(9, facility_edge.edge_id, 0.0)) == (2.0 - 1e-7,)
 
     def test_cost_vector_on_query_edge_uses_direct_path(self, tiny_graph, tiny_facilities):
         edge = tiny_graph.edge_between(3, 4)

@@ -175,10 +175,14 @@ class TestTickApplication:
         report = service.apply_tick(UpdateTick((FacilityDelete(member),)))
         assert report.io.total_requests > 0
         assert service.access_statistics.total_requests >= report.io.total_requests
-        # ...while an insert priced off already-materialised distance maps
-        # is pure dictionary lookups: zero accessor requests.
+        # ...while re-pricing a position already priced exactly costs zero
+        # requests: the paused expansions already met its stopping rule,
+        # and settled nodes stay settled while the head key only grows.
         edge = tiny_graph.edge_between(3, 4)
-        insert_report = service.apply_tick(UpdateTick((FacilityInsert(99, edge.edge_id, 0.0),)))
+        service.apply_tick(UpdateTick((FacilityInsert(99, edge.edge_id, 0.0),)))
+        assert 99 in service.result_signature(sid)  # it entered: priced exactly
+        insert_report = service.apply_tick(UpdateTick((FacilityInsert(98, edge.edge_id, 0.0),)))
+        assert 98 in service.result_signature(sid)
         assert insert_report.io.total_requests == 0
 
     def test_payloads_are_json_serializable(self, tiny_graph, tiny_facilities, tiny_query):
@@ -189,6 +193,58 @@ class TestTickApplication:
         payload = json.loads(json.dumps(tick_report_to_payload(report)))
         assert payload["deltas"] == [delta_report_to_payload(d) for d in report.deltas]
         assert payload["counters"]["insertions"] == 1
+
+
+class TestDirectedReachability:
+    """On a directed graph a shared component label proves no path, so an
+    insert the query cannot reach is still refused before anything mutates."""
+
+    @staticmethod
+    def build():
+        graph = MultiCostGraph(num_cost_types=2, directed=True)
+        for node_id in range(4):
+            graph.add_node(node_id)
+        first = graph.add_edge(0, 1, (1.0, 2.0))
+        onward = graph.add_edge(1, 2, (2.0, 1.0))
+        stranded = graph.add_edge(3, 2, (1.0, 1.0))  # tail 3: no path from 0
+        facilities = FacilitySet(graph)
+        facilities.add(Facility(0, first.edge_id, 0.5))
+        return graph, facilities, onward.edge_id, stranded.edge_id
+
+    @pytest.mark.parametrize("compiled", ["off", "on"])
+    def test_unreachable_tail_refused_up_front(self, compiled):
+        graph, facilities, onward, stranded = self.build()
+        assert graph.component_of(3) == graph.component_of(0)
+        service = MonitoringService(
+            graph, facilities, policy=ExecutionPolicy(compiled=compiled)
+        )
+        query = NetworkLocation.at_node(0)
+        sids = (
+            service.subscribe(SkylineRequest(query)),
+            service.subscribe(TopKRequest(query, k=2, weights=(0.5, 0.5))),
+        )
+        ids_before = set(service.facilities.facility_ids())
+        results_before = [service.result_signature(sid) for sid in sids]
+        stats_before = service.statistics
+        tick = UpdateTick((FacilityInsert(7, stranded, 0.5),))
+        with pytest.raises(QueryError):
+            service.validate_tick(tick)
+        with pytest.raises(QueryError):
+            service.apply_tick(tick)
+        assert set(service.facilities.facility_ids()) == ids_before
+        assert [service.result_signature(sid) for sid in sids] == results_before
+        assert service.statistics.since(stats_before) == MaintenanceStatistics()
+        assert service.ticks_applied == 0
+
+        report = service.apply_tick(UpdateTick((FacilityInsert(8, onward, 0.5),)))
+        assert 8 in service.facilities
+        assert report.counters.insertions == 2
+        vectors = facility_vectors(graph, service.facilities, query)
+        assert set(service.result_signature(sids[0])) == exact_skyline(vectors)
+        oracle = exact_top_k(vectors, WeightedSum((0.5, 0.5)), 2)
+        assert service.result_signature(sids[1]) == {
+            fid: round(score, 9) for fid, score in oracle
+        }
 
 
 class TestTickValidation:
