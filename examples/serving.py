@@ -3,8 +3,8 @@
 :class:`~repro.serve.ServeApp` wraps one :class:`~repro.api.Session` behind
 JSON endpoints — query, batch submit + poll, PATCH facility updates,
 subscriptions with SSE delta streams, and rolling latency metrics — and
-every transport funnels into the same dispatch: the in-process test client,
-the pure-asyncio HTTP/1.1 server, and an optional ASGI adapter.
+both transports funnel into the same dispatch: the in-process test client
+and the pure-asyncio HTTP/1.1 server.
 
 This example drives the whole surface twice:
 

@@ -55,16 +55,15 @@ execute, and every call returns a uniform response envelope::
 Datasets can also live on disk as single checksummed *pack* files
 (:mod:`repro.storage.persist` / :mod:`repro.storage.catalog`): build once
 with ``repro-mcn build-dataset`` (streamed, bounded RSS even at millions of
-nodes), then query straight off an ``mmap`` — standalone via
-``Session.from_dataset(path)`` or as a residency
-(``ExecutionPolicy(residency="dataset", dataset_path=path)``), with answers
-and I/O counters bit-identical to the in-RAM simulated disk.
+nodes), then query straight off an ``mmap`` through
+``Session.from_dataset(path)``: answers and I/O counters are
+bit-identical to the in-RAM simulated disk.
 
 The :mod:`repro.serve` tier puts the session behind a wire: a
-dependency-free asyncio serving layer (pure HTTP/1.1 + SSE transport, an
-in-process test transport and an optional ASGI adapter) with admission
-control, per-request deadlines, rolling latency percentiles and streamed
-per-subscription deltas — every concurrent workload provably bit-identical
+dependency-free asyncio serving layer (pure HTTP/1.1 + SSE transport and
+an in-process test transport) with admission control, per-request
+deadlines, rolling latency percentiles and streamed per-subscription
+deltas — every concurrent workload provably bit-identical
 to sequential library calls (``repro-mcn serve --replay``).
 
 The stacks under the facade stay available for low-level work:

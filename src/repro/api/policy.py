@@ -56,7 +56,7 @@ COMPILED_ENV_VAR = "REPRO_COMPILED"
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 
 ALGORITHMS = ("cea", "lsa", "baseline")
-RESIDENCIES = ("memory", "disk", "dataset")
+RESIDENCIES = ("memory", "disk")
 COMPILED_MODES = ("auto", "on", "off")
 TEMPORAL_MODES = ("off", "profiles")
 
@@ -106,12 +106,8 @@ class ExecutionPolicy:
     residency:
         ``"memory"`` runs against the in-memory accessor; ``"disk"`` against
         the simulated disk-resident :class:`~repro.storage.NetworkStorage`
-        (page reads are then counted); ``"dataset"`` against a file-backed
-        dataset pack served through ``mmap`` (requires ``dataset_path``).
-    dataset_path:
-        Path of the dataset pack backing ``residency="dataset"`` policies
-        (built with ``repro-cli build-dataset`` or
-        :func:`~repro.storage.pack_network_storage`).  ``None`` otherwise.
+        (page reads are then counted).  A session opened on a dataset pack
+        runs on that pack whatever the residency says.
     compiled:
         Columnar fast-path mode: ``"on"``, ``"off"`` or ``"auto"`` (defer to
         the ``REPRO_COMPILED`` environment toggle at resolution time).
@@ -145,7 +141,6 @@ class ExecutionPolicy:
 
     algorithm: str = "cea"
     residency: str = "memory"
-    dataset_path: str | None = None
     compiled: str = "auto"
     page_size: int = 4096
     buffer_fraction: float = 0.01
@@ -168,19 +163,8 @@ class ExecutionPolicy:
         if self.residency not in RESIDENCIES:
             raise PolicyError(
                 f"unknown residency {self.residency!r}; expected one of "
-                f"{RESIDENCIES} (disk builds the simulated storage scheme, "
-                "dataset serves a file-backed pack through mmap)"
-            )
-        if self.dataset_path is not None and not isinstance(self.dataset_path, str):
-            raise PolicyError(
-                f"dataset_path must be a string path or None, got "
-                f"{type(self.dataset_path).__name__}"
-            )
-        if self.residency == "dataset" and not self.dataset_path:
-            raise PolicyError(
-                "residency='dataset' requires dataset_path to name the pack "
-                "file (build one with the build-dataset CLI command or "
-                "repro.storage.pack_network_storage)"
+                f"{RESIDENCIES} (disk builds the simulated storage scheme; "
+                "to query a dataset pack, open it with Session.from_dataset)"
             )
         if self.compiled not in COMPILED_MODES:
             raise PolicyError(

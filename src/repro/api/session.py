@@ -5,8 +5,8 @@ The reproduction grew four entry points — :class:`~repro.MCNQueryEngine`
 :class:`~repro.ShardedQueryService` (parallel) and
 :class:`~repro.MonitoringService` (continuous) — each with its own
 overlapping construction knobs.  A :class:`Session` owns the *dataset* (one
-graph, one facility set, optionally a pre-built storage or accessor) and
-hides all four stacks behind three verbs:
+graph and one facility set, or one dataset pack) and hides all four stacks
+behind three verbs:
 
 * :meth:`Session.query` (plus the :meth:`skyline` / :meth:`top_k`
   convenience builders) — one request, one :class:`Response`;
@@ -23,10 +23,13 @@ Engines, storages, compiled graphs, cross-query caches and shard pools are
 constructed lazily and cached per resolved policy, so repeated calls with
 the same configuration reuse one warm stack.
 
-Policy/dataset conflicts (e.g. a parallel policy over an accessor that
-cannot be snapshotted) are rejected with
-:class:`~repro.errors.PolicyError` when the policy is *resolved* — at
-session construction or call entry — never mid-batch.
+A session's data layer is one decision: a session opened on a dataset pack
+always runs on that pack; every other session runs on what the resolved
+policy's ``residency`` names — the in-memory accessor, or a simulated-disk
+:class:`~repro.storage.NetworkStorage` shaped by ``page_size`` and
+``buffer_fraction``.  Policy/dataset conflicts (e.g. a temporal policy on a
+pack) are rejected with :class:`~repro.errors.PolicyError` when the policy
+is *resolved* — at session construction or call entry — never mid-batch.
 
 Note that monitoring mutates the session's facility set: engines built for
 ``residency="disk"`` snapshot the set at build time and keep answering over
@@ -64,7 +67,7 @@ from repro.core.engine import MCNQueryEngine
 from repro.core.maintenance import MaintenanceStatistics, SkylineMaintainer, TopKMaintainer
 from repro.core.results import SkylineResult, TopKResult
 from repro.errors import PolicyError, QueryError
-from repro.network.accessor import AccessStatistics, GraphAccessor
+from repro.network.accessor import AccessStatistics
 from repro.network.facilities import FacilityId, FacilitySet
 from repro.network.graph import MultiCostGraph
 from repro.network.location import NetworkLocation
@@ -76,7 +79,7 @@ from repro.service.requests import (
     TopKRequest,
 )
 from repro.service.service import QueryService
-from repro.storage.catalog import PackedDataset, PackedNetworkStorage, open_dataset
+from repro.storage.catalog import PackedNetworkStorage, open_dataset
 from repro.storage.scheme import NetworkStorage
 
 if TYPE_CHECKING:  # pragma: no cover - the executor is imported lazily
@@ -343,28 +346,18 @@ class Session:
         The multi-cost network.
     facilities:
         The facility set over ``graph``.  Monitoring mutates it in place.
-    storage:
-        Optional pre-built :class:`~repro.storage.NetworkStorage`; it backs
-        every ``residency="disk"`` policy regardless of the policy's page
-        knobs (the knobs only shape storages the session builds itself).
-    accessor:
-        Optional explicit :class:`~repro.network.accessor.GraphAccessor`
-        that fixes the data layer outright (mutually exclusive with
-        ``storage``).  A parallel policy then requires the accessor to
-        support ``snapshot_view`` — checked when the policy resolves, not
-        mid-batch.
     policy:
         The session's default :class:`~repro.api.policy.ExecutionPolicy`;
-        every call accepts a per-call override.
+        every call accepts a per-call override.  Without ``dataset_path``
+        its ``residency`` picks the data layer.
     dataset_path:
         Open the session directly over a file-backed dataset pack (mutually
-        exclusive with ``graph``/``facilities``/``storage``/``accessor``).
-        The graph and facility set are then read-only ``mmap``-backed views
-        of the pack: every query runs through the packed accessor, the
-        compiled fast path is off (it needs the in-memory topology) and
-        :meth:`monitor` is rejected.  To keep the fast path, build the
-        workload in memory and attach the pack via
-        ``ExecutionPolicy(residency="dataset", dataset_path=...)`` instead.
+        exclusive with ``graph``/``facilities``).  The graph and facility
+        set are then read-only ``mmap``-backed views of the pack, and every
+        query runs through the pack's storage, whose buffer the default
+        policy's ``buffer_fraction`` sizes; the policy's ``residency`` and
+        page knobs do not apply.  The compiled fast path is off (it needs
+        the in-memory topology) and :meth:`monitor` is rejected.
     verify_checksum:
         Whether opening ``dataset_path`` verifies the pack's SHA-256
         (default ``True``).
@@ -382,38 +375,24 @@ class Session:
         graph: MultiCostGraph | None = None,
         facilities: FacilitySet | None = None,
         *,
-        storage: NetworkStorage | None = None,
-        accessor: GraphAccessor | None = None,
         policy: ExecutionPolicy | None = None,
         dataset_path: str | None = None,
         verify_checksum: bool = True,
         profiles: dict[str, object] | None = None,
     ):
-        if storage is not None and accessor is not None:
-            raise PolicyError(
-                "pass either a pre-built storage or an explicit accessor, not "
-                "both — they each fix the session's data layer"
-            )
-        self._datasets: dict[str, PackedDataset] = {}
-        self._dataset_storages: dict[tuple[str, float], PackedNetworkStorage] = {}
-        self._dataset_path: str | None = None
+        self._pack: PackedNetworkStorage | None = None
         if dataset_path is not None:
-            if graph is not None or facilities is not None or storage is not None or accessor is not None:
+            if graph is not None or facilities is not None:
                 raise PolicyError(
                     "dataset_path fixes the session's data layer; do not also "
-                    "pass graph/facilities/storage/accessor — either open the "
-                    "pack alone, or keep the in-memory workload and attach the "
-                    "pack via ExecutionPolicy(residency='dataset', "
-                    "dataset_path=...)"
+                    "pass graph/facilities — open the pack alone, or keep the "
+                    "in-memory workload and pick its residency by policy"
                 )
             coerced = self._coerce_policy(policy)
-            dataset = self._open_dataset(dataset_path, verify_checksum=verify_checksum)
-            packed = dataset.storage(buffer_fraction=coerced.buffer_fraction)
-            self._dataset_storages[(dataset_path, float(coerced.buffer_fraction))] = packed
-            self._dataset_path = dataset_path
-            graph = packed.graph
-            facilities = packed.facilities
-            accessor = packed
+            dataset = open_dataset(dataset_path, verify_checksum=verify_checksum)
+            self._pack = dataset.storage(buffer_fraction=coerced.buffer_fraction)
+            graph = self._pack.graph
+            facilities = self._pack.facilities
         elif graph is None or facilities is None:
             raise QueryError(
                 "a Session needs either a graph and its facility set, or a "
@@ -423,8 +402,6 @@ class Session:
             raise QueryError("facility set was built for a different graph")
         self._graph = graph
         self._facilities = facilities
-        self._explicit_storage = storage
-        self._explicit_accessor = accessor
         self._profiles = self._coerce_profiles(graph, profiles)
         self._temporal: dict[tuple, object] = {}
         self._default_policy = self._coerce_policy(policy)
@@ -516,8 +493,8 @@ class Session:
         return self._fingerprint
 
     def _compute_fingerprint(self) -> str:
-        if self._dataset_path is not None:
-            return "pack:" + self._datasets[self._dataset_path].catalog.checksum
+        if self._pack is not None:
+            return "pack:" + self._pack.catalog.checksum
         shape = (
             f"{self._graph.num_nodes}:{self._graph.num_edges}:"
             f"{self._graph.num_cost_types}:{len(self._facilities)}"
@@ -569,10 +546,9 @@ class Session:
         self._sharded.clear()
         self._engines.clear()
         self._storages.clear()
-        self._dataset_storages.clear()
-        datasets, self._datasets = self._datasets, {}
-        for dataset in datasets.values():
-            dataset.close()
+        pack, self._pack = self._pack, None
+        if pack is not None:
+            pack.disk.close()
 
     def __enter__(self) -> "Session":
         self._ensure_open()
@@ -604,19 +580,17 @@ class Session:
             )
 
     def storage_for(self, policy: ExecutionPolicy | None = None) -> NetworkStorage | None:
-        """The disk storage the resolved policy runs against (``None`` for memory).
+        """The storage the resolved policy runs against (``None`` for memory).
 
-        Built lazily (and cached per ``page_size``/``buffer_fraction``) the
-        first time a disk policy needs it.
+        A pack session always answers with its pack's storage.  Otherwise a
+        disk policy's storage is built lazily (and cached per
+        ``page_size``/``buffer_fraction``) the first time it is needed.
         """
         resolved = self._resolve(policy)
-        if self._explicit_accessor is not None:
-            accessor = self._explicit_accessor
-            return accessor if isinstance(accessor, NetworkStorage) else None
+        if self._pack is not None:
+            return self._pack
         if resolved.residency != "disk":
             return None
-        if self._explicit_storage is not None:
-            return self._explicit_storage
         key = (resolved.page_size, float(resolved.buffer_fraction))
         if key not in self._storages:
             self._storages[key] = NetworkStorage.build(
@@ -627,73 +601,16 @@ class Session:
             )
         return self._storages[key]
 
-    def _open_dataset(self, path: str, *, verify_checksum: bool = True) -> PackedDataset:
-        if path not in self._datasets:
-            self._datasets[path] = open_dataset(path, verify_checksum=verify_checksum)
-        return self._datasets[path]
-
-    def dataset_storage_for(
-        self, policy: ExecutionPolicy | None = None
-    ) -> PackedNetworkStorage | None:
-        """The packed accessor a ``residency="dataset"`` policy runs against.
-
-        ``None`` for other residencies.  For a graph-backed session the pack
-        is opened lazily (and cached per path/buffer size) with the session's
-        live graph and facility set attached, after checking that the pack's
-        shape matches them — so answers stay validated against the in-memory
-        structures and the compiled fast path keeps working, while every page
-        fetch goes through the ``mmap``-backed file.
-        """
-        resolved = self._resolve(policy)
-        if resolved.residency != "dataset":
-            return None
-        if self._dataset_path is not None:
-            return self._explicit_accessor  # the session-owning pack accessor
-        key = (resolved.dataset_path, float(resolved.buffer_fraction))
-        if key not in self._dataset_storages:
-            dataset = self._open_dataset(resolved.dataset_path)
-            catalog = dataset.catalog
-            mismatches = [
-                f"{name}: pack has {packed}, session has {live}"
-                for name, packed, live in (
-                    ("num_nodes", catalog.num_nodes, self._graph.num_nodes),
-                    ("num_edges", catalog.num_edges, self._graph.num_edges),
-                    ("num_cost_types", catalog.num_cost_types, self._graph.num_cost_types),
-                    ("num_facilities", catalog.num_facilities, len(self._facilities)),
-                )
-                if packed != live
-            ]
-            if mismatches:
-                raise PolicyError(
-                    f"dataset pack {resolved.dataset_path!r} does not match "
-                    "the session's workload (" + "; ".join(mismatches) + "); "
-                    "rebuild the pack from this graph or open it standalone "
-                    "with Session(dataset_path=...)"
-                )
-            self._dataset_storages[key] = dataset.storage(
-                buffer_fraction=resolved.buffer_fraction,
-                graph=self._graph,
-                facilities=self._facilities,
-            )
-        return self._dataset_storages[key]
-
     def engine_for(self, policy: ExecutionPolicy | None = None) -> MCNQueryEngine:
         """The (cached) engine the resolved policy executes on."""
         resolved = self._resolve(policy)
         key = self._engine_key(resolved)
         if key not in self._engines:
-            compiled = self._resolved_compiled(resolved)
-            if resolved.residency == "dataset" and self._dataset_path is None:
-                accessor = self.dataset_storage_for(resolved)
-            elif self._explicit_accessor is not None:
-                accessor = self._explicit_accessor
-            else:
-                accessor = self.storage_for(resolved)  # None for memory
             self._engines[key] = MCNQueryEngine(
                 self._graph,
                 self._facilities,
-                accessor=accessor,
-                compiled=compiled,
+                accessor=self.storage_for(resolved),  # None for memory
+                compiled=self._resolved_compiled(resolved),
             )
         return self._engines[key]
 
@@ -882,7 +799,7 @@ class Session:
         if self.fault_hook is not None:
             self.fault_hook("monitor")
         resolved = self._resolve(policy)
-        if self._dataset_path is not None:
+        if self._pack is not None:
             raise PolicyError(
                 "a dataset-backed session is read-only: monitoring mutates the "
                 "facility set in place, and a pack's facility view cannot be "
@@ -946,81 +863,33 @@ class Session:
         compile, so the fast path is forced off there regardless of the
         policy mode or the ``REPRO_COMPILED`` toggle.
         """
-        if self._dataset_path is not None:
+        if self._pack is not None:
             return False
         return policy.resolved_compiled()
 
     def _check_policy(self, policy: ExecutionPolicy) -> None:
         """Reject policy/dataset conflicts before any execution starts."""
-        if policy.temporal == "profiles":
-            if self._dataset_path is not None:
-                raise PolicyError(
-                    "temporal='profiles' needs an in-memory base graph to "
-                    "evaluate profiles over; a pack-backed session is "
-                    "read-only — open the workload as a graph-backed Session"
-                )
-            if policy.residency == "dataset":
-                raise PolicyError(
-                    "temporal='profiles' conflicts with residency='dataset': "
-                    "snapshots are materialised per departure time and cannot "
-                    "be served from a static pack; use residency='memory' or "
-                    "'disk'"
-                )
-            if policy.profile_source not in self._profiles:
-                registered = ", ".join(sorted(self._profiles)) or "none registered"
-                raise PolicyError(
-                    f"unknown profile_source {policy.profile_source!r}; this "
-                    f"session's profile sets: {registered} (register them via "
-                    "Session(profiles={name: TimeVaryingMCN(...)}))"
-                )
-        if policy.residency == "dataset":
-            if self._dataset_path is not None:
-                if policy.dataset_path != self._dataset_path:
-                    raise PolicyError(
-                        f"this session is already backed by the dataset pack "
-                        f"{self._dataset_path!r}; a policy naming "
-                        f"{policy.dataset_path!r} cannot retarget it — open a "
-                        "separate Session for the other pack"
-                    )
-                return
-            if self._explicit_storage is not None or self._explicit_accessor is not None:
-                raise PolicyError(
-                    "residency='dataset' conflicts with the session's explicit "
-                    "data layer; drop the storage/accessor argument or use "
-                    "Session(dataset_path=...)"
-                )
-        accessor = self._explicit_accessor
-        if accessor is None:
+        if policy.temporal != "profiles":
             return
-        if policy.residency == "disk" and not isinstance(accessor, NetworkStorage):
+        if self._pack is not None:
             raise PolicyError(
-                "residency='disk' conflicts with the session's explicit "
-                f"{type(accessor).__name__}: the accessor already fixes the "
-                "data layer; use residency='memory' or hand the session a "
-                "NetworkStorage instead"
+                "temporal='profiles' needs an in-memory base graph to "
+                "evaluate profiles over; a pack-backed session is "
+                "read-only — open the workload as a graph-backed Session"
             )
-        if policy.workers > 1 and not hasattr(accessor, "snapshot_view"):
+        if policy.profile_source not in self._profiles:
+            registered = ", ".join(sorted(self._profiles)) or "none registered"
             raise PolicyError(
-                f"workers={policy.workers} needs a data layer that supports "
-                f"read-only snapshot views, but the session's explicit "
-                f"{type(accessor).__name__} does not; use workers=1 or a "
-                "NetworkStorage / InMemoryAccessor data layer"
+                f"unknown profile_source {policy.profile_source!r}; this "
+                f"session's profile sets: {registered} (register them via "
+                "Session(profiles={name: TimeVaryingMCN(...)}))"
             )
 
     def _engine_key(self, policy: ExecutionPolicy) -> tuple:
-        compiled = self._resolved_compiled(policy)
-        if policy.residency == "dataset" and self._dataset_path is None:
-            return (
-                "dataset",
-                policy.dataset_path,
-                float(policy.buffer_fraction),
-                compiled,
-            )
-        if self._explicit_accessor is not None:
-            return ("accessor", compiled)
+        if self._pack is not None:
+            return ("pack",)
+        compiled = policy.resolved_compiled()
         if policy.residency == "disk":
-            if self._explicit_storage is not None:
-                return ("disk", "explicit", compiled)
             return (
                 "disk",
                 policy.page_size,

@@ -140,10 +140,7 @@ def run_cold_cache_bench(
         policy = ExecutionPolicy(buffer_fraction=spec.buffer_fraction)
         nodes = spec.query_nodes()
         with Session(dataset_path=pack_path, policy=policy) as session:
-            dataset_policy = policy.replace(
-                residency="dataset", dataset_path=pack_path
-            )
-            capacity = session.dataset_storage_for(dataset_policy).buffer.capacity
+            capacity = session.storage_for().buffer.capacity
             cold_sets, page_reads, buffer_hits = _query_session(session, nodes)
 
         graph, facilities = materialize_packed_dataset(spec.dataset)

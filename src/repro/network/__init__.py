@@ -19,7 +19,6 @@ from repro.network.dijkstra import (
 )
 from repro.network.facilities import Facility, FacilityId, FacilitySet
 from repro.network.graph import Edge, EdgeId, MultiCostGraph, Node, NodeId
-from repro.network.interop import from_networkx, to_networkx
 from repro.network.io import read_facilities, read_graph, write_facilities, write_graph
 from repro.network.location import NetworkLocation
 from repro.network.paths import Path
@@ -46,9 +45,7 @@ __all__ = [
     "all_facility_cost_vectors",
     "dominates",
     "dominates_or_equal",
-    "from_networkx",
     "graph_from_edge_list",
-    "to_networkx",
     "read_facilities",
     "read_graph",
     "shortest_path_between_nodes",

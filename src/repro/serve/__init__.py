@@ -3,7 +3,6 @@
 Layered as::
 
     transports    repro.serve.http  (pure-asyncio HTTP/1.1, SSE)
-                  repro.serve.asgi  (optional ASGI 3 adapter)
                   repro.serve.testing  (in-process client, no sockets)
                         |
     application   repro.serve.app   (routes, envelopes, seq stamping,
@@ -39,7 +38,6 @@ from repro.serve.app import (
     StreamResponse,
     error_envelope,
 )
-from repro.serve.asgi import create_asgi_app
 from repro.serve.faults import (
     FaultPlane,
     InjectedFault,
@@ -90,7 +88,6 @@ __all__ = [
     "batch_response_to_payload",
     "cache_to_payload",
     "collect_events",
-    "create_asgi_app",
     "error_envelope",
     "execute_fault_hook",
     "faulty_disk",

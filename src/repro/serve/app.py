@@ -1149,10 +1149,28 @@ class ServeApp:
             )
 
     def _decode_policy(self, payload: dict) -> ExecutionPolicy | None:
+        """Decode a request's policy; it may not change the served data layer.
+
+        Each distinct ``residency``/``page_size``/``buffer_fraction`` would
+        build a whole storage and engine that the session keeps for the
+        server's life, so a wire policy must keep the served values.
+        """
         raw = payload.get("policy")
         if raw is None:
             return None
-        return self._decode("invalid-policy", policy_from_payload, raw)
+        policy = self._decode("invalid-policy", policy_from_payload, raw)
+        served = self._session.policy
+        changed = [
+            f"{name}={getattr(policy, name)!r} (served: {getattr(served, name)!r})"
+            for name in ("residency", "page_size", "buffer_fraction")
+            if getattr(policy, name) != getattr(served, name)
+        ]
+        if changed:
+            raise PolicyError(
+                "a request policy cannot change the served data layer: "
+                + ", ".join(changed)
+            )
+        return policy
 
     @staticmethod
     def _decode(code: str, fn, *args):

@@ -11,9 +11,7 @@ in-process transport by the differential harness — the listener only
 translates bytes.
 
 Deliberate non-goals: keep-alive, chunked request bodies, TLS,
-HTTP/2.  This is the reproduction's front door, not a general web server;
-a production deployment would mount :func:`repro.serve.create_asgi_app`
-under a real ASGI server instead.
+HTTP/2.  This is the reproduction's front door, not a general web server.
 """
 
 from __future__ import annotations

@@ -14,10 +14,13 @@ A pack can be opened in two modes:
 * **standalone** — queries run against :class:`PackedGraphView` /
   :class:`PackedFacilityView`, thin read-only views that answer the graph
   protocol (``has_node``/``has_edge``/``edge``/...) by bisecting the pack's
-  binary sections in place; nothing graph-sized is materialised in RAM;
-* **attached** — the original ``MultiCostGraph``/``FacilitySet`` are passed
-  in, which additionally enables the compiled fast path and lets the same
-  session compare simulated and file-backed residencies side by side.
+  binary sections in place; nothing graph-sized is materialised in RAM.
+  This is how :class:`~repro.api.Session` opens a pack;
+* **attached** — an engine-level option: the original
+  ``MultiCostGraph``/``FacilitySet`` are passed in, after a check that
+  their shape matches the catalog's.  It is the only way the compiled
+  kernel's page plans run over a ``FileDisk``, and it stays for that
+  parity until the kernel can be built from a pack's own sections.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from repro.errors import GraphError, PackFormatError
+from repro.errors import GraphError, PackFormatError, StorageError
 from repro.network.costs import CostVector
 from repro.network.graph import Edge, EdgeId, Node, NodeId
 from repro.storage.btree import StaticBPlusTree
@@ -395,7 +398,31 @@ class PackedDataset:
         graph=None,
         facilities=None,
     ) -> PackedNetworkStorage:
-        """A fresh accessor over this pack (each gets its own LRU buffer)."""
+        """A fresh accessor over this pack (each gets its own LRU buffer).
+
+        Attached — ``graph`` and ``facilities`` given — the storage answers
+        through them instead of the pack's views.  Raises
+        :class:`~repro.errors.StorageError` naming every catalog count
+        (``num_nodes``, ``num_edges``, ``num_cost_types``,
+        ``num_facilities``) they do not match.
+        """
+        if graph is not None:
+            catalog = self._catalog
+            mismatches = [
+                f"{name}: pack has {packed}, given {live}"
+                for name, packed, live in (
+                    ("num_nodes", catalog.num_nodes, graph.num_nodes),
+                    ("num_edges", catalog.num_edges, graph.num_edges),
+                    ("num_cost_types", catalog.num_cost_types, graph.num_cost_types),
+                    ("num_facilities", catalog.num_facilities, len(facilities)),
+                )
+                if packed != live
+            ]
+            if mismatches:
+                raise StorageError(
+                    f"dataset pack {self.path!r} does not match the attached "
+                    "workload (" + "; ".join(mismatches) + ")"
+                )
         return PackedNetworkStorage(
             self._disk,
             self._catalog,

@@ -59,6 +59,7 @@ class TestValidation:
         [
             ("algorithm", "dijkstra"),
             ("residency", "ram"),
+            ("residency", "dataset"),
             ("compiled", "yes"),
             ("page_size", 64),
             ("page_size", "big"),
@@ -82,8 +83,8 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "fields",
-        [{"vector": "off"}, {"harvest_settled": True}],
-        ids=["removed-field", "removed-field-harvest"],
+        [{"vector": "off"}, {"harvest_settled": True}, {"dataset_path": "x.mcnpack"}],
+        ids=["removed-field", "removed-field-harvest", "removed-field-dataset-path"],
     )
     def test_removed_field_rejected_at_construction(self, fields):
         (field,) = fields
@@ -183,7 +184,6 @@ GOLDEN_POLICY = ExecutionPolicy(
 GOLDEN_PAYLOAD = {
     "algorithm": "lsa",
     "residency": "disk",
-    "dataset_path": None,
     "compiled": "on",
     "page_size": 1024,
     "buffer_fraction": 0.05,
@@ -224,8 +224,13 @@ class TestPayloadCodecs:
 
     @pytest.mark.parametrize(
         "payload",
-        [{"worker": 3}, {"vector": "off"}, {"harvest_settled": True}],
-        ids=["typo", "removed-field", "removed-field-harvest"],
+        [
+            {"worker": 3},
+            {"vector": "off"},
+            {"harvest_settled": True},
+            {"dataset_path": "x.mcnpack"},
+        ],
+        ids=["typo", "removed-field", "removed-field-harvest", "removed-field-dataset-path"],
     )
     def test_unknown_field_rejected(self, payload):
         (field,) = payload

@@ -20,7 +20,6 @@ from repro.api import (
 from repro.datagen import UpdateStreamSpec, WorkloadSpec, make_update_stream, make_workload
 from repro.errors import PolicyError, QueryError
 from repro.monitor import MonitoringService, delta_report_to_payload
-from repro.network.accessor import InMemoryAccessor
 from repro.network.facilities import FacilitySet
 from repro.parallel import ShardedQueryService
 from repro.service import QueryService, SkylineRequest, TopKRequest
@@ -74,76 +73,15 @@ def _direct_report(policy: ExecutionPolicy, requests):
     return QueryService(engine, policy=policy.replace(workers=1)).run_batch(requests)
 
 
-class _NoSnapshotAccessor:
-    """An in-process accessor without snapshot support (delegates otherwise)."""
-
-    def __init__(self, inner: InMemoryAccessor):
-        self._inner = inner
-
-    def __getattr__(self, name: str):
-        if name == "snapshot_view":
-            raise AttributeError(name)
-        return getattr(self._inner, name)
-
-
 class TestSessionConstruction:
     def test_mismatched_facility_set_rejected(self):
         other = make_workload(WorkloadSpec(num_nodes=120, num_facilities=40, seed=1))
         with pytest.raises(QueryError):
             Session(_WORKLOAD.graph, other.facilities)
 
-    def test_storage_and_accessor_conflict(self):
-        accessor = InMemoryAccessor(_WORKLOAD.graph, _WORKLOAD.facilities)
-        session = Session(
-            _WORKLOAD.graph, _WORKLOAD.facilities, policy=ExecutionPolicy(residency="disk")
-        )
-        storage = session.storage_for()
-        with pytest.raises(PolicyError):
-            Session(
-                _WORKLOAD.graph, _WORKLOAD.facilities, storage=storage, accessor=accessor
-            )
-
     def test_non_policy_rejected(self):
         with pytest.raises(PolicyError):
             Session(_WORKLOAD.graph, _WORKLOAD.facilities, policy={"workers": 2})  # type: ignore[arg-type]
-
-    def test_parallel_over_unsnapshotable_accessor_rejected_at_construction(self):
-        accessor = _NoSnapshotAccessor(
-            InMemoryAccessor(_WORKLOAD.graph, _WORKLOAD.facilities)
-        )
-        with pytest.raises(PolicyError, match="snapshot"):
-            Session(
-                _WORKLOAD.graph,
-                _WORKLOAD.facilities,
-                accessor=accessor,
-                policy=ExecutionPolicy(workers=2),
-            )
-
-    def test_parallel_override_over_unsnapshotable_accessor_rejected_before_running(self):
-        accessor = _NoSnapshotAccessor(
-            InMemoryAccessor(_WORKLOAD.graph, _WORKLOAD.facilities)
-        )
-        # compiled="off": arbitrary accessors have no columnar compilation.
-        plain = ExecutionPolicy(compiled="off")
-        session = Session(
-            _WORKLOAD.graph, _WORKLOAD.facilities, accessor=accessor, policy=plain
-        )
-        # Sequential execution over the plain accessor is fine...
-        assert len(session.run_batch(_requests()[:2])) == 2
-        # ...but a parallel override is rejected at policy resolution, not
-        # somewhere in the middle of the batch.
-        with pytest.raises(PolicyError, match="workers=2"):
-            session.run_batch(_requests(), policy=plain.replace(workers=2))
-
-    def test_disk_residency_over_in_memory_accessor_rejected(self):
-        accessor = InMemoryAccessor(_WORKLOAD.graph, _WORKLOAD.facilities)
-        with pytest.raises(PolicyError, match="residency"):
-            Session(
-                _WORKLOAD.graph,
-                _WORKLOAD.facilities,
-                accessor=accessor,
-                policy=ExecutionPolicy(residency="disk"),
-            )
 
 
 class TestSessionCaching:
@@ -180,20 +118,6 @@ class TestSessionCaching:
     def test_memory_policy_has_no_storage(self):
         session = Session(_WORKLOAD.graph, _WORKLOAD.facilities)
         assert session.storage_for() is None
-
-    def test_explicit_storage_backs_disk_policies(self):
-        builder = Session(
-            _WORKLOAD.graph, _WORKLOAD.facilities, policy=ExecutionPolicy(residency="disk")
-        )
-        storage = builder.storage_for()
-        session = Session(
-            _WORKLOAD.graph,
-            _WORKLOAD.facilities,
-            storage=storage,
-            policy=ExecutionPolicy(residency="disk"),
-        )
-        assert session.storage_for() is storage
-        assert session.engine_for().storage is storage
 
     def test_auto_compiled_resolves_at_call_time(self, monkeypatch):
         session = Session(_WORKLOAD.graph, _WORKLOAD.facilities)

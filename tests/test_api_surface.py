@@ -49,8 +49,6 @@ SESSION_SIGNATURES = {
     "__init__": (
         "(self, graph: 'MultiCostGraph | None' = None, "
         "facilities: 'FacilitySet | None' = None, *, "
-        "storage: 'NetworkStorage | None' = None, "
-        "accessor: 'GraphAccessor | None' = None, "
         "policy: 'ExecutionPolicy | None' = None, "
         "dataset_path: 'str | None' = None, "
         "verify_checksum: 'bool' = True, "
@@ -93,7 +91,6 @@ SESSION_SIGNATURES = {
 POLICY_SCHEMA = [
     ("algorithm", "cea"),
     ("residency", "memory"),
-    ("dataset_path", None),
     ("compiled", "auto"),
     ("page_size", 4096),
     ("buffer_fraction", 0.01),

@@ -128,9 +128,20 @@ class TestGoldenReplay:
         assert report.io.page_reads == expected["page_reads"]
         assert report.io.buffer_hits == expected["buffer_hits"]
 
+
+#: The fixtures whose storage an :class:`ExecutionPolicy` can describe.  A
+#: policy's ``buffer_fraction`` lies in (0, 1], so a fixture pinned on a
+#: zero-page buffer replays only on the hand-built storages above.
+POLICY_FIXTURE_PATHS = [
+    path for path in FIXTURE_PATHS if load_fixture(path)["buffer_fraction"] > 0
+]
+
+
+@pytest.mark.parametrize("path", POLICY_FIXTURE_PATHS, ids=lambda p: p.stem)
+class TestGoldenPolicyReplay:
     @pytest.mark.parametrize("compiled", ["on", "off"], ids=["kernel", "record-path"])
     def test_kernel_selection_replay_is_bit_identical(self, path, compiled):
-        """Both policy selections reproduce every golden fixture exactly.
+        """Both policy selections reproduce every policy-expressible golden fixture.
 
         Routed through :class:`~repro.api.Session` and pinned independently
         of the ``REPRO_COMPILED`` environment: ``compiled="on"`` must run the
@@ -140,17 +151,15 @@ class TestGoldenReplay:
         """
         fixture = load_fixture(path)
         workload = make_workload(workload_spec_from_payload(fixture["workload"]))
-        storage = NetworkStorage.build(
-            workload.graph,
-            workload.facilities,
-            page_size=fixture["page_size"],
-            buffer_fraction=fixture["buffer_fraction"],
-        )
         session = Session(
             workload.graph,
             workload.facilities,
-            storage=storage,
-            policy=ExecutionPolicy(residency="disk", compiled=compiled),
+            policy=ExecutionPolicy(
+                residency="disk",
+                page_size=fixture["page_size"],
+                buffer_fraction=fixture["buffer_fraction"],
+                compiled=compiled,
+            ),
         )
         compiled_graph = session.engine_for().compiled_graph
         if compiled == "on":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import ExecutionPolicy, Session
+from repro.api import Session
 from repro.cli import main
 from repro.core.engine import MCNQueryEngine
 from repro.datagen.road_network import (
@@ -19,7 +19,7 @@ from repro.datagen.road_network import (
     build_packed_dataset,
     materialize_packed_dataset,
 )
-from repro.errors import DataGenerationError, PackChecksumError, PolicyError
+from repro.errors import DataGenerationError, PackChecksumError, PolicyError, StorageError
 from repro.network import NetworkLocation
 from repro.storage import NetworkStorage, open_dataset, pack_network_storage
 
@@ -162,18 +162,6 @@ class TestDatasetSession:
         with pytest.raises(PolicyError):
             Session(graph, facilities, dataset_path=str(streamed_path))
 
-    def test_dataset_residency_policy_on_graph_backed_session(
-        self, streamed_path, materialized
-    ):
-        graph, facilities = materialized
-        policy = ExecutionPolicy(residency="dataset", dataset_path=str(streamed_path))
-        query = NetworkLocation.at_node(1)
-        with Session(graph, facilities) as session:
-            want = session.skyline(query).result.facility_ids()
-            response = session.skyline(query, policy=policy)
-            assert response.result.facility_ids() == want
-            assert response.io.page_reads > 0
-
     def test_mismatched_pack_rejected(self, materialized, tmp_path):
         other = tmp_path / "other-shape.mcnpack"
         build_packed_dataset(
@@ -181,14 +169,12 @@ class TestDatasetSession:
             str(other),
         )
         graph, facilities = materialized
-        policy = ExecutionPolicy(residency="dataset", dataset_path=str(other))
-        with Session(graph, facilities) as session:
-            with pytest.raises(PolicyError, match="num_nodes"):
-                session.skyline(NetworkLocation.at_node(0), policy=policy)
-
-    def test_dataset_residency_requires_a_path(self):
-        with pytest.raises(PolicyError, match="dataset_path"):
-            ExecutionPolicy(residency="dataset")
+        with open_dataset(str(other)) as dataset:
+            with pytest.raises(StorageError, match="num_nodes") as raised:
+                dataset.storage(graph=graph, facilities=facilities)
+        message = str(raised.value)
+        assert "num_edges" in message and "num_facilities" in message
+        assert "num_cost_types" not in message
 
 
 class TestDatasetCli:

@@ -26,7 +26,6 @@ from repro.serve import (
     ServeConfig,
     StreamEvent,
     collect_events,
-    create_asgi_app,
     sse_encode,
 )
 from repro.serve.streaming import DeltaBroker
@@ -351,8 +350,22 @@ class TestMalformedPayloads:
 
     @pytest.mark.parametrize(
         "policy",
-        [{"residency": "floppy"}, {"vector": "off"}, {"harvest_settled": True}],
-        ids=["bad-value", "removed-field", "removed-field-harvest"],
+        [
+            {"residency": "floppy"},
+            {"vector": "off"},
+            {"harvest_settled": True},
+            {"residency": "dataset", "dataset_path": __file__},
+            {"dataset_path": None},
+            {"residency": "disk", "page_size": 1000},
+        ],
+        ids=[
+            "bad-value",
+            "removed-field",
+            "removed-field-harvest",
+            "dataset-residency",
+            "removed-field-dataset-path",
+            "disk-residency",
+        ],
     )
     def test_bad_policy_payload_is_invalid_policy(self, client_app, policy):
         _app_obj, client = client_app
@@ -510,45 +523,6 @@ class TestHttpTransport:
                 assert payload["error"]["code"] == "payload-too-large"
 
         _run(scenario())
-
-    def test_asgi_adapter_rejects_non_serve_apps(self):
-        from repro.errors import ServeError
-
-        with pytest.raises(ServeError, match="ServeApp"):
-            create_asgi_app("not an app")
-
-    def test_asgi_lifespan_and_request_cycle(self):
-        async def scenario():
-            app = _app(request_timeout_seconds=30.0)
-            asgi = create_asgi_app(app)
-            sent = []
-
-            async def receive_http():
-                return {"type": "http.request", "body": b"", "more_body": False}
-
-            async def send(message):
-                sent.append(message)
-
-            await asgi(
-                {"type": "http", "method": "GET", "path": "/v1/health"},
-                receive_http,
-                send,
-            )
-            status = sent[0]["status"]
-            body = json.loads(sent[1]["body"])
-            # Lifespan shutdown closes the app.
-            lifespan_messages = iter(
-                [{"type": "lifespan.startup"}, {"type": "lifespan.shutdown"}]
-            )
-
-            async def receive_lifespan():
-                return next(lifespan_messages)
-
-            await asgi({"type": "lifespan"}, receive_lifespan, send)
-            return status, body, app.closed
-
-        status, body, closed = _run(scenario())
-        assert status == 200 and body["status"] == "ok" and closed
 
     def test_http_sse_stream_delivers_init_and_delta(self):
         async def scenario():

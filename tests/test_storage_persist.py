@@ -322,7 +322,7 @@ class TestShardedBatchOverPack:
             else TopKRequest(query, 3, weights=(0.5, 0.3, 0.2))
             for index, query in enumerate(workload.queries)
         ]
-        return workload, storage, str(path), requests
+        return workload, str(path), requests
 
     @staticmethod
     def _answers(batch):
@@ -335,12 +335,11 @@ class TestShardedBatchOverPack:
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_sharded_batch_matches_the_simulated_disk(self, shard_case, executor):
-        workload, storage, path, requests = shard_case
+        workload, path, requests = shard_case
         policy = ExecutionPolicy(buffer_fraction=0.02, workers=2, executor=executor)
         with Session(
             workload.graph,
             workload.facilities,
-            storage=storage,
             policy=policy.replace(residency="disk", page_size=1024),
         ) as simulated:
             want = simulated.run_batch(requests)
