@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import Session
+from repro.api import ExecutionPolicy, Session
 from repro.cli import main
 from repro.core.engine import MCNQueryEngine
 from repro.datagen.road_network import (
@@ -20,8 +20,13 @@ from repro.datagen.road_network import (
     materialize_packed_dataset,
 )
 from repro.errors import DataGenerationError, PackChecksumError, PolicyError, StorageError
-from repro.network import NetworkLocation
-from repro.storage import NetworkStorage, open_dataset, pack_network_storage
+from repro.network import FacilitySet, MultiCostGraph, NetworkLocation
+from repro.storage import (
+    NetworkStorage,
+    PackedNetworkStorage,
+    open_dataset,
+    pack_network_storage,
+)
 
 SPEC = PackedDatasetSpec(
     rows=10,
@@ -46,6 +51,32 @@ def streamed_path(tmp_path_factory):
 def materialized(tmp_path_factory):
     graph, facilities = materialize_packed_dataset(SPEC)
     return graph, facilities
+
+
+SHAPE_COUNTS = ("num_nodes", "num_edges", "num_cost_types", "num_facilities")
+
+
+def _reshaped(graph, facilities, count):
+    """A copy of the workload whose shape differs from ``graph``'s in ``count`` alone."""
+    extra_costs = (1.0,) if count == "num_cost_types" else ()
+    copy = MultiCostGraph(graph.num_cost_types + len(extra_costs), directed=graph.directed)
+    for node in graph.nodes():
+        copy.add_node(node.node_id, node.x, node.y)
+    for edge in graph.edges():
+        copy.add_edge(
+            edge.u,
+            edge.v,
+            tuple(edge.costs) + extra_costs,
+            length=edge.length,
+            edge_id=edge.edge_id,
+        )
+    if count == "num_nodes":
+        copy.add_node(max(copy.node_ids()) + 1)
+    elif count == "num_edges":
+        first, second = sorted(copy.node_ids())[:2]
+        copy.add_edge(first, second, (1.0,) * copy.num_cost_types)
+    kept = list(facilities)[1:] if count == "num_facilities" else facilities
+    return copy, FacilitySet(copy, kept)
 
 
 class TestSpecValidation:
@@ -175,6 +206,59 @@ class TestDatasetSession:
         message = str(raised.value)
         assert "num_edges" in message and "num_facilities" in message
         assert "num_cost_types" not in message
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            ExecutionPolicy(),
+            ExecutionPolicy(residency="disk"),
+            ExecutionPolicy(residency="disk", page_size=1024),
+            ExecutionPolicy(residency="disk", buffer_fraction=0.5),
+            ExecutionPolicy(compiled="on"),
+        ],
+        ids=["memory", "disk", "disk-page-size", "disk-buffer-fraction", "compiled"],
+    )
+    def test_every_policy_runs_on_the_pack(self, streamed_path, policy):
+        with Session(dataset_path=str(streamed_path)) as session:
+            pack = session.storage_for()
+            assert isinstance(pack, PackedNetworkStorage)
+            assert session.storage_for(policy) is pack
+            engine = session.engine_for(policy)
+            assert engine is session.engine_for()
+            assert engine.storage is pack and engine.compiled_graph is None
+            response = session.skyline(NetworkLocation.at_node(1), policy=policy)
+            assert response.io.page_reads > 0
+
+    @pytest.mark.parametrize("buffer_fraction", [0.02, 0.5, 1.0])
+    def test_pack_buffer_sized_by_the_default_policy(self, streamed_path, buffer_fraction):
+        with open_dataset(str(streamed_path)) as dataset:
+            want = dataset.storage(buffer_fraction=buffer_fraction).buffer.capacity
+        policy = ExecutionPolicy(buffer_fraction=buffer_fraction)
+        with Session(dataset_path=str(streamed_path), policy=policy) as session:
+            assert session.storage_for().buffer.capacity == want
+            # A per-call buffer_fraction does not resize the open pack's buffer.
+            other = policy.replace(buffer_fraction=0.9)
+            assert session.storage_for(other).buffer.capacity == want
+
+
+class TestAttachedPack:
+    def test_matching_workload_is_attached(self, streamed_path, materialized):
+        graph, facilities = materialized
+        with open_dataset(str(streamed_path)) as dataset:
+            packed = dataset.storage(graph=graph, facilities=facilities)
+            assert packed.graph is graph and packed.facilities is facilities
+
+    @pytest.mark.parametrize("count", SHAPE_COUNTS)
+    def test_each_mismatched_count_is_named(self, streamed_path, materialized, count):
+        graph, facilities = _reshaped(*materialized, count)
+        with open_dataset(str(streamed_path)) as dataset:
+            with pytest.raises(StorageError) as raised:
+                dataset.storage(graph=graph, facilities=facilities)
+        message = str(raised.value)
+        assert f"{count}: pack has" in message
+        for other in SHAPE_COUNTS:
+            if other != count:
+                assert other not in message
 
 
 class TestDatasetCli:

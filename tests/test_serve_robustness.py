@@ -16,7 +16,8 @@ import threading
 
 import pytest
 
-from repro.api import Session
+from repro.api import DEFAULT_POLICY, ExecutionPolicy, Session
+from repro.api.policy import policy_to_payload
 from repro.datagen import WorkloadSpec, make_workload
 from repro.network.facilities import FacilitySet
 from repro.serve import (
@@ -357,6 +358,9 @@ class TestMalformedPayloads:
             {"residency": "dataset", "dataset_path": __file__},
             {"dataset_path": None},
             {"residency": "disk", "page_size": 1000},
+            {"residency": "disk"},
+            {"page_size": 1024},
+            {"buffer_fraction": 0.5},
         ],
         ids=[
             "bad-value",
@@ -365,6 +369,9 @@ class TestMalformedPayloads:
             "dataset-residency",
             "removed-field-dataset-path",
             "disk-residency",
+            "disk-residency-default-pages",
+            "page-size",
+            "buffer-fraction",
         ],
     )
     def test_bad_policy_payload_is_invalid_policy(self, client_app, policy):
@@ -386,6 +393,87 @@ class TestMalformedPayloads:
         before, status, after = _run(scenario())
         assert status == 200 and after == before + 1
         _run(app.aclose())
+
+
+_DISK_POLICY = ExecutionPolicy(residency="disk", page_size=1024, buffer_fraction=0.05)
+
+
+class TestWirePolicyDataLayer:
+    """A request policy may tune execution but never the served data layer."""
+
+    @pytest.fixture(scope="class")
+    def memory_client(self):
+        app = _app(request_timeout_seconds=30.0)
+        yield InProcessClient(app)
+        _run(app.aclose())
+
+    @pytest.fixture(scope="class")
+    def disk_client(self):
+        session = Session(
+            _WORKLOAD.graph,
+            FacilitySet(_WORKLOAD.graph, iter(_WORKLOAD.facilities)),
+            policy=_DISK_POLICY,
+        )
+        app = ServeApp(session, config=ServeConfig(request_timeout_seconds=30.0))
+        yield InProcessClient(app)
+        _run(app.aclose())
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            {"compiled": "off"},
+            {"algorithm": "lsa"},
+            {"memoize_results": False},
+            policy_to_payload(DEFAULT_POLICY),
+        ],
+        ids=["compiled", "algorithm", "memoize", "full-default-payload"],
+    )
+    def test_policy_keeping_the_served_data_layer_is_accepted(self, memory_client, policy):
+        payload = dict(_query_payload(), policy=policy)
+        response = _run(memory_client.post("/v1/query", payload))
+        assert response.status == 200, response.payload
+
+    @pytest.mark.parametrize(
+        "policy, status",
+        [
+            (policy_to_payload(_DISK_POLICY), 200),
+            (policy_to_payload(_DISK_POLICY.replace(compiled="off")), 200),
+            (policy_to_payload(_DISK_POLICY.replace(page_size=2048)), 400),
+            (policy_to_payload(_DISK_POLICY.replace(residency="memory")), 400),
+            ({"compiled": "off"}, 400),
+        ],
+        ids=["served", "served-compiled-off", "page-size", "memory", "partial-payload"],
+    )
+    def test_disk_served_policy_must_name_the_served_pages(self, disk_client, policy, status):
+        payload = dict(_query_payload(), policy=policy)
+        response = _run(disk_client.post("/v1/query", payload))
+        if status == 200:
+            assert response.status == 200, response.payload
+        else:
+            _assert_envelope(response, 400, "invalid-policy")
+
+    def test_refused_policies_build_no_data_layer(self):
+        app = _app(request_timeout_seconds=30.0)
+        client = InProcessClient(app)
+        session = app.session
+
+        async def scenario():
+            served = await client.post("/v1/query", _query_payload())
+            engines = list(session._engines)
+            refused = []
+            for page_size in (1000, 1001):
+                policy = {"residency": "disk", "page_size": page_size}
+                response = await client.post(
+                    "/v1/query", dict(_query_payload(), policy=policy)
+                )
+                refused.append(response.status)
+            after = (list(session._engines), dict(session._storages))
+            await app.aclose()
+            return served.status, engines, refused, after
+
+        status, engines, refused, (engines_after, storages_after) = _run(scenario())
+        assert status == 200 and refused == [400, 400]
+        assert engines_after == engines and storages_after == {}
 
 
 class TestInternalFailuresAndShutdown:
