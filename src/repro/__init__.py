@@ -11,7 +11,9 @@ monitored execution.  It runs on the Python standard library alone.
 The public entry point is the :mod:`repro.api` facade: one
 :class:`~repro.api.Session` owns the dataset, one declarative
 :class:`~repro.api.ExecutionPolicy` (frozen, JSON-serialisable) says how to
-execute, and every call returns a uniform response envelope::
+execute — a call may override only how it runs (algorithm, workers,
+routing, executor, temporal source) — and every call returns a uniform
+response envelope::
 
     from repro import SkylineRequest, TopKRequest
     from repro.api import ExecutionPolicy, Session
@@ -46,11 +48,12 @@ execute, and every call returns a uniform response envelope::
     tick.deltas[0].entered  # facilities that joined the skyline
 
     # Fast path: the one compiled expansion kernel over a CSR snapshot —
-    # answers and I/O accounting bit-identical, queries just faster.  Or
+    # answers and I/O accounting bit-identical, queries just faster.  It
+    # shapes the session's engine, so the session is built with it.  Or
     # globally: REPRO_COMPILED=1.
-    fast = session.run_batch(
-        [SkylineRequest(query)], policy=session.policy.replace(compiled="on")
-    )
+    fast = Session(workload.graph, workload.facilities,
+                   policy=session.policy.replace(compiled="on"))
+    fast.run_batch([SkylineRequest(query)])
 
 Datasets can also live on disk as single checksummed *pack* files
 (:mod:`repro.storage.persist` / :mod:`repro.storage.catalog`): build once

@@ -5,7 +5,9 @@ it (:class:`~repro.MCNQueryEngine`, :class:`~repro.QueryService`,
 :class:`~repro.ShardedQueryService`, :class:`~repro.MonitoringService`).
 Callers describe *how* to execute with a declarative, JSON-serialisable
 :class:`ExecutionPolicy` and hand requests to a :class:`Session`, which
-lazily builds and caches whatever stack the policy needs::
+lazily builds the one stack its policy describes.  A call may pass a
+policy that changes only how that call runs (``algorithm``, ``workers``,
+``routing``, ``executor``, ``temporal``, ``profile_source``)::
 
     from repro.api import ExecutionPolicy, Session
 

@@ -97,6 +97,15 @@ def resolve_compiled(mode: str) -> bool:
 class ExecutionPolicy:
     """One serialisable description of *how* queries execute.
 
+    A :class:`~repro.api.Session` is built with one policy, and that policy
+    alone shapes what the session keeps.  A call may pass its own policy,
+    but it may differ from the session's only in the six fields that pick
+    how that one call runs: ``algorithm``, ``workers``, ``routing``,
+    ``executor``, ``temporal`` and ``profile_source``.  A call policy that
+    changes any other field is refused with
+    :class:`~repro.errors.PolicyError` (see
+    :meth:`~repro.api.Session.check_policy`).
+
     Parameters
     ----------
     algorithm:
@@ -110,8 +119,9 @@ class ExecutionPolicy:
         runs on that pack whatever the residency says.
     compiled:
         Columnar fast-path mode: ``"on"``, ``"off"`` or ``"auto"`` (defer to
-        the ``REPRO_COMPILED`` environment toggle at resolution time).
-        Answers and I/O counters are identical either way.
+        the ``REPRO_COMPILED`` environment toggle, which a session reads
+        once, when it builds its engine).  Answers and I/O counters are
+        identical either way.
     page_size / buffer_fraction:
         Storage-scheme knobs, used only under ``residency="disk"``.
     workers / routing / executor:

@@ -17,19 +17,24 @@ behind three verbs:
   :class:`TickResponse` envelopes.
 
 All three accept the same request types
-(:class:`~repro.service.SkylineRequest` / :class:`~repro.service.TopKRequest`)
-and an optional per-call :class:`~repro.api.policy.ExecutionPolicy` override.
-Engines, storages, compiled graphs, cross-query caches and shard pools are
-constructed lazily and cached per resolved policy, so repeated calls with
-the same configuration reuse one warm stack.
+(:class:`~repro.service.SkylineRequest` / :class:`~repro.service.TopKRequest`).
+The session's own :class:`~repro.api.policy.ExecutionPolicy` is the only
+thing that shapes what it keeps: one data layer, one engine, one
+:class:`~repro.QueryService` and one :class:`~repro.MonitoringService`,
+each built lazily, plus one snapshot executor per registered profile set.
+:meth:`Session.query`, :meth:`Session.run_batch` and :meth:`Session.sweep`
+accept a per-call policy that may change only how that call runs
+(``algorithm``, ``workers``, ``routing``, ``executor``, ``temporal``,
+``profile_source``); :meth:`Session.check_policy` refuses any other change.
 
 A session's data layer is one decision: a session opened on a dataset pack
-always runs on that pack; every other session runs on what the resolved
-policy's ``residency`` names — the in-memory accessor, or a simulated-disk
+always runs on that pack; every other session runs on what its policy's
+``residency`` names — the in-memory accessor, or a simulated-disk
 :class:`~repro.storage.NetworkStorage` shaped by ``page_size`` and
-``buffer_fraction``.  Policy/dataset conflicts (e.g. a temporal policy on a
-pack) are rejected with :class:`~repro.errors.PolicyError` when the policy
-is *resolved* — at session construction or call entry — never mid-batch.
+``buffer_fraction``.  Policy conflicts (a call policy changing a kept
+field, a temporal policy on a pack) are rejected with
+:class:`~repro.errors.PolicyError` when the policy is *resolved* — at
+session construction or call entry — never mid-batch.
 
 Note that monitoring mutates the session's facility set: engines built for
 ``residency="disk"`` snapshot the set at build time and keep answering over
@@ -56,6 +61,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
+import time
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -83,7 +90,7 @@ from repro.storage.catalog import PackedNetworkStorage, open_dataset
 from repro.storage.scheme import NetworkStorage
 
 if TYPE_CHECKING:  # pragma: no cover - the executor is imported lazily
-    from repro.temporal.executor import SweepResponse
+    from repro.temporal.executor import SweepResponse, TemporalExecutor
     from repro.temporal.requests import SweepRequest
 
 __all__ = [
@@ -93,6 +100,16 @@ __all__ = [
     "Session",
     "TickResponse",
 ]
+
+#: The policy fields a call may change: they pick how that one call runs.
+#: Every other field shapes what the session keeps, so only the session's
+#: own policy sets it.
+_CALL_FIELDS = ("algorithm", "workers", "routing", "executor", "temporal", "profile_source")
+_KEPT_FIELDS = tuple(
+    field.name
+    for field in dataclasses.fields(ExecutionPolicy)
+    if field.name not in _CALL_FIELDS
+)
 
 
 @dataclass(frozen=True)
@@ -338,7 +355,7 @@ class MonitorHandle:
 
 
 class Session:
-    """One dataset, one object, every execution stack.
+    """One dataset, one object, one execution stack.
 
     Parameters
     ----------
@@ -347,14 +364,17 @@ class Session:
     facilities:
         The facility set over ``graph``.  Monitoring mutates it in place.
     policy:
-        The session's default :class:`~repro.api.policy.ExecutionPolicy`;
-        every call accepts a per-call override.  Without ``dataset_path``
-        its ``residency`` picks the data layer.
+        The session's :class:`~repro.api.policy.ExecutionPolicy`.  It alone
+        shapes the data layer (without ``dataset_path`` its ``residency``
+        picks it), the engine, the batch service, the monitor and the
+        snapshot LRUs; a per-call policy may change only ``algorithm``,
+        ``workers``, ``routing``, ``executor``, ``temporal`` and
+        ``profile_source`` (see :meth:`check_policy`).
     dataset_path:
         Open the session directly over a file-backed dataset pack (mutually
         exclusive with ``graph``/``facilities``).  The graph and facility
         set are then read-only ``mmap``-backed views of the pack, and every
-        query runs through the pack's storage, whose buffer the default
+        query runs through the pack's storage, whose buffer the session
         policy's ``buffer_fraction`` sizes; the policy's ``residency`` and
         page knobs do not apply.  The compiled fast path is off (it needs
         the in-memory topology) and :meth:`monitor` is rejected.
@@ -380,6 +400,7 @@ class Session:
         verify_checksum: bool = True,
         profiles: dict[str, object] | None = None,
     ):
+        self._policy = self._coerce_policy(policy)
         self._pack: PackedNetworkStorage | None = None
         if dataset_path is not None:
             if graph is not None or facilities is not None:
@@ -388,9 +409,8 @@ class Session:
                     "pass graph/facilities — open the pack alone, or keep the "
                     "in-memory workload and pick its residency by policy"
                 )
-            coerced = self._coerce_policy(policy)
             dataset = open_dataset(dataset_path, verify_checksum=verify_checksum)
-            self._pack = dataset.storage(buffer_fraction=coerced.buffer_fraction)
+            self._pack = dataset.storage(buffer_fraction=self._policy.buffer_fraction)
             graph = self._pack.graph
             facilities = self._pack.facilities
         elif graph is None or facilities is None:
@@ -403,15 +423,14 @@ class Session:
         self._graph = graph
         self._facilities = facilities
         self._profiles = self._coerce_profiles(graph, profiles)
-        self._temporal: dict[tuple, object] = {}
-        self._default_policy = self._coerce_policy(policy)
-        self._check_policy(self._default_policy)
-        self._storages: dict[tuple[int, float], NetworkStorage] = {}
-        self._engines: dict[tuple, MCNQueryEngine] = {}
-        self._services: dict[tuple, QueryService] = {}
-        self._sharded: dict[tuple, object] = {}
+        self._check_temporal(self._policy)
+        # The one stack, built lazily from the session's policy; the
+        # snapshot executors are keyed on the registered profile names.
+        self._storage: NetworkStorage | None = self._pack
+        self._engine: MCNQueryEngine | None = None
+        self._service: QueryService | None = None
         self._monitor = None
-        self._monitor_key: tuple | None = None
+        self._temporal: dict[str, TemporalExecutor] = {}
         self._latency = LatencyRecorder()
         self._closed = False
         #: Optional callable invoked with the verb name (``"query"`` /
@@ -474,8 +493,8 @@ class Session:
 
     @property
     def policy(self) -> ExecutionPolicy:
-        """The session's default execution policy."""
-        return self._default_policy
+        """The session's execution policy (it shapes everything the session keeps)."""
+        return self._policy
 
     @property
     def profile_names(self) -> tuple[str, ...]:
@@ -520,32 +539,30 @@ class Session:
         return self._closed
 
     def close(self) -> None:
-        """Tear down every cached stack deterministically (idempotent).
+        """Tear down the session's stack deterministically (idempotent).
 
-        Closes the monitoring service (folding its counters), drops the
-        cross-query caches and result memos of every cached
-        :class:`~repro.QueryService`, and releases the cached engines,
-        sharded services and storages.  After ``close`` every execution
-        verb raises :class:`~repro.errors.QueryError` — the serving tier
-        (and tests) rely on this to never leak pooled state between cases.
-        Latency statistics survive, so a shutdown hook can still report.
+        Closes the monitoring service (folding its counters) and every
+        snapshot executor, drops the batch service's cross-query cache and
+        result memo, and releases the engine and the storage.  After
+        ``close`` every execution verb raises
+        :class:`~repro.errors.QueryError` — the serving tier (and tests)
+        rely on this to never leak pooled state between cases.  Latency
+        statistics survive, so a shutdown hook can still report.
         """
         if self._closed:
             return
         self._closed = True
         monitor, self._monitor = self._monitor, None
-        self._monitor_key = None
         if monitor is not None:
             monitor.close()
         temporal, self._temporal = self._temporal, {}
         for executor in temporal.values():
             executor.close()
-        for service in self._services.values():
+        service, self._service = self._service, None
+        if service is not None:
             service.reset_cache()
-        self._services.clear()
-        self._sharded.clear()
-        self._engines.clear()
-        self._storages.clear()
+        self._engine = None
+        self._storage = None
         pack, self._pack = self._pack, None
         if pack is not None:
             pack.disk.close()
@@ -558,61 +575,62 @@ class Session:
         self.close()
 
     def invalidate_result_caches(self) -> int:
-        """Drop every cached service's cross-query cache and result memo.
+        """Drop the batch service's cross-query cache and result memo.
 
         The caches memoise facility placements and whole results, so they
         must be invalidated whenever the session's facility set mutates
-        *outside* a cached service's view — exactly what a serving-tier
-        PATCH tick does.  Returns the number of services invalidated.
-        Engines stay warm (compiled graphs refresh themselves via the
-        facility-set revision changelog).
+        *outside* the service's view — exactly what a serving-tier PATCH
+        tick does.  Returns the number of services invalidated (0 before
+        the first query, 1 after).  The engine stays warm (a compiled graph
+        refreshes itself via the facility-set revision changelog).
         """
         self._ensure_open()
-        for service in self._services.values():
-            service.reset_cache()
-        return len(self._services)
+        if self._service is None:
+            return 0
+        self._service.reset_cache()
+        return 1
 
     def _ensure_open(self) -> None:
         if self._closed:
             raise QueryError(
                 "this Session is closed; build a new Session (close() tears "
-                "down cached engines, services and the monitoring stack)"
+                "down the engine, the service and the monitoring stack)"
             )
 
-    def storage_for(self, policy: ExecutionPolicy | None = None) -> NetworkStorage | None:
-        """The storage the resolved policy runs against (``None`` for memory).
+    def storage_for(self) -> NetworkStorage | None:
+        """The storage this session reads (``None`` for the in-memory layer).
 
-        A pack session always answers with its pack's storage.  Otherwise a
-        disk policy's storage is built lazily (and cached per
-        ``page_size``/``buffer_fraction``) the first time it is needed.
+        A pack session always answers with its pack's storage.  A
+        ``residency="disk"`` session builds its storage, shaped by the
+        policy's ``page_size`` and ``buffer_fraction``, the first time it
+        is needed.
         """
-        resolved = self._resolve(policy)
-        if self._pack is not None:
-            return self._pack
-        if resolved.residency != "disk":
-            return None
-        key = (resolved.page_size, float(resolved.buffer_fraction))
-        if key not in self._storages:
-            self._storages[key] = NetworkStorage.build(
+        self._ensure_open()
+        if self._storage is None and self._policy.residency == "disk":
+            self._storage = NetworkStorage.build(
                 self._graph,
                 self._facilities,
-                page_size=resolved.page_size,
-                buffer_fraction=resolved.buffer_fraction,
+                page_size=self._policy.page_size,
+                buffer_fraction=self._policy.buffer_fraction,
             )
-        return self._storages[key]
+        return self._storage
 
-    def engine_for(self, policy: ExecutionPolicy | None = None) -> MCNQueryEngine:
-        """The (cached) engine the resolved policy executes on."""
-        resolved = self._resolve(policy)
-        key = self._engine_key(resolved)
-        if key not in self._engines:
-            self._engines[key] = MCNQueryEngine(
+    def engine_for(self) -> MCNQueryEngine:
+        """The session's engine, built on first use.
+
+        The compiled fast path is decided once, here: the policy's
+        ``compiled`` mode (``"auto"`` reads ``REPRO_COMPILED`` now), and
+        always off on a pack, which has no in-memory topology to compile.
+        """
+        self._ensure_open()
+        if self._engine is None:
+            self._engine = MCNQueryEngine(
                 self._graph,
                 self._facilities,
-                accessor=self.storage_for(resolved),  # None for memory
-                compiled=self._resolved_compiled(resolved),
+                accessor=self.storage_for(),  # None for memory
+                compiled=self._pack is None and self._policy.resolved_compiled(),
             )
-        return self._engines[key]
+        return self._engine
 
     # ------------------------------------------------------------------ #
     # One-shot execution
@@ -620,32 +638,21 @@ class Session:
     def query(self, request: QueryRequest, *, policy: ExecutionPolicy | None = None) -> Response:
         """Execute one request and return its :class:`Response` envelope.
 
-        The request runs through the policy's (cached) batch service, so
-        repeated sessions calls share the cross-query expansion cache and —
-        when the policy enables it — the result memo.  A request carrying a
+        The request runs through the session's batch service, so repeated
+        calls share the cross-query expansion cache and — when the policy
+        enables it — the result memo.  A request carrying a
         ``departure_time`` requires ``temporal="profiles"`` and runs on the
         (cached) snapshot stack of that time instead.
         """
         if self.fault_hook is not None:
             self.fault_hook("query")
         resolved = self._resolve(policy)
-        departure_time = getattr(request, "departure_time", None)
-        if departure_time is not None:
-            executor = self._temporal_for(resolved)
-            response = executor.query(request, self._static_policy(resolved))
-            response = Response(
-                request=response.request,
-                result=response.result,
-                io=response.io,
-                elapsed_seconds=response.elapsed_seconds,
-                policy=resolved,
-                served_from_memo=response.served_from_memo,
-                ticket=response.ticket,
-            )
-            self._latency.observe("query", response.elapsed_seconds)
-            return response
-        outcome = self._service_for(resolved).execute(request)
-        response = Response.from_outcome(outcome, resolved)
+        if getattr(request, "departure_time", None) is not None:
+            response = self._temporal_for(resolved).query(request)
+            response = dataclasses.replace(response, policy=resolved)
+        else:
+            outcome = self._service_for().execute(request)
+            response = Response.from_outcome(outcome, resolved)
         self._latency.observe("query", response.elapsed_seconds)
         return response
 
@@ -689,67 +696,71 @@ class Session:
     ) -> BatchResponse:
         """Execute ``requests`` under the resolved policy.
 
-        With ``workers == 1`` the batch runs through the policy's sequential
-        :class:`~repro.QueryService`; with ``workers > 1`` it is sharded
-        across a (cached) :class:`~repro.ShardedQueryService`.  Either way
-        the answers, their order and the summed counters are identical to
-        the corresponding direct-service run.
+        The batch runs through the session's :class:`~repro.QueryService`:
+        sequentially with ``workers == 1``, sharded across a
+        :class:`~repro.ShardedQueryService` built for this batch with
+        ``workers > 1``.  Either way the answers, their order and the summed
+        counters are identical to the corresponding direct-service run.
 
         Requests carrying a ``departure_time`` (requires
-        ``temporal="profiles"``) run on their snapshot stacks; a mixed batch
-        is split into maximal same-stack runs executed in submission order,
-        and the envelope sums their counters (shard accounting is then
-        omitted).
+        ``temporal="profiles"``) run on their snapshot stacks; see
+        :meth:`_run_temporal_batch` for how a mixed batch is split.
         """
         if self.fault_hook is not None:
             self.fault_hook("batch")
         resolved = self._resolve(policy)
         if any(getattr(request, "departure_time", None) is not None for request in requests):
-            response = self._run_temporal_batch(list(requests), resolved)
-            self._latency.observe("batch", response.elapsed_seconds)
-            return response
-        if resolved.workers > 1:
-            report = self._sharded_for(resolved).run_batch(requests)
+            response = self._run_temporal_batch(requests, resolved)
         else:
-            report = self._service_for(resolved).run_batch(requests)
-        response = BatchResponse.from_report(report, resolved)
+            report = self._service_for().run_batch(requests, policy=resolved)
+            response = BatchResponse.from_report(report, resolved)
         self._latency.observe("batch", response.elapsed_seconds)
         return response
 
     def _run_temporal_batch(
-        self, requests: list[QueryRequest], resolved: ExecutionPolicy
+        self, requests: Sequence[QueryRequest], resolved: ExecutionPolicy
     ) -> BatchResponse:
-        """Split a (possibly mixed) temporal batch into same-stack runs."""
-        import time as time_module
+        """Run a (possibly mixed) temporal batch in one pass.
 
+        Consecutive requests that share a snapshot key form one run: static
+        requests (key ``None``) go through the session's own service,
+        departure-time requests through the snapshot session of their
+        quantised time in one call, so a run shares that snapshot's caches
+        exactly as a fresh static session running it would.  Runs execute in
+        submission order, and the envelope sums their counters (shard
+        accounting is omitted).
+        """
         executor = self._temporal_for(resolved)
-        static_policy = self._static_policy(resolved)
-        start = time_module.perf_counter()
+        snapshot_policy = self._static_policy(resolved)
+
+        def snapshot_key(request: QueryRequest) -> int | None:
+            departure_time = getattr(request, "departure_time", None)
+            return None if departure_time is None else executor.key(departure_time)
+
+        start = time.perf_counter()
         responses: list[Response] = []
         io = AccessStatistics()
         cache = CacheStatistics()
-        index = 0
-        while index < len(requests):
-            temporal_run = getattr(requests[index], "departure_time", None) is not None
-            end = index + 1
-            while end < len(requests) and (
-                (getattr(requests[end], "departure_time", None) is not None) == temporal_run
-            ):
-                end += 1
-            run = requests[index:end]
-            if temporal_run:
-                batch = executor.run_batch(run, static_policy)
+        for key, group in itertools.groupby(requests, key=snapshot_key):
+            run = list(group)
+            if key is None:
+                batch = BatchResponse.from_report(self._service_for().run_batch(run), resolved)
+                responses.extend(batch.responses)
             else:
-                batch = BatchResponse.from_report(
-                    self._service_for(resolved).run_batch(run), resolved
+                batch = executor.session_at(run[0].departure_time).run_batch(
+                    [executor.strip(request) for request in run], policy=snapshot_policy
                 )
-            responses.extend(batch.responses)
+                # Re-carry the original (time-bearing) requests; answers and
+                # I/O are exactly what the snapshot session measured.
+                responses.extend(
+                    dataclasses.replace(inner, request=original, policy=resolved)
+                    for original, inner in zip(run, batch.responses)
+                )
             io.accumulate(batch.io)
             cache.accumulate(batch.cache)
-            index = end
         return BatchResponse(
             responses=tuple(responses),
-            elapsed_seconds=time_module.perf_counter() - start,
+            elapsed_seconds=time.perf_counter() - start,
             io=io,
             cache=cache,
             policy=resolved,
@@ -772,33 +783,26 @@ class Session:
         if self.fault_hook is not None:
             self.fault_hook("query")
         resolved = self._resolve(policy)
-        executor = self._temporal_for(resolved)
-        response = executor.sweep(request, self._static_policy(resolved))
+        response = self._temporal_for(resolved).sweep(request)
         self._latency.observe("query", response.elapsed_seconds)
         return dataclasses.replace(response, policy=resolved)
 
     # ------------------------------------------------------------------ #
     # Continuous monitoring
     # ------------------------------------------------------------------ #
-    def monitor(
-        self,
-        requests: Sequence[QueryRequest],
-        *,
-        policy: ExecutionPolicy | None = None,
-    ) -> MonitorHandle:
+    def monitor(self, requests: Sequence[QueryRequest]) -> MonitorHandle:
         """Register long-lived subscriptions and return their :class:`MonitorHandle`.
 
-        Monitoring always runs on the in-memory layer over the session's
-        *live* facility set (the policy's ``residency`` / page knobs do not
-        apply); ``compiled``, ``workers``/``routing``/``executor`` and
-        ``shard_fallback_threshold`` configure it.  Because every
-        subscription shares that one mutable set, all :meth:`monitor` calls
-        of a session must resolve to the same monitoring configuration —
-        a conflicting override raises :class:`~repro.errors.PolicyError`.
+        Every call registers on the session's one
+        :class:`~repro.MonitoringService`, built from the session's policy
+        on first use.  Monitoring always runs on the in-memory layer over the
+        session's *live* facility set (the policy's ``residency`` / page
+        knobs do not apply); ``compiled``, ``workers``/``routing``/
+        ``executor`` and ``shard_fallback_threshold`` configure it.
         """
         if self.fault_hook is not None:
             self.fault_hook("monitor")
-        resolved = self._resolve(policy)
+        self._ensure_open()
         if self._pack is not None:
             raise PolicyError(
                 "a dataset-backed session is read-only: monitoring mutates the "
@@ -806,36 +810,52 @@ class Session:
                 "mutated; rebuild the workload in memory (a graph-backed "
                 "Session) to monitor it"
             )
-        key = (
-            resolved.resolved_compiled(),
-            resolved.workers,
-            resolved.routing,
-            resolved.executor,
-            resolved.shard_fallback_threshold,
-        )
         if self._monitor is None:
             from repro.monitor.service import MonitoringService
 
             self._monitor = MonitoringService(
                 self._graph,
                 self._facilities,
-                policy=resolved.replace(residency="memory"),
-            )
-            self._monitor_key = key
-        elif key != self._monitor_key:
-            raise PolicyError(
-                "this session already monitors with a different configuration "
-                f"{self._monitor_key} (compiled, workers, routing, executor, "
-                "shard_fallback_threshold); subscriptions share one live "
-                "facility set, so either reuse the original policy or open a "
-                "separate Session"
+                policy=self._policy.replace(residency="memory"),
             )
         subscription_ids = tuple(self._monitor.subscribe(request) for request in requests)
-        return MonitorHandle(self._monitor, subscription_ids, resolved, self._latency)
+        return MonitorHandle(
+            self._monitor, subscription_ids, self._policy, self._latency
+        )
 
     # ------------------------------------------------------------------ #
-    # Policy resolution internals
+    # Policy resolution
     # ------------------------------------------------------------------ #
+    def check_policy(self, policy: ExecutionPolicy) -> None:
+        """Refuse a call policy this session cannot run as given.
+
+        A call policy may differ from the session's only in the fields that
+        pick how one call runs: ``algorithm``, ``workers``, ``routing``,
+        ``executor``, ``temporal`` and ``profile_source``.  Any other field
+        shapes what the session keeps, so changing it raises
+        :class:`~repro.errors.PolicyError` naming each changed field with
+        both values.  A temporal policy must also name a registered profile
+        set, and a pack session refuses it.  Every verb runs this check
+        before it builds anything; the serving tier runs it when it decodes
+        a wire policy.
+        """
+        policy = self._coerce_policy(policy)
+        kept = self._policy
+        changed = [
+            f"{name}={getattr(policy, name)!r} (session: {getattr(kept, name)!r})"
+            for name in _KEPT_FIELDS
+            if getattr(policy, name) != getattr(kept, name)
+        ]
+        if changed:
+            raise PolicyError(
+                "a call policy may change only how the call runs ("
+                + ", ".join(_CALL_FIELDS)
+                + "), not what the session keeps: "
+                + ", ".join(changed)
+                + "; open a Session with that policy instead"
+            )
+        self._check_temporal(policy)
+
     @staticmethod
     def _coerce_policy(policy: ExecutionPolicy | None) -> ExecutionPolicy:
         if policy is None:
@@ -849,26 +869,13 @@ class Session:
 
     def _resolve(self, policy: ExecutionPolicy | None) -> ExecutionPolicy:
         self._ensure_open()
-        if policy is None:
-            return self._default_policy
-        resolved = self._coerce_policy(policy)
-        if resolved is not self._default_policy:
-            self._check_policy(resolved)
-        return resolved
+        if policy is None or policy is self._policy:
+            return self._policy
+        self.check_policy(policy)
+        return policy
 
-    def _resolved_compiled(self, policy: ExecutionPolicy) -> bool:
-        """The effective fast-path decision for *this* session's data layer.
-
-        A session opened straight over a pack has no in-memory topology to
-        compile, so the fast path is forced off there regardless of the
-        policy mode or the ``REPRO_COMPILED`` toggle.
-        """
-        if self._pack is not None:
-            return False
-        return policy.resolved_compiled()
-
-    def _check_policy(self, policy: ExecutionPolicy) -> None:
-        """Reject policy/dataset conflicts before any execution starts."""
+    def _check_temporal(self, policy: ExecutionPolicy) -> None:
+        """Reject temporal policies this session has no profiles for."""
         if policy.temporal != "profiles":
             return
         if self._pack is not None:
@@ -885,26 +892,13 @@ class Session:
                 "Session(profiles={name: TimeVaryingMCN(...)}))"
             )
 
-    def _engine_key(self, policy: ExecutionPolicy) -> tuple:
-        if self._pack is not None:
-            return ("pack",)
-        compiled = policy.resolved_compiled()
-        if policy.residency == "disk":
-            return (
-                "disk",
-                policy.page_size,
-                float(policy.buffer_fraction),
-                compiled,
-            )
-        return ("memory", compiled)
-
     @staticmethod
     def _static_policy(policy: ExecutionPolicy) -> ExecutionPolicy:
         """The equivalent static policy a snapshot stack executes under."""
         return policy.replace(temporal="off", profile_source=None)
 
-    def _temporal_for(self, policy: ExecutionPolicy):
-        """The (cached) temporal executor the resolved policy routes through."""
+    def _temporal_for(self, policy: ExecutionPolicy) -> TemporalExecutor:
+        """The snapshot executor of the resolved policy's profile set."""
         if policy.temporal != "profiles":
             raise PolicyError(
                 "this request needs the temporal subsystem (it carries a "
@@ -913,46 +907,21 @@ class Session:
                 "ExecutionPolicy(temporal='profiles', profile_source=<name>) "
                 "with a profile set registered on the Session"
             )
-        key = (
-            policy.profile_source,
-            float(policy.temporal_quantum),
-            policy.temporal_cache_size,
-        )
-        if key not in self._temporal:
+        source = policy.profile_source
+        if source not in self._temporal:
             from repro.temporal.executor import TemporalExecutor
 
-            self._temporal[key] = TemporalExecutor(
+            self._temporal[source] = TemporalExecutor(
                 self._graph,
                 self._facilities,
-                self._profiles[policy.profile_source],
-                quantum=policy.temporal_quantum,
-                cache_size=policy.temporal_cache_size,
+                self._profiles[source],
+                policy=self._static_policy(self._policy),
             )
-        return self._temporal[key]
+        return self._temporal[source]
 
-    def _service_for(self, policy: ExecutionPolicy) -> QueryService:
-        key = self._engine_key(policy) + (
-            policy.memoize_results,
-            policy.max_cached_entries,
-        )
-        if key not in self._services:
-            self._services[key] = QueryService(
-                self.engine_for(policy), policy=policy.replace(workers=1)
+    def _service_for(self) -> QueryService:
+        if self._service is None:
+            self._service = QueryService(
+                self.engine_for(), policy=self._policy.replace(workers=1)
             )
-        return self._services[key]
-
-    def _sharded_for(self, policy: ExecutionPolicy):
-        key = self._engine_key(policy) + (
-            policy.workers,
-            policy.routing,
-            policy.executor,
-            policy.memoize_results,
-            policy.max_cached_entries,
-        )
-        if key not in self._sharded:
-            from repro.parallel.service import ShardedQueryService
-
-            self._sharded[key] = ShardedQueryService(
-                self.engine_for(policy), policy=policy
-            )
-        return self._sharded[key]
+        return self._service

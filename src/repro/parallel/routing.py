@@ -108,7 +108,8 @@ def plan_shards(
     ``routing`` is ``"round_robin"`` or ``"locality"``; the latter requires
     the ``graph`` the request locations live on.  Both policies are
     deterministic per input and keep shard sizes balanced to within one
-    request; empty shards (more workers than requests) are dropped.
+    request; with more workers than requests, each request gets a shard of
+    its own and no empty shard is built.
     """
     if workers < 1:
         raise QueryError("the number of workers must be at least 1")
@@ -125,18 +126,21 @@ def plan_shards(
     else:
         order = list(range(len(requests)))
 
-    buckets: list[list[int]] = [[] for _ in range(workers)]
+    # Workers beyond the number of requests could only get empty shards, so
+    # no bucket is allocated for them (a wire policy picks ``workers``).
+    count = max(1, min(workers, len(requests)))
+    buckets: list[list[int]] = [[] for _ in range(count)]
     if routing == "locality":
         # Contiguous runs along the curve, sizes balanced to within one.
-        base, extra = divmod(len(order), workers)
+        base, extra = divmod(len(order), count)
         cursor = 0
-        for index in range(workers):
+        for index in range(count):
             size = base + (1 if index < extra else 0)
             buckets[index] = order[cursor : cursor + size]
             cursor += size
     else:
         for position in order:
-            buckets[position % workers].append(position)
+            buckets[position % count].append(position)
 
     shards = tuple(
         Shard(

@@ -1149,27 +1149,18 @@ class ServeApp:
             )
 
     def _decode_policy(self, payload: dict) -> ExecutionPolicy | None:
-        """Decode a request's policy; it may not change the served data layer.
+        """Decode a request's policy and let the session refuse it now.
 
-        Each distinct ``residency``/``page_size``/``buffer_fraction`` would
-        build a whole storage and engine that the session keeps for the
-        server's life, so a wire policy must keep the served values.
+        :meth:`Session.check_policy <repro.api.Session.check_policy>` knows
+        which fields a call may change; asking it at decode time makes
+        ``/v1/batch`` answer 400 at submit instead of failing the job after
+        its 202.
         """
         raw = payload.get("policy")
         if raw is None:
             return None
         policy = self._decode("invalid-policy", policy_from_payload, raw)
-        served = self._session.policy
-        changed = [
-            f"{name}={getattr(policy, name)!r} (served: {getattr(served, name)!r})"
-            for name in ("residency", "page_size", "buffer_fraction")
-            if getattr(policy, name) != getattr(served, name)
-        ]
-        if changed:
-            raise PolicyError(
-                "a request policy cannot change the served data layer: "
-                + ", ".join(changed)
-            )
+        self._session.check_policy(policy)
         return policy
 
     @staticmethod

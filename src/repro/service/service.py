@@ -241,10 +241,8 @@ class QueryService:
                 raise PolicyError(
                     "a workers=1 policy override cannot change this service's "
                     "caching knobs (memoize_results / max_cached_entries are "
-                    "fixed at construction); build a "
-                    "QueryService with the desired policy, or go through "
-                    "repro.api.Session, which caches one service per "
-                    "configuration"
+                    "fixed at construction); build a QueryService, or open a "
+                    "repro.api.Session, with the desired policy"
                 )
         start = time.perf_counter()
         io_before = self._engine.accessor.statistics.snapshot()

@@ -28,12 +28,11 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace as dataclasses_replace
 
 from repro.api.policy import ExecutionPolicy
-from repro.api.session import BatchResponse, Response, Session
+from repro.api.session import Response, Session
 from repro.errors import PolicyError, QueryError
 from repro.network.accessor import AccessStatistics
 from repro.network.facilities import FacilitySet
 from repro.network.graph import MultiCostGraph
-from repro.service.cache import CacheStatistics
 from repro.service.requests import QueryRequest, SkylineRequest, TopKRequest
 from repro.temporal.requests import (
     SkylineSweepRequest,
@@ -94,7 +93,13 @@ class _SnapshotEntry:
 
 
 class TemporalExecutor:
-    """LRU of static snapshot stacks, keyed by quantised departure time."""
+    """LRU of static snapshot stacks, keyed by quantised departure time.
+
+    ``policy`` is the owning session's static policy (``temporal="off"``):
+    every snapshot session is opened with it, its ``temporal_quantum``
+    quantises departure times and its ``temporal_cache_size`` bounds the
+    LRU.
+    """
 
     def __init__(
         self,
@@ -102,23 +107,17 @@ class TemporalExecutor:
         facilities: FacilitySet,
         network: TimeVaryingMCN,
         *,
-        quantum: float,
-        cache_size: int,
+        policy: ExecutionPolicy,
     ):
         if network.base_graph is not graph:
             raise PolicyError(
                 "the profile set was registered over a different base graph "
                 "than the session's"
             )
-        if quantum <= 0:
-            raise PolicyError(f"temporal_quantum must be positive, got {quantum!r}")
-        if cache_size < 1:
-            raise PolicyError(f"temporal_cache_size must be positive, got {cache_size!r}")
         self._graph = graph
         self._facilities = facilities
         self._network = network
-        self._quantum = float(quantum)
-        self._cache_size = int(cache_size)
+        self._policy = policy
         self._entries: OrderedDict[int, _SnapshotEntry] = OrderedDict()
         self._statistics = SnapshotStatistics()
 
@@ -136,18 +135,22 @@ class TemporalExecutor:
     @property
     def cached_times(self) -> tuple[float, ...]:
         """The quantised departure times currently held by the LRU."""
-        return tuple(key * self._quantum for key in self._entries)
+        return tuple(key * self._policy.temporal_quantum for key in self._entries)
+
+    def key(self, departure_time: float) -> int:
+        """The snapshot key of ``departure_time``: its nearest multiple of the quantum."""
+        return math.floor(departure_time / self._policy.temporal_quantum + 0.5)
 
     def quantise(self, departure_time: float) -> float:
         """The snapshot time a request at ``departure_time`` is served from."""
-        return self._quantum * math.floor(departure_time / self._quantum + 0.5)
+        return self.key(departure_time) * self._policy.temporal_quantum
 
     # ------------------------------------------------------------------ #
     # Snapshot stacks
     # ------------------------------------------------------------------ #
     def session_at(self, departure_time: float) -> Session:
         """The (cached) static session over the snapshot at ``departure_time``."""
-        key = math.floor(departure_time / self._quantum + 0.5)
+        key = self.key(departure_time)
         entry = self._entries.get(key)
         if entry is not None:
             if (
@@ -161,16 +164,16 @@ class TemporalExecutor:
             del self._entries[key]
             entry.session.close()
             self._statistics.rebuilds += 1
-        snapshot = self._network.snapshot(key * self._quantum)
+        snapshot = self._network.snapshot(self.quantise(departure_time))
         rebound = rebind_facilities(snapshot, self._facilities)
-        session = Session(snapshot, rebound)
+        session = Session(snapshot, rebound, policy=self._policy)
         self._entries[key] = _SnapshotEntry(
             session=session,
             facilities_revision=self._facilities.revision,
             costs_revision=self._graph.costs_revision,
         )
         self._statistics.builds += 1
-        while len(self._entries) > self._cache_size:
+        while len(self._entries) > self._policy.temporal_cache_size:
             _evicted_key, evicted = self._entries.popitem(last=False)
             evicted.session.close()
             self._statistics.evictions += 1
@@ -186,67 +189,18 @@ class TemporalExecutor:
             return request
         return dataclasses_replace(request, departure_time=None)
 
-    def query(self, request: QueryRequest, static_policy: ExecutionPolicy) -> Response:
+    def query(self, request: QueryRequest) -> Response:
         """Answer one departure-time request on its snapshot stack."""
         departure_time = request.departure_time
         if departure_time is None:
             raise QueryError("the temporal executor only serves departure-time requests")
         session = self.session_at(departure_time)
-        inner = session.query(self.strip(request), policy=static_policy)
+        inner = session.query(self.strip(request))
         # Re-carry the original (time-bearing) request; answer and I/O are
         # exactly what the snapshot session measured.
         return dataclasses_replace(inner, request=request)
 
-    def run_batch(
-        self, requests: list[QueryRequest], static_policy: ExecutionPolicy
-    ) -> BatchResponse:
-        """Answer a mixed batch, grouping consecutive same-snapshot requests.
-
-        Each maximal run of consecutive requests that resolve to the same
-        quantised departure time goes through that snapshot's batch service
-        in one call, so intra-run cache sharing matches what a fresh static
-        session would do for the same run.  Submission order is preserved.
-        """
-        start = time_module.perf_counter()
-        responses: list[Response] = []
-        io = AccessStatistics()
-        cache = CacheStatistics()
-        index = 0
-        while index < len(requests):
-            request = requests[index]
-            if request.departure_time is None:
-                raise QueryError(
-                    "the temporal executor only serves departure-time requests"
-                )
-            key = math.floor(request.departure_time / self._quantum + 0.5)
-            group = [request]
-            end = index + 1
-            while end < len(requests):
-                candidate = requests[end]
-                if candidate.departure_time is None:
-                    break
-                if math.floor(candidate.departure_time / self._quantum + 0.5) != key:
-                    break
-                group.append(candidate)
-                end += 1
-            session = self.session_at(group[0].departure_time)
-            batch = session.run_batch(
-                [self.strip(entry) for entry in group], policy=static_policy
-            )
-            for original, inner in zip(group, batch.responses):
-                responses.append(dataclasses_replace(inner, request=original))
-            io.accumulate(batch.io)
-            cache.accumulate(batch.cache)
-            index = end
-        return BatchResponse(
-            responses=tuple(responses),
-            elapsed_seconds=time_module.perf_counter() - start,
-            io=io,
-            cache=cache,
-            policy=static_policy,
-        )
-
-    def sweep(self, request: SweepRequest, static_policy: ExecutionPolicy) -> SweepResponse:
+    def sweep(self, request: SweepRequest) -> SweepResponse:
         """Answer one period sweep instant by instant, snapshot stacks reused.
 
         Per-instant answers mirror :func:`repro.timedep.queries.skyline_over_period`
@@ -260,8 +214,7 @@ class TemporalExecutor:
             session = self.session_at(instant)
             if isinstance(request, SkylineSweepRequest):
                 response = session.query(
-                    SkylineRequest(request.location, algorithm=request.algorithm),
-                    policy=static_policy,
+                    SkylineRequest(request.location, algorithm=request.algorithm)
                 )
                 ids = tuple(sorted(response.result.facility_ids()))
             elif isinstance(request, TopKSweepRequest):
@@ -272,8 +225,7 @@ class TemporalExecutor:
                         weights=request.weights,
                         aggregate=request.aggregate,
                         algorithm=request.algorithm,
-                    ),
-                    policy=static_policy,
+                    )
                 )
                 ids = tuple(response.result.facility_ids())
             else:
@@ -288,7 +240,7 @@ class TemporalExecutor:
             intervals=tuple(stable_intervals(results)),
             io=io,
             elapsed_seconds=time_module.perf_counter() - start,
-            policy=static_policy,
+            policy=self._policy,
         )
 
     # ------------------------------------------------------------------ #

@@ -10,20 +10,27 @@ from hypothesis import strategies as st
 
 from repro import MCNQueryEngine
 from repro.api import (
-    COMPILED_ENV_VAR,
     DEFAULT_POLICY,
     BatchResponse,
     ExecutionPolicy,
     Response,
     Session,
 )
-from repro.datagen import UpdateStreamSpec, WorkloadSpec, make_update_stream, make_workload
+from repro.datagen import (
+    EdgeCostStreamSpec,
+    UpdateStreamSpec,
+    WorkloadSpec,
+    make_profile_network,
+    make_update_stream,
+    make_workload,
+)
 from repro.errors import PolicyError, QueryError
 from repro.monitor import MonitoringService, delta_report_to_payload
 from repro.network.facilities import FacilitySet
 from repro.parallel import ShardedQueryService
 from repro.service import QueryService, SkylineRequest, TopKRequest
 from repro.storage import NetworkStorage
+from repro.temporal import SkylineSweepRequest
 
 _WORKLOAD = make_workload(
     WorkloadSpec(
@@ -89,44 +96,73 @@ class TestSessionCaching:
         session = Session(_WORKLOAD.graph, _WORKLOAD.facilities)
         assert session.engine_for() is session.engine_for()
 
-    def test_distinct_engines_per_residency(self):
-        session = Session(_WORKLOAD.graph, _WORKLOAD.facilities)
-        memory = session.engine_for()
-        disk = session.engine_for(ExecutionPolicy(residency="disk"))
-        assert memory is not disk
-        assert disk.storage is not None and memory.storage is None
-
-    def test_storage_shared_across_compiled_modes(self):
-        session = Session(
-            _WORKLOAD.graph, _WORKLOAD.facilities, policy=ExecutionPolicy(residency="disk")
-        )
-        plain = session.engine_for(ExecutionPolicy(residency="disk", compiled="off"))
-        fast = session.engine_for(ExecutionPolicy(residency="disk", compiled="on"))
-        assert plain is not fast
-        assert plain.storage is fast.storage
-        assert fast.compiled_graph is not None and plain.compiled_graph is None
-
-    def test_storage_keyed_by_page_knobs(self):
-        session = Session(
-            _WORKLOAD.graph, _WORKLOAD.facilities, policy=ExecutionPolicy(residency="disk")
-        )
-        default = session.storage_for()
-        small = session.storage_for(ExecutionPolicy(residency="disk", page_size=1024))
-        assert default is not small
-        assert session.storage_for() is default
-
     def test_memory_policy_has_no_storage(self):
         session = Session(_WORKLOAD.graph, _WORKLOAD.facilities)
         assert session.storage_for() is None
 
-    def test_auto_compiled_resolves_at_call_time(self, monkeypatch):
-        session = Session(_WORKLOAD.graph, _WORKLOAD.facilities)
-        monkeypatch.delenv(COMPILED_ENV_VAR, raising=False)
-        plain = session.engine_for()
-        assert plain.compiled_graph is None
-        monkeypatch.setenv(COMPILED_ENV_VAR, "1")
-        fast = session.engine_for()
-        assert fast is not plain and fast.compiled_graph is not None
+
+#: One change per field a call policy may not make, away from the defaults.
+_KEPT_FIELD_CHANGES = [
+    ("residency", "disk"),
+    ("page_size", 1024),
+    ("buffer_fraction", 0.5),
+    ("compiled", "on"),
+    ("memoize_results", False),
+    ("max_cached_entries", 8),
+    ("shard_fallback_threshold", 2),
+    ("temporal_quantum", 0.5),
+    ("temporal_cache_size", 2),
+]
+
+
+class TestCallPolicy:
+    """A call policy may change how the call runs, never what the session keeps."""
+
+    _TEMPORAL = ExecutionPolicy(temporal="profiles", profile_source="rush")
+
+    def _session(self):
+        facilities = FacilitySet(_WORKLOAD.graph, iter(_WORKLOAD.facilities))
+        network = make_profile_network(
+            _WORKLOAD.graph, EdgeCostStreamSpec(num_ticks=2, time_step=0.5, seed=3)
+        )
+        return Session(_WORKLOAD.graph, facilities, profiles={"rush": network})
+
+    def _sweep(self):
+        return SkylineSweepRequest(_WORKLOAD.queries[0], (6.0, 6.5))
+
+    @pytest.mark.parametrize(
+        "field, value", _KEPT_FIELD_CHANGES, ids=[name for name, _ in _KEPT_FIELD_CHANGES]
+    )
+    def test_changing_a_kept_field_is_refused(self, field, value):
+        session = self._session()
+        session.query(_requests()[0])
+        engine, storage = session.engine_for(), session.storage_for()
+        changed = self._TEMPORAL.replace(**{field: value})
+        named = f"{field}={getattr(changed, field)!r} (session: {getattr(session.policy, field)!r})"
+        calls = {
+            "query": lambda: session.query(_requests()[0], policy=changed),
+            "run_batch": lambda: session.run_batch(_requests()[:2], policy=changed),
+            "sweep": lambda: session.sweep(self._sweep(), policy=changed),
+        }
+        for verb, call in calls.items():
+            with pytest.raises(PolicyError, match=field) as raised:
+                call()
+            assert named in str(raised.value), verb
+        assert session.engine_for() is engine and session.storage_for() is storage
+        assert session._temporal == {}
+
+    def test_every_call_field_may_change(self):
+        session = self._session()
+        policy = self._TEMPORAL.replace(
+            algorithm="lsa", workers=2, routing="locality", executor="serial"
+        )
+        session.check_policy(policy)
+        batch = session.run_batch(_requests(), policy=policy)
+        assert batch.policy is policy and batch.sharded
+        assert [_signature(r) for r in batch] == [
+            _signature(r) for r in session.run_batch(_requests())
+        ]
+        assert len(session.sweep(self._sweep(), policy=policy)) == 2
 
 
 class TestSessionQuery:
@@ -170,9 +206,13 @@ class TestSessionQuery:
         request = SkylineRequest(_WORKLOAD.queries[0])
         assert session.query(request).served_from_memo is False
         assert session.query(request).served_from_memo is True
-        no_memo = ExecutionPolicy(memoize_results=False)
-        assert session.query(request, policy=no_memo).served_from_memo is False
-        assert session.query(request, policy=no_memo).served_from_memo is False
+        no_memo = Session(
+            _WORKLOAD.graph,
+            _WORKLOAD.facilities,
+            policy=ExecutionPolicy(memoize_results=False),
+        )
+        assert no_memo.query(request).served_from_memo is False
+        assert no_memo.query(request).served_from_memo is False
 
     def test_invalid_request_raises_before_execution(self):
         session = Session(_WORKLOAD.graph, _WORKLOAD.facilities)
@@ -298,14 +338,6 @@ class TestSessionMonitor:
         second = session.monitor(_requests()[1:2])
         assert first.service is second.service
         assert set(first.subscription_ids).isdisjoint(second.subscription_ids)
-
-    def test_conflicting_monitor_policy_rejected(self):
-        session = Session(_WORKLOAD.graph, FacilitySet(_WORKLOAD.graph, iter(_WORKLOAD.facilities)))
-        session.monitor(_requests()[:1])
-        with pytest.raises(PolicyError, match="monitor"):
-            session.monitor(
-                _requests()[1:2], policy=ExecutionPolicy(shard_fallback_threshold=2)
-            )
 
     def test_unsubscribe_updates_the_handle(self):
         session = Session(_WORKLOAD.graph, FacilitySet(_WORKLOAD.graph, iter(_WORKLOAD.facilities)))
@@ -502,7 +534,7 @@ class TestSessionLifecycle:
         session.query(_requests()[0])
         assert session.invalidate_result_caches() == 1
         session.close()
-        assert session._services == {} and session._engines == {}
+        assert session._service is None and session._engine is None
         with pytest.raises(QueryError, match="closed"):
             session.invalidate_result_caches()
 

@@ -72,20 +72,16 @@ SESSION_SIGNATURES = {
         "(self, requests: 'Sequence[QueryRequest]', *, "
         "policy: 'ExecutionPolicy | None' = None) -> 'BatchResponse'"
     ),
-    "monitor": (
-        "(self, requests: 'Sequence[QueryRequest]', *, "
-        "policy: 'ExecutionPolicy | None' = None) -> 'MonitorHandle'"
-    ),
+    "monitor": "(self, requests: 'Sequence[QueryRequest]') -> 'MonitorHandle'",
     "sweep": (
         "(self, request: 'SweepRequest', *, policy: 'ExecutionPolicy | None' = None)"
         " -> 'SweepResponse'"
     ),
     "close": "(self) -> 'None'",
     "invalidate_result_caches": "(self) -> 'int'",
-    "engine_for": "(self, policy: 'ExecutionPolicy | None' = None) -> 'MCNQueryEngine'",
-    "storage_for": (
-        "(self, policy: 'ExecutionPolicy | None' = None) -> 'NetworkStorage | None'"
-    ),
+    "engine_for": "(self) -> 'MCNQueryEngine'",
+    "storage_for": "(self) -> 'NetworkStorage | None'",
+    "check_policy": "(self, policy: 'ExecutionPolicy') -> 'None'",
 }
 
 POLICY_SCHEMA = [

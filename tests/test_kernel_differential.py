@@ -137,24 +137,26 @@ def _skylines(workload):
     return [SkylineRequest(query) for query in workload.queries]
 
 
-def _run_query(session, policy, workload):
-    session.query(SkylineRequest(workload.queries[0]), policy=policy)
+def _run_query(session, workload):
+    session.query(SkylineRequest(workload.queries[0]))
 
 
-def _run_batch(session, policy, workload):
-    session.run_batch(_skylines(workload), policy=policy)
+def _run_batch(session, workload):
+    session.run_batch(_skylines(workload))
 
 
-def _run_sharded_batch(session, policy, workload):
-    session.run_batch(_skylines(workload), policy=policy.replace(workers=2, executor="thread"))
+def _run_sharded_batch(session, workload):
+    session.run_batch(
+        _skylines(workload), policy=session.policy.replace(workers=2, executor="thread")
+    )
 
 
-def _run_iter_top(session, policy, workload):
-    next(session.engine_for(policy).iter_top(workload.queries[0], weights=[0.5, 0.5]))
+def _run_iter_top(session, workload):
+    next(session.engine_for().iter_top(workload.queries[0], weights=[0.5, 0.5]))
 
 
-def _run_monitor_tick(session, policy, workload):
-    handle = session.monitor([SkylineRequest(workload.queries[0])], policy=policy)
+def _run_monitor_tick(session, workload):
+    handle = session.monitor([SkylineRequest(workload.queries[0])])
     # Deleting a skyline member forces the tick's recompute pass.
     victim = min(handle.maintainer_of(handle.subscription_ids[0]).skyline_ids())
     handle.tick(UpdateTick((FacilityDelete(victim),)))
@@ -187,6 +189,7 @@ class TestPolicySelectsTheKernel:
             WorkloadSpec(num_nodes=80, num_facilities=20, num_cost_types=2, num_queries=4, seed=5)
         )
         facilities = FacilitySet(workload.graph, iter(workload.facilities))
-        with Session(workload.graph, facilities) as session:
-            entry(session, ExecutionPolicy(compiled=compiled), workload)
+        policy = ExecutionPolicy(compiled=compiled)
+        with Session(workload.graph, facilities, policy=policy) as session:
+            entry(session, workload)
         assert bool(built) == (compiled == "on")

@@ -219,14 +219,13 @@ class TestDatasetSession:
         ids=["memory", "disk", "disk-page-size", "disk-buffer-fraction", "compiled"],
     )
     def test_every_policy_runs_on_the_pack(self, streamed_path, policy):
-        with Session(dataset_path=str(streamed_path)) as session:
+        with Session(dataset_path=str(streamed_path), policy=policy) as session:
             pack = session.storage_for()
             assert isinstance(pack, PackedNetworkStorage)
-            assert session.storage_for(policy) is pack
-            engine = session.engine_for(policy)
+            engine = session.engine_for()
             assert engine is session.engine_for()
             assert engine.storage is pack and engine.compiled_graph is None
-            response = session.skyline(NetworkLocation.at_node(1), policy=policy)
+            response = session.skyline(NetworkLocation.at_node(1))
             assert response.io.page_reads > 0
 
     @pytest.mark.parametrize("buffer_fraction", [0.02, 0.5, 1.0])
@@ -236,9 +235,12 @@ class TestDatasetSession:
         policy = ExecutionPolicy(buffer_fraction=buffer_fraction)
         with Session(dataset_path=str(streamed_path), policy=policy) as session:
             assert session.storage_for().buffer.capacity == want
-            # A per-call buffer_fraction does not resize the open pack's buffer.
+            # A call with another buffer_fraction is refused; the open
+            # pack's buffer keeps its size.
             other = policy.replace(buffer_fraction=0.9)
-            assert session.storage_for(other).buffer.capacity == want
+            with pytest.raises(PolicyError, match="buffer_fraction"):
+                session.skyline(NetworkLocation.at_node(1), policy=other)
+            assert session.storage_for().buffer.capacity == want
 
 
 class TestAttachedPack:

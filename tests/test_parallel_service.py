@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,6 +113,20 @@ class TestPlanShards:
         plan = plan_shards(requests[:3], 8)
         assert len(plan.shards) == 3
         assert all(len(shard) == 1 for shard in plan.shards)
+
+    @pytest.mark.parametrize("routing", ["round_robin", "locality"])
+    def test_worker_count_beyond_the_batch_allocates_nothing(self, workload, requests, routing):
+        # A wire batch policy picks ``workers``; planning three requests must
+        # not cost one bucket per requested worker.
+        tracemalloc.start()
+        try:
+            plan = plan_shards(requests[:3], 10**6, routing=routing, graph=workload.graph)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        same = plan_shards(requests[:3], 3, routing=routing, graph=workload.graph)
+        assert plan.shards == same.shards
 
     def test_empty_batch(self, requests):
         assert plan_shards([], 4).shards == ()

@@ -29,7 +29,9 @@ from repro.serve import (
     collect_events,
     sse_encode,
 )
+from repro.serve.payloads import result_to_payload
 from repro.serve.streaming import DeltaBroker
+from repro.service import QueryService
 from repro.service.requests import SkylineRequest, request_to_payload
 
 _WORKLOAD = make_workload(
@@ -399,7 +401,7 @@ _DISK_POLICY = ExecutionPolicy(residency="disk", page_size=1024, buffer_fraction
 
 
 class TestWirePolicyDataLayer:
-    """A request policy may tune execution but never the served data layer."""
+    """A request policy may change how its call runs, never what the session keeps."""
 
     @pytest.fixture(scope="class")
     def memory_client(self):
@@ -420,13 +422,8 @@ class TestWirePolicyDataLayer:
 
     @pytest.mark.parametrize(
         "policy",
-        [
-            {"compiled": "off"},
-            {"algorithm": "lsa"},
-            {"memoize_results": False},
-            policy_to_payload(DEFAULT_POLICY),
-        ],
-        ids=["compiled", "algorithm", "memoize", "full-default-payload"],
+        [{"algorithm": "lsa"}, policy_to_payload(DEFAULT_POLICY)],
+        ids=["algorithm", "full-default-payload"],
     )
     def test_policy_keeping_the_served_data_layer_is_accepted(self, memory_client, policy):
         payload = dict(_query_payload(), policy=policy)
@@ -434,10 +431,21 @@ class TestWirePolicyDataLayer:
         assert response.status == 200, response.payload
 
     @pytest.mark.parametrize(
+        "policy",
+        [{"compiled": "off"}, {"memoize_results": False}],
+        ids=["compiled", "memoize"],
+    )
+    def test_policy_changing_a_kept_field_is_refused(self, memory_client, policy):
+        payload = dict(_query_payload(), policy=policy)
+        response = _run(memory_client.post("/v1/query", payload))
+        _assert_envelope(response, 400, "invalid-policy")
+        assert next(iter(policy)) in response.payload["error"]["message"]
+
+    @pytest.mark.parametrize(
         "policy, status",
         [
             (policy_to_payload(_DISK_POLICY), 200),
-            (policy_to_payload(_DISK_POLICY.replace(compiled="off")), 200),
+            (policy_to_payload(_DISK_POLICY.replace(compiled="off")), 400),
             (policy_to_payload(_DISK_POLICY.replace(page_size=2048)), 400),
             (policy_to_payload(_DISK_POLICY.replace(residency="memory")), 400),
             ({"compiled": "off"}, 400),
@@ -459,7 +467,7 @@ class TestWirePolicyDataLayer:
 
         async def scenario():
             served = await client.post("/v1/query", _query_payload())
-            engines = list(session._engines)
+            engine = session._engine
             refused = []
             for page_size in (1000, 1001):
                 policy = {"residency": "disk", "page_size": page_size}
@@ -467,13 +475,61 @@ class TestWirePolicyDataLayer:
                     "/v1/query", dict(_query_payload(), policy=policy)
                 )
                 refused.append(response.status)
-            after = (list(session._engines), dict(session._storages))
+            after = (session._engine, session._storage)
             await app.aclose()
-            return served.status, engines, refused, after
+            return served.status, engine, refused, after
 
-        status, engines, refused, (engines_after, storages_after) = _run(scenario())
+        status, engine, refused, (engine_after, storage_after) = _run(scenario())
         assert status == 200 and refused == [400, 400]
-        assert engines_after == engines and storages_after == {}
+        assert engine is not None and engine_after is engine and storage_after is None
+
+    def test_wire_policies_leave_one_query_service(self):
+        """Per-call cache bounds are refused; per-call widths run and keep nothing."""
+        app = _app(request_timeout_seconds=30.0)
+        client = InProcessClient(app)
+        session = app.session
+        requests = [SkylineRequest(query) for query in _WORKLOAD.queries]
+        batch = {"requests": [request_to_payload(request) for request in requests]}
+
+        async def scenario():
+            await client.post("/v1/query", _query_payload())
+            service = session._service
+            refused = []
+            for bound in range(1, 6):
+                response = await client.post(
+                    "/v1/query", dict(_query_payload(), policy={"max_cached_entries": bound})
+                )
+                refused.append(response)
+            polls = []
+            for workers in (2, 3, 4):
+                policy = {"workers": workers, "executor": "serial"}
+                submit = await client.post("/v1/batch", dict(batch, policy=policy))
+                assert submit.status == 202, submit.payload
+                for _attempt in range(500):
+                    poll = await client.get(f"/v1/batch/{submit.payload['job']}")
+                    if poll.payload["state"] in ("done", "failed"):
+                        break
+                    await asyncio.sleep(0.01)
+                polls.append(poll.payload)
+            held = [
+                value for value in vars(session).values() if isinstance(value, QueryService)
+            ]
+            await app.aclose()
+            return service, refused, polls, held
+
+        service, refused, polls, held = _run(scenario())
+        for response in refused:
+            _assert_envelope(response, 400, "invalid-policy")
+            assert "max_cached_entries" in response.payload["error"]["message"]
+        with Session(_WORKLOAD.graph, _WORKLOAD.facilities) as sequential:
+            expected = [
+                json.loads(json.dumps(result_to_payload(response.result)))
+                for response in sequential.run_batch(requests)
+            ]
+        for poll in polls:
+            assert poll["state"] == "done", poll
+            assert [entry["result"] for entry in poll["result"]["responses"]] == expected
+        assert held == [service]
 
 
 class TestInternalFailuresAndShutdown:

@@ -31,7 +31,6 @@ from repro.service.requests import (
 )
 from repro.temporal import (
     SkylineSweepRequest,
-    TemporalExecutor,
     TopKSweepRequest,
     sweep_request_from_payload,
     sweep_request_to_payload,
@@ -52,14 +51,16 @@ STREAM_SPEC = EdgeCostStreamSpec(
 POLICY = ExecutionPolicy(temporal="profiles", profile_source="rush")
 
 
-def fresh_session() -> Session:
+def fresh_session(policy: ExecutionPolicy | None = None) -> Session:
     workload = make_workload(
         WorkloadSpec(
             num_nodes=90, num_facilities=25, num_cost_types=2, num_queries=3, seed=71
         )
     )
     network = make_profile_network(workload.graph, STREAM_SPEC)
-    return Session(workload.graph, workload.facilities, profiles={"rush": network})
+    return Session(
+        workload.graph, workload.facilities, policy=policy, profiles={"rush": network}
+    )
 
 
 class TestDepartureTimeRequests:
@@ -170,55 +171,60 @@ class TestTemporalPolicy:
 
 
 class TestExecutorCache:
-    def build(self, session: Session, *, quantum=0.25, cache_size=8) -> TemporalExecutor:
-        policy = replace(
-            POLICY, temporal_quantum=quantum, temporal_cache_size=cache_size
+    def session(self, *, quantum=0.25, cache_size=8) -> Session:
+        return fresh_session(
+            replace(POLICY, temporal_quantum=quantum, temporal_cache_size=cache_size)
         )
-        return session._temporal_for(session._resolve(policy))
 
     def test_quantisation_buckets_nearby_times(self):
-        with fresh_session() as session:
-            executor = self.build(session, quantum=0.5)
+        with self.session(quantum=0.5) as session:
+            executor = session._temporal_for(session.policy)
             request = SkylineRequest(WORKLOAD.queries[0])
-            static = ExecutionPolicy()
             for departure_time in (7.9, 8.0, 8.1, 8.24):
-                executor.query(
-                    replace(request, departure_time=departure_time), static
-                )
+                executor.query(replace(request, departure_time=departure_time))
             stats = executor.statistics
             assert stats.builds == 1
             assert stats.hits == 3
             assert executor.cached_times == (8.0,)
 
     def test_lru_evicts_oldest_snapshot(self):
-        with fresh_session() as session:
-            executor = self.build(session, quantum=0.25, cache_size=2)
+        with self.session(quantum=0.25, cache_size=2) as session:
+            executor = session._temporal_for(session.policy)
             request = SkylineRequest(WORKLOAD.queries[0])
-            static = ExecutionPolicy()
             for departure_time in (6.0, 7.0, 8.0):
-                executor.query(
-                    replace(request, departure_time=departure_time), static
-                )
+                executor.query(replace(request, departure_time=departure_time))
             stats = executor.statistics
             assert stats.builds == 3
             assert stats.evictions == 1
             assert executor.cached_times == (7.0, 8.0)
 
     def test_cost_revision_drift_rebuilds_the_snapshot(self):
-        with fresh_session() as session:
-            executor = self.build(session)
+        with self.session() as session:
+            executor = session._temporal_for(session.policy)
             request = SkylineRequest(WORKLOAD.queries[0], departure_time=8.0)
-            static = ExecutionPolicy()
-            executor.query(request, static)
+            executor.query(request)
             graph = session.graph
             edge = next(iter(graph.edges()))
             graph.update_edge_costs(
                 edge.edge_id, [cost * 2.0 for cost in edge.costs]
             )
-            executor.query(request, static)
+            executor.query(request)
             stats = executor.statistics
             assert stats.builds == 2
             assert stats.rebuilds == 1
+
+    def test_snapshot_stacks_run_under_the_session_policy(self):
+        """A snapshot session keeps its owner's fields: without a memo
+        there, a repeated departure-time read is never a memo hit."""
+        request = SkylineRequest(WORKLOAD.queries[0], departure_time=8.0)
+        with fresh_session(replace(POLICY, memoize_results=False)) as session:
+            reads = [session.query(request) for _ in range(2)]
+            batch = session.run_batch([request, request])
+        assert not any(response.served_from_memo for response in reads)
+        assert batch.memo_hits == 0
+        with fresh_session(POLICY) as session:
+            session.query(request)
+            assert session.query(request).served_from_memo
 
 
 class TestSessionRouting:

@@ -123,11 +123,9 @@ class TestDepartureTimeOracle:
         request = build_requests(workload)[0]
         policy = replace(POLICY, temporal_quantum=0.5)
         with Session(
-            workload.graph, workload.facilities, profiles={"rush": network}
+            workload.graph, workload.facilities, policy=policy, profiles={"rush": network}
         ) as session:
-            lived = session.query(
-                replace(request, departure_time=7.9), policy=policy
-            )
+            lived = session.query(replace(request, departure_time=7.9))
             snapshot = reference_snapshot(network, 8.0)
             rebound = reference_facilities(snapshot, session.facilities)
             with Session(snapshot, rebound) as oracle:
@@ -160,7 +158,7 @@ class TestTickedDepartureOracle:
         requests = build_requests(workload)
         policy = replace(POLICY, temporal_cache_size=cache_size)
         with Session(
-            workload.graph, workload.facilities, profiles={"rush": network}
+            workload.graph, workload.facilities, policy=policy, profiles={"rush": network}
         ) as session:
             handle = session.monitor(())
 
@@ -171,8 +169,7 @@ class TestTickedDepartureOracle:
                     with Session(snapshot, rebound) as oracle:
                         for request in requests:
                             lived = session.query(
-                                replace(request, departure_time=departure_time),
-                                policy=policy,
+                                replace(request, departure_time=departure_time)
                             )
                             assert answer_signature(lived) == answer_signature(
                                 oracle.query(request)
@@ -193,7 +190,7 @@ class TestTickedDepartureOracle:
                 check(DEPARTURE_TIMES[::-1] if index % 2 == 0 else DEPARTURE_TIMES)
             assert 10_000 in session.facilities
             assert victim.facility_id not in session.facilities
-            statistics = session._temporal_for(session._resolve(policy)).statistics
+            statistics = session._temporal_for(session.policy).statistics
         # Every tick left stale stacks behind, and only the small LRU evicts.
         assert statistics.rebuilds > 0
         assert (statistics.evictions > 0) == (cache_size < len(DEPARTURE_TIMES))
