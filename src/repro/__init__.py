@@ -47,13 +47,13 @@ response envelope::
     tick = handle.tick(UpdateTick((FacilityInsert(9000, edge_id=5, offset=1.0),)))
     tick.deltas[0].entered  # facilities that joined the skyline
 
-    # Fast path: the one compiled expansion kernel over a CSR snapshot —
-    # answers and I/O accounting bit-identical, queries just faster.  It
-    # shapes the session's engine, so the session is built with it.  Or
-    # globally: REPRO_COMPILED=1.
-    fast = Session(workload.graph, workload.facilities,
-                   policy=session.policy.replace(compiled="on"))
-    fast.run_batch([SkylineRequest(query)])
+    # The compiled expansion kernel runs by default.  The record-walking
+    # expansion gives bit-identical answers and I/O accounting; it shapes
+    # the session's engine, so a session is built with it.  Or globally:
+    # REPRO_COMPILED=0.
+    plain = Session(workload.graph, workload.facilities,
+                    policy=session.policy.replace(compiled="off"))
+    plain.run_batch([SkylineRequest(query)])
 
 Datasets can also live on disk as single checksummed *pack* files
 (:mod:`repro.storage.persist` / :mod:`repro.storage.catalog`): build once

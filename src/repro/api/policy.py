@@ -14,8 +14,10 @@ engine, pool or subscription exists, never mid-batch.
 This module is also the single source of truth for the ``REPRO_COMPILED``
 environment toggle: :func:`compiled_env_default` is the only place the
 variable is parsed, and :func:`resolve_compiled` maps the policies'
-``"auto"``/``"on"``/``"off"`` modes onto it.  :mod:`repro.core.engine`, the
-sharded workers and the monitoring service all defer here.
+``"auto"``/``"on"``/``"off"`` modes onto it.  The compiled kernel is the
+default; ``REPRO_COMPILED=0`` keeps the record-walking expansion.
+:mod:`repro.core.engine`, the sharded workers and the monitoring service all
+defer here.
 
 Example
 -------
@@ -48,12 +50,15 @@ __all__ = [
     "resolve_compiled",
 ]
 
-#: Environment toggle for the columnar fast path.  A policy (or engine) in
-#: ``"auto"`` mode consults it; CI sets it to drive the whole test suite
-#: through the :class:`~repro.core.kernel.ExpansionKernel`.
+#: Environment toggle for the compiled fast path.  A policy (or engine) in
+#: ``"auto"`` mode consults it: unset, the
+#: :class:`~repro.core.kernel.ExpansionKernel` runs; ``0`` (or ``false``,
+#: ``no``, ``off``) keeps the record-walking expansion, which CI uses to run
+#: the whole test suite on the path dataset packs and the conformance suite
+#: still use.
 COMPILED_ENV_VAR = "REPRO_COMPILED"
 
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
+_FALSY = frozenset({"0", "false", "no", "off"})
 
 ALGORITHMS = ("cea", "lsa", "baseline")
 RESIDENCIES = ("memory", "disk")
@@ -68,12 +73,13 @@ EXECUTORS = ("process", "thread", "serial")
 
 
 def compiled_env_default() -> bool:
-    """Whether ``REPRO_COMPILED`` currently enables the fast path.
+    """Whether ``REPRO_COMPILED`` currently leaves the fast path on.
 
-    The only place the variable is parsed — the engine, the sharded workers
-    and the monitoring service all route their env handling through here.
+    On unless the variable says ``0``, ``false``, ``no`` or ``off``.  The
+    only place the variable is parsed — the engine, the sharded workers and
+    the monitoring service all route their env handling through here.
     """
-    return os.environ.get(COMPILED_ENV_VAR, "").strip().lower() in _TRUTHY
+    return os.environ.get(COMPILED_ENV_VAR, "").strip().lower() not in _FALSY
 
 
 def resolve_compiled(mode: str) -> bool:
@@ -118,10 +124,11 @@ class ExecutionPolicy:
         (page reads are then counted).  A session opened on a dataset pack
         runs on that pack whatever the residency says.
     compiled:
-        Columnar fast-path mode: ``"on"``, ``"off"`` or ``"auto"`` (defer to
-        the ``REPRO_COMPILED`` environment toggle, which a session reads
-        once, when it builds its engine).  Answers and I/O counters are
-        identical either way.
+        Compiled fast-path mode: ``"on"``, ``"off"`` or ``"auto"`` (the
+        default: on, unless the ``REPRO_COMPILED`` environment toggle says
+        ``0``; a session reads it once, when it builds its engine, and a
+        session opened on a dataset pack always runs the record path).
+        Answers and I/O counters are identical either way.
     page_size / buffer_fraction:
         Storage-scheme knobs, used only under ``residency="disk"``.
     workers / routing / executor:
@@ -304,7 +311,8 @@ class ExecutionPolicy:
         return policy_from_payload(payload)
 
 
-#: The all-defaults policy: in-memory, sequential, env-controlled fast path.
+#: The all-defaults policy: in-memory, sequential, the compiled kernel on
+#: unless ``REPRO_COMPILED=0``.
 DEFAULT_POLICY = ExecutionPolicy()
 
 _PAYLOAD_FIELDS = tuple(field.name for field in dataclasses.fields(ExecutionPolicy))

@@ -75,8 +75,9 @@ from repro.core.maintenance import MaintenanceStatistics, SkylineMaintainer, Top
 from repro.core.results import SkylineResult, TopKResult
 from repro.errors import PolicyError, QueryError
 from repro.network.accessor import AccessStatistics
+from repro.network.compiled import CompiledGraph
 from repro.network.facilities import FacilityId, FacilitySet
-from repro.network.graph import MultiCostGraph
+from repro.network.graph import EdgeId, MultiCostGraph
 from repro.network.location import NetworkLocation
 from repro.service.cache import CacheStatistics
 from repro.service.requests import (
@@ -377,7 +378,8 @@ class Session:
         query runs through the pack's storage, whose buffer the session
         policy's ``buffer_fraction`` sizes; the policy's ``residency`` and
         page knobs do not apply.  The compiled fast path is off (it needs
-        the in-memory topology) and :meth:`monitor` is rejected.
+        the in-memory topology), so a pack session runs the record path,
+        and :meth:`monitor` is rejected.
     verify_checksum:
         Whether opening ``dataset_path`` verifies the pack's SHA-256
         (default ``True``).
@@ -619,8 +621,10 @@ class Session:
         """The session's engine, built on first use.
 
         The compiled fast path is decided once, here: the policy's
-        ``compiled`` mode (``"auto"`` reads ``REPRO_COMPILED`` now), and
-        always off on a pack, which has no in-memory topology to compile.
+        ``compiled`` mode (``"auto"`` is on unless ``REPRO_COMPILED=0``),
+        and always off on a pack, which has no in-memory topology to
+        compile.  The monitor and every temporal snapshot session share the
+        engine's :class:`~repro.network.compiled.CompiledGraph` topology.
         """
         self._ensure_open()
         if self._engine is None:
@@ -798,7 +802,11 @@ class Session:
         on first use.  Monitoring always runs on the in-memory layer over the
         session's *live* facility set (the policy's ``residency`` / page
         knobs do not apply); ``compiled``, ``workers``/``routing``/
-        ``executor`` and ``shard_fallback_threshold`` configure it.
+        ``executor`` and ``shard_fallback_threshold`` configure it.  On the
+        compiled path the monitor runs on the session engine's
+        :class:`~repro.network.compiled.CompiledGraph` (a disk-resident
+        engine's through a plan-free twin over the same topology), so the
+        session holds one copy of the topology.
         """
         if self.fault_hook is not None:
             self.fault_hook("monitor")
@@ -813,10 +821,14 @@ class Session:
         if self._monitor is None:
             from repro.monitor.service import MonitoringService
 
+            compiled = self._compiled_graph()
+            if compiled is not None and compiled.has_page_plans:
+                compiled = compiled.derive(self._graph, self._facilities)
             self._monitor = MonitoringService(
                 self._graph,
                 self._facilities,
                 policy=self._policy.replace(residency="memory"),
+                compiled_graph=compiled,
             )
         subscription_ids = tuple(self._monitor.subscribe(request) for request in requests)
         return MonitorHandle(
@@ -916,8 +928,47 @@ class Session:
                 self._facilities,
                 self._profiles[source],
                 policy=self._static_policy(self._policy),
+                open_session=self._open_snapshot,
             )
         return self._temporal[source]
+
+    def _compiled_graph(self) -> CompiledGraph | None:
+        """The engine's compiled snapshot, or ``None`` off the compiled path.
+
+        Builds the engine only when it would compile one.
+        """
+        if self._engine is None and not self._policy.resolved_compiled():
+            return None
+        return self.engine_for().compiled_graph
+
+    def _open_snapshot(
+        self,
+        graph: MultiCostGraph,
+        facilities: FacilitySet,
+        recosted: Sequence[EdgeId],
+    ) -> Session:
+        """A static session over a temporal snapshot of this session's graph.
+
+        ``graph`` is :meth:`~repro.network.graph.MultiCostGraph.recosted`
+        from this session's graph (``recosted`` names the re-costed edges)
+        and ``facilities`` rebinds this session's set to it.  On the
+        compiled path the snapshot session's engine runs on a snapshot
+        :meth:`~repro.network.compiled.CompiledGraph.derive` builds from this
+        engine's: its topology and facility table, its own cost lists.
+        """
+        session = Session(graph, facilities, policy=self._static_policy(self._policy))
+        compiled = self._compiled_graph()
+        if compiled is not None:
+            storage = session.storage_for()
+            session._engine = MCNQueryEngine(
+                graph,
+                facilities,
+                accessor=storage,
+                compiled=compiled.derive(
+                    graph, facilities, recosted=recosted, storage=storage
+                ),
+            )
+        return session
 
     def _service_for(self) -> QueryService:
         if self._service is None:

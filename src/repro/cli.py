@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import random
 import signal
 import sys
 from collections.abc import Sequence
@@ -372,7 +373,7 @@ def _run_demo(args: argparse.Namespace) -> int:
             f"{io.page_reads} page reads, {io.buffer_hits} buffer hits, "
             f"{result.statistics.elapsed_seconds * 1000:.1f} ms"
         )
-    weights = engine.random_weights()
+    weights = engine.random_weights(random.Random(args.seed))
     for algorithm in ("lsa", "cea"):
         storage.reset_statistics(clear_buffer=True)  # type: ignore[union-attr]
         result = engine.top_k(query, args.k, aggregate=weights, algorithm=algorithm)

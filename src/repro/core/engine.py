@@ -70,16 +70,20 @@ class MCNQueryEngine:
         reads; it is then also :attr:`storage`.  Any other
         :class:`GraphAccessor` works too.
 
-        ``compiled`` controls the columnar fast path.  ``True`` compiles the
+        ``compiled`` controls the compiled fast path.  ``True`` compiles the
         engine's data layer into a :class:`~repro.network.compiled.CompiledGraph`
         so LSA/CEA (skyline, top-k, incremental top-k) run on the
         :class:`~repro.core.kernel.ExpansionKernel` — answers and all I/O
         counters stay bit-identical, queries just get faster.  An existing
-        :class:`CompiledGraph` is adopted as-is (this is how shard workers
-        share one snapshot instead of each re-reading the network).
-        ``None`` (the default) consults the ``REPRO_COMPILED`` environment
-        toggle (parsed only by :func:`repro.api.policy.compiled_env_default`);
-        ``False`` disables the fast path outright.
+        :class:`CompiledGraph` is adopted as-is (this is how shard workers,
+        a session's monitor and its searches share one snapshot instead of
+        each re-reading the network).  ``None`` (the default) compiles unless
+        the ``REPRO_COMPILED`` environment toggle says ``0`` (parsed only by
+        :func:`repro.api.policy.compiled_env_default`), and only a data layer
+        :meth:`CompiledGraph.can_compile
+        <repro.network.compiled.CompiledGraph.can_compile>` accepts — a
+        standalone dataset pack runs the record path; ``False`` disables the
+        fast path outright.
         """
         self._graph = graph
         self._facilities = facilities
@@ -92,7 +96,7 @@ class MCNQueryEngine:
             )
         self._accessor: GraphAccessor = accessor
         if compiled is None:
-            compiled = compiled_env_default()
+            compiled = compiled_env_default() and CompiledGraph.can_compile(accessor)
         if isinstance(compiled, CompiledGraph):
             if compiled.graph is not graph:
                 raise QueryError("the compiled graph was built over a different graph")

@@ -48,6 +48,7 @@ class IncrementalTopK(Iterator[RankedFacility]):
             raise QueryError("graph and accessor disagree on the number of cost types")
         self._aggregate = aggregate
         self._base_accessor = accessor
+        io_before = accessor.statistics.snapshot()
         seeds = ExpansionSeeds.from_query(graph, query)
         if compiled is not None:
             layer = make_kernel_data_layer(
@@ -68,6 +69,9 @@ class IncrementalTopK(Iterator[RankedFacility]):
         self._scores: dict[int, float] = {}
         self._reported: set[int] = set()
         self._statistics = QueryStatistics()
+        # Seeding reads the query edge's facility list; the statistics
+        # count that request before every retrieval's.
+        self._statistics.io = accessor.statistics.since(io_before)
 
     @property
     def statistics(self) -> QueryStatistics:

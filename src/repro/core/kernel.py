@@ -1,11 +1,11 @@
 """The allocation-light NE inner loop over a compiled graph: ``ExpansionKernel``.
 
-This is the compute side of the columnar fast path (the data side is
+This is the compute side of the compiled fast path (the data side is
 :class:`~repro.network.compiled.CompiledGraph`).  The kernel is a drop-in
 replacement for :class:`~repro.core.expansion.NearestFacilityExpansion` —
 same constructor shape, same ``next_facility`` / ``pop_step`` / ``head_key``
 / ``enter_candidate_mode`` surface, same settled/reported views — but its
-inner loop walks CSR arrays:
+inner loop walks the snapshot's shared neighbour tuples:
 
 * heap entries are flat 3-tuples ``(key, tiebreak, payload)`` — an int
   payload is a dense node index; a facility payload is the (shared, prebuilt)
@@ -13,11 +13,14 @@ inner loop walks CSR arrays:
   so reporting allocates nothing;
 * settled membership is a bytearray flag per dense node instead of a dict
   probe per relaxation;
-* facility keys are one float add (``distance + precomputed delta``) instead
-  of a divide, a multiply and three attribute loads per record;
+* all ``d`` kernels of a query walk one ``(neighbour, cell)`` tuple per
+  node and read their arc costs from their own cost list by cell;
+* facility keys are ``distance + edge_cost * fraction`` with the fraction
+  read from the snapshot's one cost-independent facility table — the
+  record path's expression, without its divide and attribute loads;
 * the pop/settle/relax cycle is one flat loop with every hot structure bound
   once per call, and a settle whose incident edges host no facility relaxes
-  its arcs without probing the facility tables;
+  its arcs without probing the facility table;
 * counter-only charges (in-memory LSA/CEA) are tallied in locals and added
   to the accessor's counters once per call, and settled nodes are folded
   into the ``settled_costs`` dict once per call, keyed by the snapshot's
@@ -308,7 +311,7 @@ _COUNT_ONCE = 2  # dedup through the layer's shared seen-flags, then tally (CEA)
 
 
 class ExpansionKernel:
-    """Incremental nearest-facility expansion over CSR columns.
+    """Incremental nearest-facility expansion over a compiled snapshot.
 
     Behaviourally identical to
     :class:`~repro.core.expansion.NearestFacilityExpansion` constructed over
@@ -323,14 +326,10 @@ class ExpansionKernel:
         "_cost_index",
         "_node_ids",
         "_edge_ids",
-        "_indptr",
-        "_arc_neighbor",
-        "_arc_edge",
-        "_arc_cost",
-        "_arc_forward",
         "_edge_length",
-        "_hot_arcs",
-        "_hot_facs",
+        "_arcs",
+        "_costs",
+        "_fac_cells",
         "_fac_nodes",
         "_heap",
         "_tiebreak",
@@ -360,15 +359,11 @@ class ExpansionKernel:
         self._cost_index = cost_index
         self._node_ids = compiled.node_ids
         self._edge_ids = compiled.edge_ids
-        self._indptr = compiled.arc_indptr
-        self._arc_neighbor = compiled.arc_neighbor
-        self._arc_edge = compiled.arc_edge
-        self._arc_cost = compiled.arc_costs[cost_index]
-        self._arc_forward = compiled.arc_forward
         self._edge_length = compiled.edge_length
-        self._hot_arcs = compiled.hot_arcs(cost_index)
-        self._hot_facs = compiled.hot_facilities(cost_index)
-        self._fac_nodes = compiled.hot_facility_node_flags()
+        self._arcs = compiled.arcs
+        self._costs = compiled.cell_costs[cost_index]
+        self._fac_cells = compiled.facility_cells
+        self._fac_nodes = compiled.facility_node_flags()
         self._heap: list[tuple[float, int, object]] = []
         self._tiebreak = 0
         self._settled_flags = bytearray(compiled.num_nodes)
@@ -453,12 +448,11 @@ class ExpansionKernel:
         if len(self._candidate_edges) <= 32:
             compiled = self._layer.compiled
             edge_index = compiled.edge_index
-            edge_nodes = compiled._edge_endpoint_nodes()
             incident: set[int] = set()
             for edge_id in self._candidate_edges:
                 dense_edge = edge_index.get(edge_id)
                 if dense_edge is not None:
-                    incident.update(edge_nodes[dense_edge])
+                    incident.update(compiled.edge_nodes(dense_edge))
             self._cand_nodes = incident
         else:
             self._cand_nodes = None
@@ -488,8 +482,9 @@ class ExpansionKernel:
         push = heapq.heappush
         reported = self._reported
         flags = self._settled_flags
-        hot_arcs = self._hot_arcs
-        fac_table = self._hot_facs
+        arcs = self._arcs
+        costs = self._costs
+        fac_cells = self._fac_cells
         fac_nodes = self._fac_nodes
         allowed = self._allowed
         candidate_mode = self._candidate_edges is not None
@@ -537,16 +532,17 @@ class ExpansionKernel:
                         # case under sparse facilities): pure arc relaxation,
                         # no facility-table probes.  Push order is identical
                         # — the skipped cells were all empty.
-                        for edge_cost, neighbor, _cell in hot_arcs[payload]:
+                        for neighbor, cell in arcs[payload]:
                             if not flags[neighbor]:
                                 tie += 1
-                                push(heap, (key + edge_cost, tie, neighbor))
+                                push(heap, (key + costs[cell], tie, neighbor))
                         continue
-                    for edge_cost, neighbor, cell in hot_arcs[payload]:
+                    for neighbor, cell in arcs[payload]:
+                        edge_cost = costs[cell]
                         if not flags[neighbor]:
                             tie += 1
                             push(heap, (key + edge_cost, tie, neighbor))
-                        facs = fac_table[cell]
+                        facs = fac_cells[cell]
                         if facs:
                             if counting:
                                 if dedup:
@@ -558,11 +554,11 @@ class ExpansionKernel:
                                     n_edge += 1
                             else:
                                 note_edge(cell >> 1)
-                            for facility_id, delta, record in facs:
+                            for facility_id, fraction, record in facs:
                                 if facility_id in reported:
                                     continue
                                 tie += 1
-                                push(heap, (key + delta, tie, record))
+                                push(heap, (key + edge_cost * fraction, tie, record))
                     continue
                 facility_id = payload.facility_id
                 if facility_id in reported:
@@ -664,75 +660,70 @@ class ExpansionKernel:
         heap = self._heap
         push = heapq.heappush
         tie = self._tiebreak
+        costs = self._costs
         if not self._fac_nodes[node_idx]:
-            for edge_cost, neighbor, _cell in self._hot_arcs[node_idx]:
+            for neighbor, cell in self._arcs[node_idx]:
                 if not flags[neighbor]:
                     tie += 1
-                    push(heap, (distance + edge_cost, tie, neighbor))
+                    push(heap, (distance + costs[cell], tie, neighbor))
             self._tiebreak = tie
             return
         reported = self._reported
-        fac_table = self._hot_facs
+        fac_cells = self._fac_cells
         note_edge = self._layer.note_edge_facilities
-        for edge_cost, neighbor, cell in self._hot_arcs[node_idx]:
+        for neighbor, cell in self._arcs[node_idx]:
+            edge_cost = costs[cell]
             if not flags[neighbor]:
                 tie += 1
                 push(heap, (distance + edge_cost, tie, neighbor))
-            facs = fac_table[cell]
+            facs = fac_cells[cell]
             if facs:
                 note_edge(cell >> 1)
-                for facility_id, delta, record in facs:
+                for facility_id, fraction, record in facs:
                     if facility_id in reported:
                         continue
                     tie += 1
-                    push(heap, (distance + delta, tie, record))
+                    push(heap, (distance + edge_cost * fraction, tie, record))
         self._tiebreak = tie
 
     def _expand_node_candidates(self, node_idx: int, distance: float) -> None:
-        """Candidate-mode arc walk over the CSR columns (the cold path).
+        """Candidate-mode arc walk (the cold path).
 
         Candidate records may be external — facilities not present in the
-        compiled columns, e.g. a prospective insertion being priced — so this
-        path evaluates the legacy per-record arithmetic verbatim instead of
-        the precomputed deltas.
+        compiled facility table, e.g. a prospective insertion being priced —
+        so this path evaluates the record path's per-record fraction
+        verbatim instead of reading the table.
         """
         heap = self._heap
         push = heapq.heappush
         tie = self._tiebreak
         flags = self._settled_flags
+        costs = self._costs
         cand_nodes = self._cand_nodes
         if cand_nodes is not None and node_idx not in cand_nodes:
-            # No incident edge carries candidates: relax arcs off the hot
-            # rows (same CSR order, so identical pushes) and skip the
-            # per-arc candidate probes entirely.
-            for edge_cost, neighbor, _cell in self._hot_arcs[node_idx]:
+            # No incident edge carries candidates: relax the arcs (same
+            # order, so identical pushes) and skip the per-arc candidate
+            # probes entirely.
+            for neighbor, cell in self._arcs[node_idx]:
                 if not flags[neighbor]:
                     tie += 1
-                    push(heap, (distance + edge_cost, tie, neighbor))
+                    push(heap, (distance + costs[cell], tie, neighbor))
             self._tiebreak = tie
             return
-        indptr = self._indptr
-        start = indptr[node_idx]
-        end = indptr[node_idx + 1]
-        neighbors = self._arc_neighbor
-        arc_edge = self._arc_edge
-        arc_cost = self._arc_cost
-        forward = self._arc_forward
         reported = self._reported
         candidates = self._candidate_edges
         allowed = self._allowed
-        for arc in range(start, end):
-            edge_cost = arc_cost[arc]
-            neighbor = neighbors[arc]
+        for neighbor, cell in self._arcs[node_idx]:
+            edge_cost = costs[cell]
             if not flags[neighbor]:
                 tie += 1
                 push(heap, (distance + edge_cost, tie, neighbor))
-            edge_idx = arc_edge[arc]
+            edge_idx = cell >> 1
             records = candidates.get(self._edge_ids[edge_idx])
             if not records:
                 continue
             length = self._edge_length[edge_idx]
-            is_forward = forward[arc]
+            is_forward = cell & 1
             for record in records:
                 facility_id = record.facility_id
                 if facility_id in reported:

@@ -123,6 +123,9 @@ class MCNSkylineSearch:
         self._first_nn_shortcut = first_nn_shortcut
         self._share_accesses = share_accesses
         self._base_accessor = accessor
+        # Taken before the expansions seed: seeding reads the query edge's
+        # facility list, and run() reports that request too.
+        self._io_before = accessor.statistics.snapshot()
         if seeds is None:
             seeds = ExpansionSeeds.from_query(graph, query)
         if compiled is not None:
@@ -176,10 +179,9 @@ class MCNSkylineSearch:
     def run(self) -> SkylineResult:
         """Execute the search to completion and return the full skyline."""
         start = time.perf_counter()
-        io_before = self._base_accessor.statistics.snapshot()
         facilities = list(self._progressive())
         self._statistics.elapsed_seconds = time.perf_counter() - start
-        self._statistics.io = self._base_accessor.statistics.since(io_before)
+        self._statistics.io = self._base_accessor.statistics.since(self._io_before)
         self._statistics.dominance_checks = self._pool.dominance_checks
         self._statistics.candidates_considered = len(self._pool)
         self._statistics.heap_pops = sum(exp.heap_pops for exp in self._expansions)

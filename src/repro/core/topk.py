@@ -62,6 +62,9 @@ class MCNTopKSearch:
         self._aggregate = aggregate
         self._k = k
         self._base_accessor = accessor
+        # Taken before the expansions seed: seeding reads the query edge's
+        # facility list, and run() reports that request too.
+        self._io_before = accessor.statistics.snapshot()
         if seeds is None:
             seeds = ExpansionSeeds.from_query(graph, query)
         if compiled is not None:
@@ -101,13 +104,12 @@ class MCNTopKSearch:
     def run(self) -> TopKResult:
         """Execute the query and return the k facilities with smallest aggregate cost."""
         start = time.perf_counter()
-        io_before = self._base_accessor.statistics.snapshot()
         self._growing_stage()
         self._shrinking_stage()
         ranked = sorted(self._top.values(), key=lambda item: (item.score, item.facility_id))
         ranked = ranked[: self._k]
         self._statistics.elapsed_seconds = time.perf_counter() - start
-        self._statistics.io = self._base_accessor.statistics.since(io_before)
+        self._statistics.io = self._base_accessor.statistics.since(self._io_before)
         self._statistics.dominance_checks = self._pool.dominance_checks
         self._statistics.candidates_considered = len(self._pool)
         self._statistics.heap_pops = sum(exp.heap_pops for exp in self._expansions)

@@ -60,6 +60,7 @@ from repro.core.engine import MCNQueryEngine
 from repro.core.maintenance import MaintenanceStatistics, SkylineMaintainer, TopKMaintainer
 from repro.errors import FacilityError, GraphError, PolicyError, QueryError
 from repro.network.accessor import AccessStatistics
+from repro.network.compiled import CompiledGraph
 from repro.network.costs import CostVector
 from repro.network.facilities import Facility, FacilityId, FacilitySet
 from repro.network.graph import MultiCostGraph
@@ -214,6 +215,12 @@ class MonitoringService:
         ``shard_fallback_threshold`` itself (the pool is not worth spinning
         up for one or two queries).  Monitoring always runs on the in-memory
         data layer; the policy's residency / page knobs do not apply.
+    compiled_graph:
+        A plan-free :class:`~repro.network.compiled.CompiledGraph` over
+        ``graph`` and ``facilities`` to run the kernel on, instead of
+        compiling one from the policy.  :meth:`repro.api.Session.monitor`
+        hands over its engine's snapshot (or, for a disk-resident session, a
+        plan-free twin of it), so a monitored session holds one topology.
     """
 
     def __init__(
@@ -222,6 +229,7 @@ class MonitoringService:
         facilities: FacilitySet,
         *,
         policy: ExecutionPolicy = DEFAULT_POLICY,
+        compiled_graph: CompiledGraph | None = None,
     ):
         if not isinstance(policy, ExecutionPolicy):
             raise PolicyError(
@@ -229,13 +237,21 @@ class MonitoringService:
             )
         if facilities.graph is not graph:
             raise QueryError("facility set was built for a different graph")
+        if compiled_graph is not None and compiled_graph.has_page_plans:
+            raise QueryError(
+                "monitoring runs on the in-memory data layer; hand it a "
+                "plan-free CompiledGraph (CompiledGraph.derive builds one "
+                "over the same topology)"
+            )
         self._graph = graph
         self._facilities = facilities
         self._policy = policy
         self._engine = MCNQueryEngine(
             graph,
             facilities,
-            compiled=policy.resolved_compiled(),
+            compiled=(
+                policy.resolved_compiled() if compiled_graph is None else compiled_graph
+            ),
         )
         self._accessor = self._engine.accessor
         self._subscriptions: dict[int, _Subscription] = {}

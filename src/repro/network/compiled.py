@@ -1,24 +1,28 @@
-"""Columnar (CSR) snapshots of a built network: the data side of the fast path.
+"""Compiled snapshots of a built network: the data side of the fast path.
 
 Every query algorithm bottoms out in the NE primitive of Section II-C, whose
 pure-Python inner loop spends most of its time materialising
 :class:`~repro.network.accessor.AdjacencyRecord` /
 :class:`~repro.network.accessor.FacilityRecord` objects and walking them
 attribute by attribute.  A :class:`CompiledGraph` flattens the built network
-once into contiguous ``array``-backed columns:
+once, in one pass over ``graph.neighbors``, into structures the kernel can
+walk directly:
 
-* **CSR adjacency** — per dense node an ``indptr`` range into parallel arc
-  columns (dense neighbour index, dense edge index, per-cost-type edge cost,
-  a forward/backward direction flag), one directed arc per traversal
-  direction, in exactly the order the accessors return adjacency records;
-* **columnar facility store** — facilities bucketed by dense edge as record
-  tuples, with per-cost-type hot tables holding the *precomputed* pro-rated
-  partial edge weight from either end-node, so the kernel en-heaps a
-  facility with one float add instead of a divide and a multiply per pop
-  (the precomputation uses the very same expressions as the legacy
-  expansion, so the doubles are bit-identical); facility mutations patch
-  only the buckets of the edges they touched, driven by the facility set's
-  bounded changelog;
+* **one topology for every cost type** — per dense node a tuple of
+  ``(neighbour, cell)`` pairs, in exactly the order the accessors return
+  adjacency records, where ``cell = edge_idx * 2 + forward`` names the arc's
+  dense edge and traversal direction.  The paper's LSA and CEA run ``d``
+  expansions over one network; all ``d`` kernels walk this one list;
+* **per-cost cell-indexed cost lists** — ``cell_costs[cost_index][cell]`` is
+  the edge's cost under that type, the graph's own float object (both
+  cells of an edge hold it), so an arc's cost is one list index;
+* **one cost-independent facility table** — ``facility_cells[cell]`` is a
+  (possibly empty) tuple of ``(facility_id, fraction, record)`` triples for
+  the facilities on that edge, ``fraction`` pro-rated for the traversal
+  direction.  The kernel en-heaps a facility at ``key + edge_cost *
+  fraction``, the record path's own expression, so every double is
+  bit-identical; facility mutations patch only the cells of the edges they
+  touched, driven by the facility set's bounded changelog;
 * **page plans** (only when compiled from a disk-resident
   :class:`~repro.storage.NetworkStorage`) — for every possible accessor
   request, the fixed page-id sequence that request reads.  Replaying a plan
@@ -26,19 +30,22 @@ once into contiguous ``array``-backed columns:
   record-materialising path, which is how the fast path keeps page-read and
   buffer-hit counters bit-identical without scanning page records.
 
-The snapshot shares nothing mutable: one ``CompiledGraph`` can back every
-shard worker of a parallel batch (fork workers inherit it copy-on-write,
-thread workers read it concurrently) while each worker charges its own
-buffer and counters.  Facility columns track the
-:attr:`~repro.network.facilities.FacilitySet.revision` of the set they were
-derived from and are rebuilt on demand by :meth:`CompiledGraph.ensure_fresh`;
-the graph topology itself must stay static, exactly as the bulk-loaded
-storage scheme already requires.
+The snapshot shares nothing mutable with its searches: one
+``CompiledGraph`` can back every shard worker of a parallel batch, the
+session's monitor and its searches, while each charges its own buffer and
+counters.  :meth:`CompiledGraph.derive` builds another snapshot over the same
+topology — a temporal snapshot's re-costed graph, or a plan-free twin of a
+disk-resident one — that copies only the cost lists.  Cost and facility
+columns track the revisions of the graph and the facility set they were
+derived from and are patched on demand by :meth:`CompiledGraph.ensure_fresh`;
+the topology itself must stay static, exactly as the bulk-loaded storage
+scheme already requires.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterable
 
 from repro.errors import QueryError
 from repro.network.facilities import FacilityId, FacilitySet
@@ -48,7 +55,7 @@ __all__ = ["CompiledGraph"]
 
 
 class CompiledGraph:
-    """A read-only CSR snapshot of a graph + facility set (+ optional page plans)."""
+    """A read-only compiled snapshot of a graph + facility set (+ optional page plans)."""
 
     def __init__(
         self,
@@ -69,11 +76,6 @@ class CompiledGraph:
         self._facility_tree_plans: dict[FacilityId, tuple[int, ...]] | None = None
         if storage is not None:
             self._build_page_plans(storage)
-        # Compile eagerly: kernels only bind at query time, so all one-time
-        # derivation cost lands here rather than inside the first query.
-        for cost_index in range(graph.num_cost_types):
-            self.hot_arcs(cost_index)
-            self.hot_facilities(cost_index)
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -87,26 +89,33 @@ class CompiledGraph:
         yields a plan-free snapshot whose charging is pure counter bumps.
         """
         # Imported lazily: repro.storage depends on repro.network.
-        from repro.network.accessor import InMemoryAccessor
         from repro.storage.scheme import NetworkStorage
 
-        if isinstance(accessor, NetworkStorage):
+        if not cls.can_compile(accessor):
             # Compilation walks the full in-memory topology, so a pack can
             # only feed the fast path when opened with its source graph
             # attached; the standalone bisect-backed views cannot be compiled.
-            if not isinstance(accessor.graph, MultiCostGraph) or not isinstance(
-                accessor.facilities, FacilitySet
-            ):
-                raise QueryError(
-                    "cannot compile a packed dataset opened standalone; reopen it "
-                    "with its source graph and facility set attached"
-                )
-            return cls(accessor.graph, accessor.facilities, storage=accessor)
+            raise QueryError(
+                f"cannot compile a graph from a {type(accessor).__name__}; expected "
+                "an InMemoryAccessor or a NetworkStorage (a packed dataset only "
+                "with its source graph and facility set attached)"
+            )
+        storage = accessor if isinstance(accessor, NetworkStorage) else None
+        return cls(accessor.graph, accessor.facilities, storage=storage)
+
+    @staticmethod
+    def can_compile(accessor: object) -> bool:
+        """Whether :meth:`from_accessor` can compile ``accessor``'s network."""
+        # Imported lazily: both modules import this package's siblings.
+        from repro.network.accessor import InMemoryAccessor
+        from repro.storage.scheme import NetworkStorage
+
         if isinstance(accessor, InMemoryAccessor):
-            return cls(accessor.graph, accessor.facilities)
-        raise QueryError(
-            f"cannot compile a graph from a {type(accessor).__name__}; expected "
-            "an InMemoryAccessor or a NetworkStorage"
+            return True
+        return (
+            isinstance(accessor, NetworkStorage)
+            and isinstance(accessor.graph, MultiCostGraph)
+            and isinstance(accessor.facilities, FacilitySet)
         )
 
     def _build_topology(self) -> None:
@@ -124,59 +133,44 @@ class CompiledGraph:
             node_id: dense for dense, node_id in enumerate(node_ids)
         }
         edge_index: dict[EdgeId, int] = {}
-        edge_ids = array("q")
-        edge_length = array("d")
-        edge_costs: list[array] = [array("d") for _ in range(graph.num_cost_types)]
-        for edge in graph.edges():
-            edge_index[edge.edge_id] = len(edge_ids)
-            edge_ids.append(edge.edge_id)
-            edge_length.append(edge.length)
-            for cost_index, value in enumerate(edge.costs.values):
-                edge_costs[cost_index].append(value)
-
-        indptr = array("q", [0])
-        arc_neighbor = array("q")
-        arc_edge = array("q")
-        arc_forward = bytearray()
-        arc_costs: list[array] = [array("d") for _ in range(graph.num_cost_types)]
-        # Arcs are laid out in the exact order graph.neighbors() (and
-        # therefore both accessors) return adjacency records, so a kernel
-        # walking them pushes heap entries in the legacy push order — the
-        # property that keeps tie-breaking, and hence results, bit-identical.
+        edge_ids: list[EdgeId] = []
+        edge_length: list[float] = []
+        cell_costs: list[list[float]] = [[] for _ in range(graph.num_cost_types)]
+        arcs: list[tuple[tuple[int, int], ...]] = []
+        # One pass: an edge gets its dense index the first time a node's
+        # neighbour list reaches it.  Pairs are laid out in the exact order
+        # graph.neighbors() (and therefore both accessors) return adjacency
+        # records, so a kernel walking them pushes heap entries in the
+        # record path's push order — the property that keeps tie-breaking,
+        # and hence results, bit-identical.
         for node_id in node_ids:
+            row = []
             for neighbor, edge in graph.neighbors(node_id):
-                arc_neighbor.append(node_index[neighbor])
-                arc_edge.append(edge_index[edge.edge_id])
-                arc_forward.append(1 if node_id == edge.u else 0)
-                for cost_index, value in enumerate(edge.costs.values):
-                    arc_costs[cost_index].append(value)
-            indptr.append(len(arc_neighbor))
-
+                dense_edge = edge_index.get(edge.edge_id)
+                if dense_edge is None:
+                    dense_edge = edge_index[edge.edge_id] = len(edge_ids)
+                    edge_ids.append(edge.edge_id)
+                    edge_length.append(edge.length)
+                    for column, value in zip(cell_costs, edge.costs.values):
+                        column.append(value)
+                        column.append(value)
+                row.append((node_index[neighbor], dense_edge * 2 + (node_id == edge.u)))
+            arcs.append(tuple(row))
         self.node_index = node_index
         self.node_ids = node_ids
         self.edge_index = edge_index
         self.edge_ids = edge_ids
         self.edge_length = edge_length
-        self._edge_costs = edge_costs
-        self.arc_indptr = indptr
-        self.arc_neighbor = arc_neighbor
-        self.arc_edge = arc_edge
-        self.arc_forward = bytes(arc_forward)
-        self.arc_costs = arc_costs
+        self.arcs = arcs
+        self.cell_costs = cell_costs
         self._costs_revision = graph.costs_revision
-        # Per-cost hot arc structures (cost-dependent: patched per edge by
-        # ensure_fresh when edge costs are re-profiled).
-        self._hot_arcs: dict[int, list[tuple]] = {}
-        # Dense edge -> incident dense nodes (topology-only, built lazily by
-        # hot_facility_node_flags' maintenance).
-        self._edge_nodes: list[tuple[int, ...]] | None = None
 
     def _build_facility_store(self) -> None:
         # One O(|F|) grouping pass over the set (iterating the set preserves
         # the per-edge order ``on_edge`` reports, because removals keep
         # relative order in both indexes).  The store is edge-bucketed
-        # record tuples — the unit the per-cost hot tables and the
-        # incremental refresh both work in.
+        # record tuples, from which the cost-independent facility table and
+        # the per-node flags are derived.
         from repro.network.accessor import FacilityRecord  # lazy: avoids import cycle
 
         facilities = self._facilities
@@ -198,44 +192,44 @@ class CompiledGraph:
         self.facility_edge_of = facility_edge_of
         self._hosting = set(grouped)
         self._facilities_revision = facilities.revision
-        # Reconstructed AdjacencyRecord lists (see adjacency_records), keyed
-        # by dense node.  facility_count is facility-set state, so the cache
-        # follows the facility columns' revision, not the static topology.
-        self._adj_records: dict[int, list] = {}
-        self._adj_records_revision = facilities.revision
-        # The facility store feeds the per-cost hot facility tables; a full
-        # rebuild drops them (the arc structure is topology-only and survives).
-        self._hot_facilities: dict[int, list[tuple]] = {}
-        # Per-node "some incident edge hosts facilities" bitmap (see
-        # hot_facility_node_flags); dropped with the store, patched on
-        # incremental refreshes.
-        self._fac_node_flags: bytearray | None = None
+        # A snapshot made by derive() may read its source's facility side
+        # (see ensure_fresh); a store built here is this snapshot's own.
+        self._facility_source: CompiledGraph | None = None
+        cells: list[tuple] = [()] * (2 * self.num_edges)
+        flags = bytearray(self.num_nodes)
+        for dense_edge in self._hosting:
+            cells[dense_edge * 2], cells[dense_edge * 2 + 1] = self._facility_cells(
+                dense_edge
+            )
+            for node_idx in self.edge_nodes(dense_edge):
+                flags[node_idx] = 1
+        self.facility_cells = cells
+        self._fac_node_flags = flags
 
-    def _facility_cells(self, dense_edge: int, cost_index: int) -> tuple[tuple, tuple]:
-        """The (backward, forward) hot-table cells of one edge under one cost.
+    def _facility_cells(self, dense_edge: int) -> tuple[tuple, tuple]:
+        """The (backward, forward) facility-table cells of one edge.
 
-        Each cell is a tuple of ``(facility_id, key_delta, record)`` triples;
-        the delta uses the same expressions the legacy expansion evaluates
-        per pop (fraction first, then cost * fraction), hoisted to build
-        time — identical IEEE operations, identical doubles.
+        Each cell is a tuple of ``(facility_id, fraction, record)`` triples;
+        the fraction uses the record path's expressions (offset over length
+        from the first end-node, the rest of the edge from the other), so
+        the kernel's ``key + edge_cost * fraction`` evaluates exactly the
+        record path's doubles under every cost type.
         """
-        records = self._edge_records[dense_edge]
         length = self.edge_length[dense_edge]
-        edge_cost = self._edge_costs[cost_index][dense_edge]
         forward = []
         backward = []
-        for record in records:
+        for record in self._edge_records[dense_edge]:
             if length > 0:
                 fraction_fwd = record.offset / length
                 fraction_bwd = (length - record.offset) / length
             else:
                 fraction_fwd = fraction_bwd = 0.0
-            forward.append((record.facility_id, edge_cost * fraction_fwd, record))
-            backward.append((record.facility_id, edge_cost * fraction_bwd, record))
+            forward.append((record.facility_id, fraction_fwd, record))
+            backward.append((record.facility_id, fraction_bwd, record))
         return tuple(backward), tuple(forward)
 
     def _refresh_facility_edges(self, dense_edges: set[int]) -> None:
-        """Re-derive the store and cached hot cells of the given edges only."""
+        """Re-derive the store, table cells and node flags of the given edges only."""
         from repro.network.accessor import FacilityRecord  # lazy: avoids import cycle
 
         facilities = self._facilities
@@ -245,6 +239,7 @@ class CompiledGraph:
         for dense_edge in dense_edges:
             for record in self._edge_records[dense_edge]:
                 self.facility_edge_of.pop(record.facility_id, None)
+        cells = self.facility_cells
         for dense_edge in dense_edges:
             edge_id = self.edge_ids[dense_edge]
             records = tuple(
@@ -258,121 +253,58 @@ class CompiledGraph:
                 self._hosting.add(dense_edge)
             else:
                 self._hosting.discard(dense_edge)
-            for cost_index, table in self._hot_facilities.items():
-                backward, forward = self._facility_cells(dense_edge, cost_index)
-                table[dense_edge * 2] = backward
-                table[dense_edge * 2 + 1] = forward
+            cells[dense_edge * 2], cells[dense_edge * 2 + 1] = self._facility_cells(
+                dense_edge
+            )
             self._patch_fac_node_flags(dense_edge)
-            # Reconstructed adjacency records embed facility_count, so only
-            # the nodes incident to a refreshed edge go stale — dropping
-            # just those keeps mutation-heavy monitor ticks from rebuilding
-            # the whole cache every revision.
-            for node_idx in self._edge_endpoint_nodes()[dense_edge]:
-                self._adj_records.pop(node_idx, None)
         self._facilities_revision = facilities.revision
-        self._adj_records_revision = facilities.revision
 
-    def _refresh_edge_costs(self, dense_edges: set[int]) -> None:
-        """Patch every cost-dependent structure of the given edges, in place.
+    def _refresh_edge_costs(self, dense_edges: Iterable[int]) -> None:
+        """Patch both cost cells of the given edges under every cost type, in place.
 
-        The CSR arc-cost columns, the per-cost hot arc tuples of the incident
-        nodes, the hot facility cells (their key deltas embed
-        ``edge_cost * fraction``) and the reconstructed adjacency records all
-        depend on edge costs; everything else — topology, facility store,
-        page-plan machinery — is untouched.  Patching mutates the existing
-        lists/arrays so kernels and layers that already bound them observe
-        the new costs, exactly as facility patches behave.
+        The cost lists are the only cost-dependent structure; patching
+        mutates the lists kernels already bound, so they observe the new
+        costs exactly as facility patches behave.
         """
-        graph = self._graph
-        num_costs = self.num_cost_types
-        edge_nodes = self._edge_endpoint_nodes()
-        touched_nodes: set[int] = set()
+        edge_of = self._graph.edge
+        edge_ids = self.edge_ids
+        cell_costs = self.cell_costs
         for dense_edge in dense_edges:
-            edge = graph.edge(self.edge_ids[dense_edge])
-            for cost_index, value in enumerate(edge.costs.values):
-                self._edge_costs[cost_index][dense_edge] = value
-            touched_nodes.update(edge_nodes[dense_edge])
-        arc_edge = self.arc_edge
-        arc_neighbor = self.arc_neighbor
-        arc_forward = self.arc_forward
-        indptr = self.arc_indptr
-        for node_idx in touched_nodes:
-            for arc in range(indptr[node_idx], indptr[node_idx + 1]):
-                edge_idx = arc_edge[arc]
-                if edge_idx in dense_edges:
-                    for cost_index in range(num_costs):
-                        self.arc_costs[cost_index][arc] = self._edge_costs[
-                            cost_index
-                        ][edge_idx]
-            for cost_index, hot in self._hot_arcs.items():
-                arc_cost = self.arc_costs[cost_index]
-                hot[node_idx] = tuple(
-                    (
-                        arc_cost[arc],
-                        arc_neighbor[arc],
-                        arc_edge[arc] * 2 + arc_forward[arc],
-                    )
-                    for arc in range(indptr[node_idx], indptr[node_idx + 1])
-                )
-            self._adj_records.pop(node_idx, None)
-        for dense_edge in dense_edges:
-            for cost_index, table in self._hot_facilities.items():
-                backward, forward = self._facility_cells(dense_edge, cost_index)
-                table[dense_edge * 2] = backward
-                table[dense_edge * 2 + 1] = forward
-        self._costs_revision = graph.costs_revision
+            cell = dense_edge * 2
+            for column, value in zip(cell_costs, edge_of(edge_ids[dense_edge]).costs.values):
+                column[cell] = column[cell + 1] = value
 
-    def _edge_endpoint_nodes(self) -> list[tuple[int, ...]]:
-        """Dense edge -> the dense nodes whose arc lists traverse it."""
-        cached = self._edge_nodes
-        if cached is not None:
-            return cached
-        touching: list[list[int]] = [[] for _ in range(self.num_edges)]
-        arc_edge = self.arc_edge
-        indptr = self.arc_indptr
-        for node_idx in range(self.num_nodes):
-            for arc in range(indptr[node_idx], indptr[node_idx + 1]):
-                bucket = touching[arc_edge[arc]]
-                if node_idx not in bucket:
-                    bucket.append(node_idx)
-        self._edge_nodes = [tuple(bucket) for bucket in touching]
-        return self._edge_nodes
+    def edge_nodes(self, dense_edge: int) -> tuple[int, ...]:
+        """The dense nodes whose neighbour lists traverse one dense edge.
 
-    def hot_facility_node_flags(self) -> bytearray:
-        """Per-dense-node flag: some incident edge hosts facilities.
+        Both end-nodes on an undirected graph, the first one on a directed
+        graph.  Read from the graph, so no per-edge list is kept.
+        """
+        edge = self._graph.edge(self.edge_ids[dense_edge])
+        first = self.node_index[edge.u]
+        if self._graph.directed:
+            return (first,)
+        return (first, self.node_index[edge.v])
+
+    def facility_node_flags(self) -> bytearray:
+        """Per-dense-node flag: some edge the node's neighbour list reaches hosts facilities.
 
         The kernels' serving loops use this to take a facility-free fast
         branch when settling a node — in sparse-facility regimes that's
         nearly every settle.  The bitmap is facility-set state: it is
-        dropped with the facility store and patched in place by the
+        rebuilt with the facility store and patched in place by the
         incremental refresh, so a kernel that bound it at construction sees
-        mutations exactly as it sees the hot facility tables it also bound.
+        mutations exactly as it sees the facility table it also bound.
         """
-        flags = self._fac_node_flags
-        if flags is None:
-            flags = bytearray(self.num_nodes)
-            edge_nodes = self._edge_endpoint_nodes()
-            for dense_edge in self._hosting:
-                for node_idx in edge_nodes[dense_edge]:
-                    flags[node_idx] = 1
-            self._fac_node_flags = flags
-        return flags
+        return self._fac_node_flags
 
     def _patch_fac_node_flags(self, dense_edge: int) -> None:
         """Recompute the flag of every node incident to one refreshed edge."""
         flags = self._fac_node_flags
-        if flags is None:
-            return
         hosting = self._hosting
-        arc_edge = self.arc_edge
-        indptr = self.arc_indptr
-        for node_idx in self._edge_endpoint_nodes()[dense_edge]:
-            bit = 0
-            for arc in range(indptr[node_idx], indptr[node_idx + 1]):
-                if arc_edge[arc] in hosting:
-                    bit = 1
-                    break
-            flags[node_idx] = bit
+        arcs = self.arcs
+        for node_idx in self.edge_nodes(dense_edge):
+            flags[node_idx] = any((cell >> 1) in hosting for _n, cell in arcs[node_idx])
 
     def _build_page_plans(self, storage) -> None:
         self._adjacency_plans = [
@@ -385,6 +317,77 @@ class CompiledGraph:
             facility_id: storage.facility_tree_page_plan(facility_id)
             for facility_id in self.facility_edge_of
         }
+
+    def derive(
+        self,
+        graph: MultiCostGraph,
+        facilities: FacilitySet,
+        *,
+        recosted: Iterable[EdgeId] = (),
+        storage: object | None = None,
+    ) -> "CompiledGraph":
+        """A snapshot of ``graph`` and ``facilities`` over this one's topology.
+
+        ``graph`` must share this snapshot's topology: its own graph, or a
+        graph :meth:`~repro.network.graph.MultiCostGraph.recosted` from it,
+        with ``recosted`` naming every edge whose costs may differ.
+        ``facilities`` must place exactly the facilities this snapshot's set
+        places now (the set itself, or a rebinding of it to ``graph``).
+
+        The result shares the neighbour tuples and the node and edge
+        indexes, and copies only the cost lists, patched for the re-costed
+        edges (and for any edge whose cost this snapshot has not caught up
+        with).  When both snapshots are plan-free it also reads this one's
+        facility table until either facility set moves, after which it
+        builds a table of its own; a disk-resident snapshot (``storage``
+        given, page plans built over it) or a source with page plans builds
+        its own facility side.  A disk-resident session's monitor runs on
+        ``derive(graph, facilities)``, a plan-free twin of the session's
+        snapshot; a temporal snapshot session runs on one derived from the
+        base session's.
+        """
+        if facilities.graph is not graph:
+            raise QueryError("facility set was built for a different graph")
+        if graph.num_nodes != self.num_nodes or graph.num_edges != self.num_edges:
+            raise QueryError("the derived graph does not share this snapshot's topology")
+        self.ensure_fresh()
+        twin = object.__new__(CompiledGraph)
+        twin._graph = graph
+        twin._facilities = facilities
+        twin._storage = storage
+        twin._num_nodes_at_build = self._num_nodes_at_build
+        twin._num_edges_at_build = self._num_edges_at_build
+        twin.node_ids = self.node_ids
+        twin.node_index = self.node_index
+        twin.edge_ids = self.edge_ids
+        twin.edge_index = self.edge_index
+        twin.edge_length = self.edge_length
+        twin.arcs = self.arcs
+        twin.cell_costs = [list(column) for column in self.cell_costs]
+        lagging = self._graph.changed_edges_since(self._costs_revision)
+        if lagging is None:
+            twin._refresh_edge_costs(range(self.num_edges))
+        else:
+            edge_index = self.edge_index
+            twin._refresh_edge_costs(
+                {edge_index[edge_id] for edge_id in (*recosted, *lagging)}
+            )
+        twin._costs_revision = graph.costs_revision
+        if storage is None and self._storage is None:
+            twin._edge_records = self._edge_records
+            twin.facility_edge_of = self.facility_edge_of
+            twin._hosting = self._hosting
+            twin.facility_cells = self.facility_cells
+            twin._fac_node_flags = self._fac_node_flags
+            twin._facilities_revision = facilities.revision
+            twin._facility_source = self
+            twin._facility_source_revision = self._facilities_revision
+        else:
+            twin._build_facility_store()
+        twin._adjacency_plans = twin._facility_plans = twin._facility_tree_plans = None
+        if storage is not None:
+            twin._build_page_plans(storage)
+        return twin
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -444,96 +447,15 @@ class CompiledGraph:
 
     @property
     def costs_revision(self) -> int:
-        """The graph costs revision the cost columns were derived from."""
+        """The graph costs revision the cost lists were derived from."""
         return self._costs_revision
-
-    def memoryview_columns(self) -> dict[str, memoryview]:
-        """Zero-copy ``memoryview``\\ s over the core numeric columns.
-
-        Handy for tests and external tooling that want to inspect (or hash)
-        the snapshot without touching the ``array`` objects the kernels bind.
-        """
-        views = {
-            "node_ids": memoryview(array("q", self.node_ids)),
-            "edge_ids": memoryview(self.edge_ids),
-            "edge_length": memoryview(self.edge_length),
-            "arc_indptr": memoryview(self.arc_indptr),
-            "arc_neighbor": memoryview(self.arc_neighbor),
-            "arc_edge": memoryview(self.arc_edge),
-            "arc_forward": memoryview(self.arc_forward),
-            "fac_indptr": memoryview(array("q", self._facility_indptr())),
-            "fac_ids": memoryview(array("q", self._facility_ids())),
-            "fac_offsets": memoryview(array("d", self._facility_offsets())),
-        }
-        for cost_index, column in enumerate(self.arc_costs):
-            views[f"arc_costs[{cost_index}]"] = memoryview(column)
-        return views
-
-    def hot_arcs(self, cost_index: int) -> list[tuple]:
-        """The kernel's per-cost-type arc structure (lazily derived, cached forever).
-
-        One entry per dense node: a tuple of arc entries
-        ``(edge_cost, neighbor_idx, cell)``, where ``cell`` encodes the arc's
-        dense edge and traversal direction as ``edge_idx * 2 + forward``.
-        The inner expansion loop iterates these prebuilt tuples directly —
-        zero index arithmetic, zero per-arc column loads — while the CSR
-        arrays remain the canonical (and candidate-mode) representation.
-        Topology is static, so this cache is never invalidated; the
-        facility-dependent half lives in :meth:`hot_facilities`, keyed by the
-        same cells, so facility mutations patch only the cells they touch.
-        """
-        cached = self._hot_arcs.get(cost_index)
-        if cached is not None:
-            return cached
-        arc_cost = self.arc_costs[cost_index]
-        forward = self.arc_forward
-        neighbors = self.arc_neighbor
-        arc_edges = self.arc_edge
-        indptr = self.arc_indptr
-        hot: list[tuple] = []
-        for node_idx in range(self.num_nodes):
-            hot.append(
-                tuple(
-                    (
-                        arc_cost[arc],
-                        neighbors[arc],
-                        arc_edges[arc] * 2 + forward[arc],
-                    )
-                    for arc in range(indptr[node_idx], indptr[node_idx + 1])
-                )
-            )
-        self._hot_arcs[cost_index] = hot
-        return hot
-
-    def hot_facilities(self, cost_index: int) -> list[tuple]:
-        """Per-cost facility lookup table keyed by :meth:`hot_arcs` cells.
-
-        ``table[edge_idx * 2 + forward]`` is a (possibly empty) tuple of
-        ``(facility_id, key_delta, record)`` triples for the facilities on
-        that edge, with the pro-rated partial weight already resolved for
-        the traversal direction; ``record`` is the
-        :class:`~repro.network.accessor.FacilityRecord` a reported hit
-        carries.  Mutations patch only the cells of the edges they touched
-        (:meth:`ensure_fresh`), so mutation-heavy monitoring ticks stay
-        cheap.
-        """
-        cached = self._hot_facilities.get(cost_index)
-        if cached is not None:
-            return cached
-        table: list[tuple] = [()] * (2 * self.num_edges)
-        for edge_idx in self._hosting:
-            backward, forward = self._facility_cells(edge_idx, cost_index)
-            table[edge_idx * 2] = backward
-            table[edge_idx * 2 + 1] = forward
-        self._hot_facilities[cost_index] = table
-        return table
 
     def describe(self) -> dict[str, object]:
         """Size summary used by the CLI, docs and the perf harness."""
         return {
             "nodes": self.num_nodes,
             "edges": self.num_edges,
-            "arcs": len(self.arc_neighbor),
+            "arcs": sum(map(len, self.arcs)),
             "facilities": self.num_facilities,
             "cost_types": self.num_cost_types,
             "page_plans": self.has_page_plans,
@@ -543,12 +465,14 @@ class CompiledGraph:
     # Freshness
     # ------------------------------------------------------------------ #
     def ensure_fresh(self) -> "CompiledGraph":
-        """Re-derive the facility columns if the facility set mutated.
+        """Patch the cost lists and facility columns the graph and set moved under.
 
         Topology is required to be static (the same contract the bulk-loaded
-        storage scheme imposes); a snapshot with page plans cannot follow
-        facility mutations either, because the on-disk facility file it
-        charges against is itself static.  Returns ``self`` for chaining.
+        storage scheme imposes).  A snapshot with page plans follows neither
+        cost nor facility mutations: the disk-resident network and facility
+        files it charges against are bulk-loaded and static, and the record
+        path reads them as they were loaded, so this snapshot stays what it
+        was compiled from too.  Returns ``self`` for chaining.
         """
         if (
             self._graph.num_nodes != self._num_nodes_at_build
@@ -558,34 +482,31 @@ class CompiledGraph:
                 "the graph gained nodes or edges after it was compiled; "
                 "rebuild the CompiledGraph (topology must be static)"
             )
+        if self._storage is not None:
+            return self
         if self._graph.costs_revision != self._costs_revision:
-            if self._storage is not None:
-                raise QueryError(
-                    "edge costs mutated under a compiled graph with page plans; "
-                    "the disk-resident network file is bulk-loaded and static, "
-                    "so rebuild the storage and recompile"
-                )
             changed_edges = self._graph.changed_edges_since(self._costs_revision)
             if changed_edges is None:
                 # Too far behind the graph's bounded changelog: every edge
                 # is suspect, so patch all of them (still in place).
-                self._refresh_edge_costs(set(range(self.num_edges)))
+                self._refresh_edge_costs(range(self.num_edges))
             else:
                 edge_index = self.edge_index
-                self._refresh_edge_costs(
-                    {edge_index[edge_id] for edge_id in changed_edges}
-                )
+                self._refresh_edge_costs({edge_index[edge_id] for edge_id in changed_edges})
+            self._costs_revision = self._graph.costs_revision
+        source = self._facility_source
+        if (
+            source is not None
+            and source._facilities_revision != self._facility_source_revision
+        ):
+            # The shared table moved with the source's set: build our own.
+            self._build_facility_store()
         if self._facilities.revision == self._facilities_revision:
             return self
-        if self._storage is not None:
-            raise QueryError(
-                "the facility set mutated under a compiled graph with page plans; "
-                "the disk-resident facility file is bulk-loaded and static, so "
-                "rebuild the storage and recompile"
-            )
         changed = self._facilities.changed_facilities_since(self._facilities_revision)
-        if changed is None:
-            # Too far behind the set's bounded changelog: rebuild everything.
+        if changed is None or self._facility_source is not None:
+            # Too far behind the set's bounded changelog, or the table is
+            # still the source's: rebuild a store of our own.
             self._build_facility_store()
             return self
         edge_index = self.edge_index
@@ -593,26 +514,8 @@ class CompiledGraph:
         return self
 
     # ------------------------------------------------------------------ #
-    # Flat facility columns (derived views over the edge-bucketed store,
-    # used by memoryview_columns and tests; the query path reads the hot
-    # tables, never these)
+    # Record views (what an accessor request would return)
     # ------------------------------------------------------------------ #
-    def _facility_indptr(self) -> list[int]:
-        indptr = [0]
-        running = 0
-        for dense_edge in range(self.num_edges):
-            running += len(self._edge_records[dense_edge])
-            indptr.append(running)
-        return indptr
-
-    def _facility_ids(self) -> list[int]:
-        return [
-            record.facility_id for bucket in self._edge_records for record in bucket
-        ]
-
-    def _facility_offsets(self) -> list[float]:
-        return [record.offset for bucket in self._edge_records for record in bucket]
-
     def edge_facility_records(self, dense_edge: int) -> tuple:
         """The facility records on one dense edge (bucket order = accessor order)."""
         return self._edge_records[dense_edge]
@@ -620,47 +523,33 @@ class CompiledGraph:
     def adjacency_records(self, node_idx: int) -> list:
         """The exact adjacency list an accessor would return for a dense node.
 
-        Reconstructed from the CSR columns — same values, same order, no
-        accessor request.  This is how the batch service's charge layer
-        keeps its cross-query record cache populated without routing reads
-        through the base accessor: the list compares equal (and stays
-        results-identical) to what :meth:`InMemoryAccessor.adjacency
+        Built from the neighbour tuple, the cost lists and the facility
+        store — same values, same order, no accessor request.  The batch
+        service's cross-query cache builds a node's list this way only when
+        a record-path request (``baseline``, say) reads an entry the kernel
+        filled; the list compares equal (and stays results-identical) to what
+        :meth:`InMemoryAccessor.adjacency
         <repro.network.accessor.InMemoryAccessor.adjacency>` or the storage
-        scheme would have produced.  Lists are cached per node for the
-        lifetime of the facility columns; ``facility_count`` is facility-set
-        state, so the cache is dropped whenever the columns refresh.
+        scheme would have produced.
         """
         from repro.network.accessor import AdjacencyRecord  # lazy: avoids import cycle
 
-        if self._adj_records_revision != self._facilities_revision:
-            self._adj_records.clear()
-            self._adj_records_revision = self._facilities_revision
-        cached = self._adj_records.get(node_idx)
-        if cached is not None:
-            return cached
         node_ids = self.node_ids
         edge_ids = self.edge_ids
-        edge_costs = self._edge_costs
-        edge_length = self.edge_length
-        edge_records = self._edge_records
-        arc_edge = self.arc_edge
-        arc_neighbor = self.arc_neighbor
-        arc_forward = self.arc_forward
+        cell_costs = self.cell_costs
         node_id = node_ids[node_idx]
-        num_costs = len(edge_costs)
         records = []
-        for arc in range(self.arc_indptr[node_idx], self.arc_indptr[node_idx + 1]):
-            edge_idx = arc_edge[arc]
-            neighbor_id = node_ids[arc_neighbor[arc]]
+        for neighbor, cell in self.arcs[node_idx]:
+            edge_idx = cell >> 1
+            neighbor_id = node_ids[neighbor]
             records.append(
                 AdjacencyRecord(
                     neighbor=neighbor_id,
                     edge_id=edge_ids[edge_idx],
-                    costs=tuple(edge_costs[ci][edge_idx] for ci in range(num_costs)),
-                    length=edge_length[edge_idx],
-                    first_node=node_id if arc_forward[arc] else neighbor_id,
-                    facility_count=len(edge_records[edge_idx]),
+                    costs=tuple(column[cell] for column in cell_costs),
+                    length=self.edge_length[edge_idx],
+                    first_node=node_id if cell & 1 else neighbor_id,
+                    facility_count=len(self._edge_records[edge_idx]),
                 )
             )
-        self._adj_records[node_idx] = records
         return records

@@ -19,7 +19,10 @@ The cache implements the :class:`~repro.network.accessor.GraphAccessor`
 protocol, so every algorithm of :mod:`repro.core` can run through it
 unchanged; record lists handed out are the same immutable tuples the base
 accessor produced, which is why a warm cache can never change query results,
-only the I/O needed to obtain them.
+only the I/O needed to obtain them.  An adjacency entry the compiled kernel
+filled (:class:`SharedCacheChargeLayer`) records membership only: the
+kernel never reads the list, so it is built from the compiled snapshot the
+first time a record-path request reads the entry.
 """
 
 from __future__ import annotations
@@ -110,7 +113,9 @@ class CrossQueryExpansionCache:
             raise QueryError("max_entries must be positive (or None for unbounded)")
         self._accessor = accessor
         self._max_entries = max_entries
-        self._adjacency: dict[NodeId, list[AdjacencyRecord]] = {}
+        # A value is the record list, or the CompiledGraph of a
+        # membership-only entry the kernel filled (see adjacency()).
+        self._adjacency: dict[NodeId, list[AdjacencyRecord] | CompiledGraph] = {}
         self._edge_facilities: dict[EdgeId, list[FacilityRecord]] = {}
         self._facility_edges: dict[FacilityId, EdgeId] = {}
         self._seeds: dict[NetworkLocation, ExpansionSeeds] = {}
@@ -175,6 +180,11 @@ class CrossQueryExpansionCache:
         if cached is not None:
             self._stats.adjacency_hits += 1
             self._touch(self._adjacency, node_id)
+            if isinstance(cached, CompiledGraph):
+                # A membership-only entry the kernel filled: build the list
+                # it stands for now that a record-path request reads it.
+                cached = cached.adjacency_records(cached.node_index[node_id])
+                self._adjacency[node_id] = cached
             return cached
         self._stats.adjacency_misses += 1
         records = self._accessor.adjacency(node_id)
@@ -261,10 +271,13 @@ class SharedCacheChargeLayer(DirectChargeLayer):
     counter (and the LRU touch a bounded cache would have performed); a miss
     charges the base accessor through :class:`~repro.core.kernel.
     DirectChargeLayer` (counter increment, page-plan replay through the
-    storage buffer) and then populates the cache with records rebuilt from
-    the compiled columns — value-identical to what the base accessor would
-    have returned, so later queries (including legacy-path ones sharing the
-    cache) read the very same data.  Nothing about cache contents, hit/miss
+    storage buffer) and then records the entry.  An adjacency entry records
+    membership only (its value is the compiled snapshot), and
+    :meth:`CrossQueryExpansionCache.adjacency` builds the list from the
+    snapshot the first time a record-path request reads it; an edge's
+    facility list is stored as the snapshot's records.  Either way a later
+    record-path query sharing the cache reads the very data the base
+    accessor would have returned.  Nothing about cache membership, hit/miss
     statistics, eviction counts or base-accessor I/O differs from the
     forwarding path; only the per-request Python overhead does.
     """
@@ -304,7 +317,7 @@ class SharedCacheChargeLayer(DirectChargeLayer):
             return
         self._cache_stats.adjacency_misses += 1
         DirectChargeLayer.note_adjacency(self, node_idx)
-        self._cache._insert(store, key, self.compiled.adjacency_records(node_idx))
+        self._cache._insert(store, key, self.compiled)
 
     def note_edge_facilities(self, edge_idx: int) -> None:
         key = self._edge_id_of[edge_idx]

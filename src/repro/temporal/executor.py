@@ -8,8 +8,10 @@ departure time, wraps it in a full static :class:`~repro.api.Session` stack
 keyed by *quantised* departure time, so nearby requests share one warm
 stack instead of opening a cold session per query.  A snapshot shares the
 base graph's topology and owns only the costs of the profiled edges, so
-building one re-costs those edges and copies the facility indexes, nothing
-more.
+building one re-costs those edges and copies the facility indexes; on the
+compiled path its session's :class:`~repro.network.compiled.CompiledGraph`
+is derived from the base session's the same way (topology and facility
+table shared, cost lists copied and patched for the profiled edges).
 
 Every cached stack remembers the base graph's cost revision and the live
 facility set's revision at build time; a monitoring tick that re-profiles an
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 import time as time_module
 from collections import OrderedDict
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace as dataclasses_replace
 
 from repro.api.policy import ExecutionPolicy
@@ -32,7 +35,7 @@ from repro.api.session import Response, Session
 from repro.errors import PolicyError, QueryError
 from repro.network.accessor import AccessStatistics
 from repro.network.facilities import FacilitySet
-from repro.network.graph import MultiCostGraph
+from repro.network.graph import EdgeId, MultiCostGraph
 from repro.service.requests import QueryRequest, SkylineRequest, TopKRequest
 from repro.temporal.requests import (
     SkylineSweepRequest,
@@ -96,9 +99,13 @@ class TemporalExecutor:
     """LRU of static snapshot stacks, keyed by quantised departure time.
 
     ``policy`` is the owning session's static policy (``temporal="off"``):
-    every snapshot session is opened with it, its ``temporal_quantum``
+    every snapshot session runs under it, its ``temporal_quantum``
     quantises departure times and its ``temporal_cache_size`` bounds the
-    LRU.
+    LRU.  ``open_session(snapshot, facilities, recosted)`` opens the static
+    session over one snapshot (``recosted`` names the profiled edges); the
+    owning session passes its own, which derives the snapshot's compiled
+    graph from its engine's, and by default a plain :class:`Session` with
+    ``policy`` is opened.
     """
 
     def __init__(
@@ -108,6 +115,8 @@ class TemporalExecutor:
         network: TimeVaryingMCN,
         *,
         policy: ExecutionPolicy,
+        open_session: Callable[[MultiCostGraph, FacilitySet, Sequence[EdgeId]], Session]
+        | None = None,
     ):
         if network.base_graph is not graph:
             raise PolicyError(
@@ -118,6 +127,9 @@ class TemporalExecutor:
         self._facilities = facilities
         self._network = network
         self._policy = policy
+        self._open_session = open_session or (
+            lambda snapshot, rebound, _recosted: Session(snapshot, rebound, policy=policy)
+        )
         self._entries: OrderedDict[int, _SnapshotEntry] = OrderedDict()
         self._statistics = SnapshotStatistics()
 
@@ -166,7 +178,7 @@ class TemporalExecutor:
             self._statistics.rebuilds += 1
         snapshot = self._network.snapshot(self.quantise(departure_time))
         rebound = rebind_facilities(snapshot, self._facilities)
-        session = Session(snapshot, rebound, policy=self._policy)
+        session = self._open_session(snapshot, rebound, self._network.profiled_edges)
         self._entries[key] = _SnapshotEntry(
             session=session,
             facilities_revision=self._facilities.revision,

@@ -52,6 +52,11 @@ class TimeVaryingMCN:
     def num_cost_types(self) -> int:
         return self._base.num_cost_types
 
+    @property
+    def profiled_edges(self) -> tuple[EdgeId, ...]:
+        """The edges carrying a profile: the only ones a snapshot re-costs."""
+        return tuple(self._profiles)
+
     def set_profile(self, edge_id: EdgeId, cost_index: int, profile: CostProfile) -> None:
         """Attach (or replace) the profile of one edge cost."""
         if not self._base.has_edge(edge_id):

@@ -118,14 +118,20 @@ class TestValidation:
 
 
 class TestCompiledEnvHandling:
-    @pytest.mark.parametrize("value", ["1", "true", "YES", " on "])
-    def test_truthy_values_enable(self, monkeypatch, value):
+    def test_unset_enables(self, monkeypatch):
+        # The kernel is the default: no variable, no opt-out.
+        monkeypatch.delenv(COMPILED_ENV_VAR, raising=False)
+        assert compiled_env_default() is True
+        assert resolve_compiled("auto") is True
+
+    @pytest.mark.parametrize("value", ["", "1", "true", "YES", " on ", "banana"])
+    def test_other_values_enable(self, monkeypatch, value):
         monkeypatch.setenv(COMPILED_ENV_VAR, value)
         assert compiled_env_default() is True
         assert resolve_compiled("auto") is True
 
-    @pytest.mark.parametrize("value", ["", "0", "false", "off", "banana"])
-    def test_other_values_disable(self, monkeypatch, value):
+    @pytest.mark.parametrize("value", ["0", "false", "OFF", " no "])
+    def test_falsy_values_disable(self, monkeypatch, value):
         monkeypatch.setenv(COMPILED_ENV_VAR, value)
         assert compiled_env_default() is False
         assert resolve_compiled("auto") is False
@@ -151,6 +157,8 @@ class TestCompiledEnvHandling:
         assert compiles() is True
         assert compiles(compiled=False) is False
         monkeypatch.delenv(COMPILED_ENV_VAR)
+        assert compiles() is True
+        monkeypatch.setenv(COMPILED_ENV_VAR, "0")
         assert compiles() is False
         assert compiles(compiled=True) is True
 

@@ -174,3 +174,46 @@ class TestEngineOnDisk:
         engine.storage.reset_statistics(clear_buffer=True)
         cea = engine.skyline(query, algorithm="cea")
         assert cea.statistics.io.page_reads < lsa.statistics.io.page_reads
+
+
+def _edge_queries(workload):
+    """Query locations inside edges that host facilities (seeding reads them)."""
+    hosting = sorted(set(workload.facilities.edges_with_facilities()))
+    return [
+        NetworkLocation.on_edge(edge_id, 0.5 * workload.graph.edge(edge_id).length)
+        for edge_id in hosting[:3]
+    ]
+
+
+class TestDirectSearchStatistics:
+    """A direct search's ``statistics.io`` is the accessor's delta around the call.
+
+    Seeding an edge query reads the query edge's facility list while the
+    search is built, before it runs; the statistics count that request (d
+    of them under LSA, one under CEA) and the pages it reads.
+    """
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "record"])
+    @pytest.mark.parametrize("algorithm", ["lsa", "cea"])
+    @pytest.mark.parametrize("kind", ["skyline", "top_k", "iter_top"])
+    def test_io_equals_the_accessor_delta(self, small_workload, kind, algorithm, compiled):
+        graph, facilities = small_workload.graph, small_workload.facilities
+        storage = NetworkStorage.build(graph, facilities, page_size=512)
+        engine = MCNQueryEngine(graph, facilities, accessor=storage, compiled=compiled)
+        weights = [0.4, 0.3, 0.3]
+        for query in _edge_queries(small_workload) + small_workload.queries[:1]:
+            storage.reset_statistics(clear_buffer=True)
+            before = storage.statistics.snapshot()
+            if kind == "skyline":
+                statistics = engine.skyline(query, algorithm=algorithm).statistics
+            elif kind == "top_k":
+                result = engine.top_k(query, 3, weights=weights, algorithm=algorithm)
+                statistics = result.statistics
+            else:
+                stream = engine.iter_top(query, weights=weights, algorithm=algorithm)
+                stream.take(3)
+                statistics = stream.statistics
+            assert statistics.io == storage.statistics.since(before)
+            if query.edge_id is not None:
+                seeding = graph.num_cost_types if algorithm == "lsa" else 1
+                assert statistics.io.facility_requests >= seeding

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.bench.coldcache import ColdCacheReport
@@ -235,6 +237,18 @@ class TestCLI:
         assert main(["demo", "--nodes", "150", "--facilities", "60", "--cost-types", "2", "--k", "2"]) == 0
         output = capsys.readouterr().out
         assert "[skyline/lsa]" in output and "[top-2/cea]" in output
+
+    def test_demo_is_deterministic_per_seed(self, capsys):
+        # The top-k weights are drawn from --seed, so two runs print the same
+        # lines once the timings are stripped.
+        args = ["demo", "--nodes", "150", "--facilities", "60", "--k", "3", "--seed", "7"]
+        outputs = []
+        for _ in range(2):
+            assert main(args) == 0
+            outputs.append(re.sub(r", [0-9.]+ ms", "", capsys.readouterr().out))
+        rankings = [line for line in outputs[0].splitlines() if line.startswith("[top-3/")]
+        assert len(rankings) == 2
+        assert outputs[0] == outputs[1]
 
     def test_unknown_experiment_rejected_by_parser(self):
         with pytest.raises(SystemExit):

@@ -1,18 +1,24 @@
-"""Structure tests of the CSR snapshot (:mod:`repro.network.compiled`).
+"""Structure tests of the compiled snapshot (:mod:`repro.network.compiled`).
 
 The differential suite proves the kernel behaves like the legacy expansion;
-these tests pin the snapshot itself: CSR columns mirror the accessor's
-record order, page plans replay the exact buffered reads a live request
-performs, and the charge-layer factory rejects mismatched pairings.
+these tests pin the snapshot itself: the shared neighbour tuples and cost
+lists mirror the accessor's record order and values, the facility table
+reproduces the record path's arithmetic, page plans replay the exact
+buffered reads a live request performs, and the charge-layer factory
+rejects mismatched pairings.
 """
 
 from __future__ import annotations
 
+import asyncio
+import gc
 import random
+import tracemalloc
 
 import pytest
 
-from repro.api import ExecutionPolicy
+from repro.api import ExecutionPolicy, Session
+from repro.api.policy import COMPILED_ENV_VAR
 from repro.core.engine import MCNQueryEngine
 from repro.core.kernel import (
     DirectChargeLayer,
@@ -21,21 +27,26 @@ from repro.core.kernel import (
     make_kernel_data_layer,
 )
 from repro.datagen import (
+    EdgeCostStreamSpec,
     UpdateStreamSpec,
     WorkloadSpec,
+    make_profile_network,
     make_update_stream,
     make_workload,
 )
 from repro.errors import QueryError
-from repro.monitor import MonitoringService
+from repro.monitor import EdgeCostUpdate, FacilityDelete, MonitoringService, UpdateTick
 from repro.network.accessor import InMemoryAccessor
 from repro.network.compiled import CompiledGraph
 from repro.network.facilities import FacilitySet
+from repro.serve import InProcessClient, ServeApp
 from repro.service import (
     CrossQueryExpansionCache,
     SharedCacheChargeLayer,
     SkylineRequest,
+    TopKRequest,
 )
+from repro.service.requests import request_to_payload
 from repro.storage.scheme import NetworkStorage
 
 
@@ -61,17 +72,18 @@ class TestTopologyColumns:
         probe = InMemoryAccessor(workload.graph, workload.facilities)
         for node_id in workload.graph.node_ids():
             node_idx = compiled.node_index[node_id]
-            start = compiled.arc_indptr[node_idx]
-            end = compiled.arc_indptr[node_idx + 1]
+            arcs = compiled.arcs[node_idx]
             records = probe.adjacency(node_id)
-            assert end - start == len(records)
-            for arc, record in zip(range(start, end), records):
-                assert compiled.node_ids[compiled.arc_neighbor[arc]] == record.neighbor
-                assert compiled.edge_ids[compiled.arc_edge[arc]] == record.edge_id
-                for cost_index in range(compiled.num_cost_types):
-                    assert compiled.arc_costs[cost_index][arc] == record.costs[cost_index]
+            assert len(arcs) == len(records)
+            for (neighbor, cell), record in zip(arcs, records):
+                assert compiled.node_ids[neighbor] == record.neighbor
+                assert compiled.edge_ids[cell >> 1] == record.edge_id
                 edge = workload.graph.edge(record.edge_id)
-                assert bool(compiled.arc_forward[arc]) == (node_id == edge.u)
+                for cost_index in range(compiled.num_cost_types):
+                    # The cost lists hold the graph's own float objects.
+                    assert compiled.cell_costs[cost_index][cell] is edge.costs.values[cost_index]
+                assert bool(cell & 1) == (node_id == edge.u)
+            assert compiled.adjacency_records(node_idx) == records
 
     def test_facility_buckets_mirror_edge_facilities(self, workload, compiled):
         probe = InMemoryAccessor(workload.graph, workload.facilities)
@@ -80,24 +92,40 @@ class TestTopologyColumns:
             bucket = compiled.edge_facility_records(compiled.edge_index[edge.edge_id])
             assert list(bucket) == records
 
-    def test_hot_facility_deltas_match_legacy_arithmetic(self, workload, compiled):
-        # delta must be exactly edge_cost * (offset / length) — the legacy
-        # expansion's expression, evaluated at build time.
-        for cost_index in range(compiled.num_cost_types):
-            table = compiled.hot_facilities(cost_index)
-            for edge in workload.graph.edges():
-                edge_idx = compiled.edge_index[edge.edge_id]
-                for fid, delta, record in table[edge_idx * 2 + 1]:
-                    fraction = record.offset / edge.length if edge.length > 0 else 0.0
-                    assert delta == edge.costs.values[cost_index] * fraction
+    def test_facility_keys_match_legacy_arithmetic(self, workload, compiled):
+        # The kernel en-heaps key + edge_cost * fraction off the one
+        # cost-independent table: that must be exactly the legacy
+        # expansion's distance + edge_cost * fraction under every cost type
+        # and in both traversal directions.
+        key = 12.375
+        table = compiled.facility_cells
+        for edge in workload.graph.edges():
+            edge_idx = compiled.edge_index[edge.edge_id]
+            bucket = compiled.edge_facility_records(edge_idx)
+            for forward in (0, 1):
+                cell = edge_idx * 2 + forward
+                assert [record for _fid, _fraction, record in table[cell]] == list(bucket)
+                for fid, fraction, record in table[cell]:
                     assert fid == record.facility_id
+                    if edge.length > 0:
+                        legacy = (
+                            record.offset / edge.length
+                            if forward
+                            else (edge.length - record.offset) / edge.length
+                        )
+                    else:
+                        legacy = 0.0
+                    for cost_index in range(compiled.num_cost_types):
+                        cost = edge.costs.values[cost_index]
+                        assert key + compiled.cell_costs[cost_index][cell] * fraction == (
+                            key + cost * legacy
+                        )
 
-    def test_memoryviews_and_describe(self, compiled, workload):
-        views = compiled.memoryview_columns()
-        assert len(views["node_ids"]) == workload.graph.num_nodes
-        assert len(views["fac_ids"]) == len(workload.facilities)
+    def test_describe(self, compiled, workload):
         summary = compiled.describe()
         assert summary["nodes"] == workload.graph.num_nodes
+        assert summary["edges"] == workload.graph.num_edges
+        assert summary["arcs"] == 2 * workload.graph.num_edges
         assert summary["facilities"] == len(workload.facilities)
         assert summary["page_plans"] is False
 
@@ -218,7 +246,7 @@ class TestFreshnessGuards:
         compiled.ensure_fresh()
         rebuilt = CompiledGraph(workload.graph, facilities)
         assert compiled.facility_edge_of == rebuilt.facility_edge_of
-        assert compiled.hot_facilities(0) == rebuilt.hot_facilities(0)
+        assert compiled.facility_cells == rebuilt.facility_cells
 
     def test_overflow_rebuild_refreshes_every_stale_edge_bucket(self):
         # Regression: the bounded changelog can overflow while mutations are
@@ -251,9 +279,8 @@ class TestFreshnessGuards:
         fresh = CompiledGraph(workload.graph, facilities)
         assert compiled._edge_records == fresh._edge_records
         assert compiled.facility_edge_of == fresh.facility_edge_of
-        for cost_index in range(workload.graph.num_cost_types):
-            assert compiled.hot_facilities(cost_index) == fresh.hot_facilities(cost_index)
-        assert compiled.hot_facility_node_flags() == fresh.hot_facility_node_flags()
+        assert compiled.facility_cells == fresh.facility_cells
+        assert compiled.facility_node_flags() == fresh.facility_node_flags()
         stale_engine = MCNQueryEngine(workload.graph, facilities, compiled=compiled)
         fresh_engine = MCNQueryEngine(workload.graph, facilities, compiled=fresh)
         for query in workload.queries:
@@ -302,5 +329,170 @@ class TestFreshnessGuards:
         fresh = CompiledGraph(workload.graph, facilities)
         assert compiled._edge_records == fresh._edge_records
         assert compiled.facility_edge_of == fresh.facility_edge_of
-        for cost_index in range(workload.graph.num_cost_types):
-            assert compiled.hot_facilities(cost_index) == fresh.hot_facilities(cost_index)
+        assert compiled.facility_cells == fresh.facility_cells
+
+
+def _fresh(workload):
+    return FacilitySet(workload.graph, iter(workload.facilities))
+
+
+class TestSharedTopology:
+    """One topology per session: the monitor, snapshots and searches share it."""
+
+    def test_memory_monitor_runs_on_the_session_snapshot(self, workload):
+        policy = ExecutionPolicy(compiled="on")
+        with Session(workload.graph, _fresh(workload), policy=policy) as session:
+            handle = session.monitor([SkylineRequest(workload.queries[0])])
+            compiled = session.engine_for().compiled_graph
+            assert handle.service._engine.compiled_graph is compiled
+            maintainer = handle.maintainer_of(handle.subscription_ids[0])
+            assert maintainer._compiled is compiled
+
+    def test_disk_monitor_runs_on_a_plan_free_twin(self, workload):
+        policy = ExecutionPolicy(compiled="on", residency="disk", page_size=1024)
+        with Session(workload.graph, _fresh(workload), policy=policy) as session:
+            handle = session.monitor([SkylineRequest(workload.queries[0])])
+            disk = session.engine_for().compiled_graph
+            twin = handle.service._engine.compiled_graph
+            assert disk.has_page_plans and not twin.has_page_plans
+            assert twin.arcs is disk.arcs and twin.node_ids is disk.node_ids
+            assert twin.cell_costs is not disk.cell_costs
+            assert twin.facility_cells is not disk.facility_cells
+            # A tick moves the twin (the monitor's live view) and leaves the
+            # disk snapshot as its bulk-loaded storage was built.
+            victim = min(handle.maintainer_of(handle.subscription_ids[0]).skyline_ids())
+            handle.tick(UpdateTick((FacilityDelete(victim),)))
+            twin.ensure_fresh()
+            disk.ensure_fresh()
+            assert victim not in twin.facility_edge_of
+            assert victim in disk.facility_edge_of
+
+    def test_snapshot_sessions_share_the_base_topology(self):
+        workload = make_workload(
+            WorkloadSpec(num_nodes=90, num_facilities=25, num_cost_types=2, num_queries=1, seed=71)
+        )
+        network = make_profile_network(
+            workload.graph,
+            EdgeCostStreamSpec(
+                num_ticks=4, start_time=6.0, time_step=0.5, affected_fraction=0.3, seed=72
+            ),
+        )
+        policy = ExecutionPolicy(compiled="on", temporal="profiles", profile_source="rush")
+        request = SkylineRequest(workload.queries[0], departure_time=8.0)
+        with Session(
+            workload.graph, workload.facilities, policy=policy, profiles={"rush": network}
+        ) as session:
+            handle = session.monitor(())
+            base = session.engine_for().compiled_graph
+            executor = session._temporal_for(session.policy)
+            session.query(request)
+            snapshot = executor.session_at(8.0)
+            derived = snapshot.engine_for().compiled_graph
+            assert derived.graph is snapshot.graph
+            assert derived.arcs is base.arcs
+            assert derived.facility_cells is base.facility_cells
+            assert all(
+                own is not shared for own, shared in zip(derived.cell_costs, base.cell_costs)
+            )
+            assert derived.cell_costs == CompiledGraph(
+                snapshot.graph, snapshot.facilities
+            ).cell_costs
+            # An edge tick on the base shows in a snapshot only once rebuilt.
+            profiled = set(network.profiled_edges)
+            edge = next(e for e in workload.graph.edges() if e.edge_id not in profiled)
+            cell = derived.edge_index[edge.edge_id] * 2
+            before = derived.cell_costs[0][cell]
+            handle.tick(UpdateTick((EdgeCostUpdate(edge.edge_id, [c * 3 for c in edge.costs]),)))
+            assert derived.ensure_fresh().cell_costs[0][cell] == before
+            session.query(request)
+            rebuilt = executor.session_at(8.0).engine_for().compiled_graph
+            assert executor.statistics.rebuilds == 1
+            assert rebuilt is not derived and rebuilt.arcs is base.arcs
+            assert rebuilt.cell_costs[0][cell] == 3 * edge.costs[0]
+            # A facility tick patches the base's table; a snapshot still
+            # holding it builds its own table from its own (unchanged) set.
+            victim = min(session.facilities.facility_ids())
+            handle.tick(UpdateTick((FacilityDelete(victim),)))
+            assert victim not in base.ensure_fresh().facility_edge_of
+            assert victim in rebuilt.ensure_fresh().facility_edge_of
+            assert rebuilt.facility_cells is not base.facility_cells
+
+    def test_a_served_session_with_subscriptions_holds_one_compiled_graph(
+        self, monkeypatch, workload
+    ):
+        monkeypatch.delenv(COMPILED_ENV_VAR, raising=False)
+        edge = next(iter(workload.graph.edges()))
+
+        def query(index):
+            return {"request": request_to_payload(SkylineRequest(workload.queries[index]))}
+
+        async def scenario():
+            app = ServeApp(Session(workload.graph, _fresh(workload)))
+            client = InProcessClient(app)
+            async with app:
+                for index in (0, 1):
+                    assert (await client.post("/v1/subscriptions", query(index))).status == 201
+                assert (await client.post("/v1/query", query(0))).status == 200
+                insert = {"type": "insert", "facility": 9000, "edge": edge.edge_id, "offset": 0.0}
+                assert (await client.patch("/v1/facilities", {"updates": [insert]})).status == 200
+                assert (await client.post("/v1/query", query(1))).status == 200
+                gc.collect()
+                return sum(isinstance(obj, CompiledGraph) for obj in gc.get_objects())
+
+        gc.collect()
+        before = sum(isinstance(obj, CompiledGraph) for obj in gc.get_objects())
+        assert asyncio.run(scenario()) - before == 1
+
+    def test_compiled_size_stays_under_five_mib(self):
+        workload = make_workload(
+            WorkloadSpec(num_nodes=5000, num_facilities=400, num_cost_types=3, seed=2010)
+        )
+        tracemalloc.start()
+        try:
+            compiled = CompiledGraph(workload.graph, workload.facilities)
+            traced, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert compiled.num_nodes >= 5000
+        assert traced < 5 * 2**20
+
+
+class TestKernelFilledCache:
+    """Record-path requests read entries the kernel filled as membership only."""
+
+    @pytest.mark.parametrize("residency", ["memory", "disk"])
+    def test_record_path_reads_match_across_modes(self, workload, residency):
+        locations = list(workload.queries) + [workload.queries[0]]
+        requests = []
+        for location in locations:
+            for algorithm in ("cea", "baseline", "lsa"):
+                requests.append(SkylineRequest(location, algorithm=algorithm))
+                requests.append(
+                    TopKRequest(location, 3, weights=(0.5, 0.3, 0.2), algorithm=algorithm)
+                )
+        runs = {}
+        for compiled in ("on", "off"):
+            policy = ExecutionPolicy(
+                compiled=compiled, residency=residency, page_size=1024, memoize_results=False
+            )
+            with Session(workload.graph, _fresh(workload), policy=policy) as session:
+                responses = []
+                membership_only = 0
+                for request in requests:
+                    cache = session._service_for().cache
+                    if request.algorithm == "baseline":
+                        membership_only += sum(
+                            isinstance(value, CompiledGraph)
+                            for value in cache._adjacency.values()
+                        )
+                    response = session.query(request)
+                    if isinstance(request, SkylineRequest):
+                        answer = [(item.facility_id, item.costs) for item in response.result]
+                    else:
+                        answer = [(item.facility_id, item.score) for item in response.result]
+                    responses.append((answer, response.io))
+                runs[compiled] = (responses, session._service_for().cache_statistics.snapshot())
+            # The kernel run really left membership-only entries for the
+            # baseline to read; the record path never does.
+            assert (membership_only > 0) == (compiled == "on")
+        assert runs["on"] == runs["off"]

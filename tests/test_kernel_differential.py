@@ -111,23 +111,41 @@ class TestFreshness:
         facilities.remove(700)
         compiled.ensure_fresh()  # patches only the two touched edges
         rebuilt = CompiledGraph.from_accessor(accessor)
-        for cost_index in range(2):
-            assert compiled.hot_facilities(cost_index) == rebuilt.hot_facilities(cost_index)
+        assert compiled.facility_cells == rebuilt.facility_cells
+        assert compiled.facility_node_flags() == rebuilt.facility_node_flags()
         assert compiled.facility_edge_of == rebuilt.facility_edge_of
         assert compiled.facilities_revision == facilities.revision
 
-    def test_storage_backed_snapshot_rejects_mutation(self):
+    def test_storage_backed_snapshot_stays_bulk_loaded(self):
+        # The disk-resident files are bulk-loaded and the record path keeps
+        # reading them as loaded after the set or the costs move, so a
+        # snapshot with page plans keeps what it was compiled from: answers
+        # and I/O stay those of the record path over the same storage.
         workload = make_workload(
-            WorkloadSpec(num_nodes=80, num_facilities=20, num_cost_types=2, num_queries=1, seed=7)
+            WorkloadSpec(num_nodes=80, num_facilities=20, num_cost_types=2, num_queries=3, seed=7)
         )
         facilities = FacilitySet(workload.graph, iter(workload.facilities))
         storage = NetworkStorage.build(workload.graph, facilities, page_size=1024)
         compiled = CompiledGraph.from_accessor(storage)
-        facilities.add_on_edge(500, next(iter(workload.graph.edges())).edge_id, offset=0.0)
-        from repro.errors import QueryError
-
-        with pytest.raises(QueryError):
-            compiled.ensure_fresh()
+        cells = list(compiled.facility_cells)
+        costs = [list(column) for column in compiled.cell_costs]
+        edge = next(iter(workload.graph.edges()))
+        facilities.add_on_edge(500, edge.edge_id, offset=0.0)
+        workload.graph.update_edge_costs(edge.edge_id, [cost * 3 for cost in edge.costs])
+        assert compiled.ensure_fresh() is compiled
+        assert compiled.facility_cells == cells
+        assert compiled.cell_costs == costs
+        fast = MCNQueryEngine(workload.graph, facilities, accessor=storage, compiled=compiled)
+        slow = MCNQueryEngine(workload.graph, facilities, accessor=storage, compiled=False)
+        for query in workload.queries:
+            for algorithm in ("cea", "lsa"):
+                storage.reset_statistics(clear_buffer=True)
+                want = slow.skyline(query, algorithm=algorithm)
+                storage.reset_statistics(clear_buffer=True)
+                got = fast.skyline(query, algorithm=algorithm)
+                assert got.facility_ids() == want.facility_ids()
+                assert [f.costs for f in got] == [f.costs for f in want]
+                assert got.statistics.io == want.statistics.io
 
 
 # ---------------------------------------------------------------------- #

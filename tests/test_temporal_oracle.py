@@ -19,8 +19,9 @@ correctness:
   graph.  The in-place compiled-graph patching and the maintainers'
   edge-cost refresh path must likewise be invisible.
 
-The CI matrix re-runs this file under ``REPRO_COMPILED=1``, so both
-oracles hold on the compiled expansion kernel too.
+The suite runs on the compiled expansion kernel by default, and the CI
+matrix re-runs it under ``REPRO_COMPILED=0``, so both oracles hold on the
+record-walking expansion too.
 """
 
 from __future__ import annotations
