@@ -63,6 +63,7 @@ import dataclasses
 import hashlib
 import itertools
 import time
+import weakref
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -295,7 +296,12 @@ class MonitorHandle:
     :class:`~repro.MonitoringService`: ticks applied through any handle
     advance *all* of the session's subscriptions (they share one live
     facility set); the handle's :attr:`subscription_ids` identify the
-    subset this call created.
+    subset this call created.  After every tick the handle calls
+    ``session``'s :meth:`Session.invalidate_result_caches`, because the tick
+    moved the facility set or the edge costs the session's result memo and
+    cross-query cache were filled from.  It holds the session weakly: a
+    handle kept past its session's end does not keep the session's graph,
+    facility set and profile sets alive.
     """
 
     def __init__(
@@ -304,15 +310,22 @@ class MonitorHandle:
         subscription_ids: tuple[int, ...],
         policy: ExecutionPolicy,
         recorder: LatencyRecorder | None = None,
+        *,
+        session: "Session",
     ):
         self._service = service
         self._subscription_ids = subscription_ids
         self._policy = policy
         self._recorder = recorder
+        self._session = weakref.ref(session)
 
     @property
     def service(self):
-        """The underlying :class:`~repro.MonitoringService` (escape hatch)."""
+        """The underlying :class:`~repro.MonitoringService` (escape hatch).
+
+        A tick applied on it directly leaves the session's caches as they
+        were; call :meth:`Session.invalidate_result_caches` after it.
+        """
         return self._service
 
     @property
@@ -329,8 +342,14 @@ class MonitorHandle:
         return self._service.statistics
 
     def tick(self, tick) -> TickResponse:
-        """Apply one :class:`~repro.monitor.UpdateTick` atomically."""
+        """Apply one :class:`~repro.monitor.UpdateTick` atomically.
+
+        The session's result memo and cross-query cache are dropped after it.
+        """
         response = TickResponse.from_report(self._service.apply_tick(tick), self._policy)
+        session = self._session()
+        if session is not None:
+            session.invalidate_result_caches()
         if self._recorder is not None:
             self._recorder.observe("tick", response.elapsed_seconds)
         return response
@@ -430,6 +449,9 @@ class Session:
         # snapshot executors are keyed on the registered profile names.
         self._storage: NetworkStorage | None = self._pack
         self._engine: MCNQueryEngine | None = None
+        # The plan-free compiled snapshot the monitor and the temporal
+        # snapshots share (see _compiled_graph).
+        self._plan_free: CompiledGraph | None = None
         self._service: QueryService | None = None
         self._monitor = None
         self._temporal: dict[str, TemporalExecutor] = {}
@@ -564,6 +586,7 @@ class Session:
         if service is not None:
             service.reset_cache()
         self._engine = None
+        self._plan_free = None
         self._storage = None
         pack, self._pack = self._pack, None
         if pack is not None:
@@ -579,12 +602,13 @@ class Session:
     def invalidate_result_caches(self) -> int:
         """Drop the batch service's cross-query cache and result memo.
 
-        The caches memoise facility placements and whole results, so they
-        must be invalidated whenever the session's facility set mutates
-        *outside* the service's view — exactly what a serving-tier PATCH
-        tick does.  Returns the number of services invalidated (0 before
-        the first query, 1 after).  The engine stays warm (a compiled graph
-        refreshes itself via the facility-set revision changelog).
+        The caches memoise adjacency lists, facility placements and whole
+        results, so they must be invalidated whenever the session's
+        facility set or edge costs mutate *outside* the service's view.
+        :meth:`MonitorHandle.tick` calls this after every tick.  Returns the
+        number of services invalidated (0 before the first query, 1 after).
+        The engine stays warm (a compiled graph refreshes itself via the
+        revision changelogs).
         """
         self._ensure_open()
         if self._service is None:
@@ -628,11 +652,16 @@ class Session:
         """
         self._ensure_open()
         if self._engine is None:
+            storage = self.storage_for()  # None for memory
+            compiled = self._pack is None and self._policy.resolved_compiled()
+            if compiled and self._plan_free is not None:
+                # A disk session's monitor or snapshots compiled first: the
+                # engine's planned snapshot shares their topology.
+                compiled = self._plan_free.derive(
+                    self._graph, self._facilities, storage=storage
+                )
             self._engine = MCNQueryEngine(
-                self._graph,
-                self._facilities,
-                accessor=self.storage_for(),  # None for memory
-                compiled=self._pack is None and self._policy.resolved_compiled(),
+                self._graph, self._facilities, accessor=storage, compiled=compiled
             )
         return self._engine
 
@@ -805,7 +834,7 @@ class Session:
         ``executor`` and ``shard_fallback_threshold`` configure it.  On the
         compiled path the monitor runs on the session engine's
         :class:`~repro.network.compiled.CompiledGraph` (a disk-resident
-        engine's through a plan-free twin over the same topology), so the
+        session's on a plan-free snapshot over the same topology), so the
         session holds one copy of the topology.
         """
         if self.fault_hook is not None:
@@ -821,18 +850,19 @@ class Session:
         if self._monitor is None:
             from repro.monitor.service import MonitoringService
 
-            compiled = self._compiled_graph()
-            if compiled is not None and compiled.has_page_plans:
-                compiled = compiled.derive(self._graph, self._facilities)
             self._monitor = MonitoringService(
                 self._graph,
                 self._facilities,
                 policy=self._policy.replace(residency="memory"),
-                compiled_graph=compiled,
+                compiled_graph=self._compiled_graph(),
             )
         subscription_ids = tuple(self._monitor.subscribe(request) for request in requests)
         return MonitorHandle(
-            self._monitor, subscription_ids, self._policy, self._latency
+            self._monitor,
+            subscription_ids,
+            self._policy,
+            self._latency,
+            session=self,
         )
 
     # ------------------------------------------------------------------ #
@@ -933,13 +963,26 @@ class Session:
         return self._temporal[source]
 
     def _compiled_graph(self) -> CompiledGraph | None:
-        """The engine's compiled snapshot, or ``None`` off the compiled path.
+        """The plan-free snapshot the monitor and temporal snapshots share.
 
-        Builds the engine only when it would compile one.
+        ``None`` off the compiled path.  A memory session's is its engine's.
+        A disk session's is a plan-free twin of its engine's or, while it has
+        no engine, one compiled straight from the graph, so a session that
+        only monitors or only answers departure-time requests never
+        bulk-loads its own storage; the engine derives from it when built.
         """
-        if self._engine is None and not self._policy.resolved_compiled():
-            return None
-        return self.engine_for().compiled_graph
+        if self._plan_free is None:
+            if self._engine is not None:
+                compiled = self._engine.compiled_graph
+                if compiled is not None and compiled.has_page_plans:
+                    compiled = compiled.derive(self._graph, self._facilities)
+                self._plan_free = compiled
+            elif self._pack is None and self._policy.resolved_compiled():
+                if self._policy.residency == "disk":
+                    self._plan_free = CompiledGraph(self._graph, self._facilities)
+                else:
+                    self._plan_free = self.engine_for().compiled_graph
+        return self._plan_free
 
     def _open_snapshot(
         self,
@@ -954,7 +997,7 @@ class Session:
         and ``facilities`` rebinds this session's set to it.  On the
         compiled path the snapshot session's engine runs on a snapshot
         :meth:`~repro.network.compiled.CompiledGraph.derive` builds from this
-        engine's: its topology and facility table, its own cost lists.
+        session's: its topology and facility table, its own cost lists.
         """
         session = Session(graph, facilities, policy=self._static_policy(self._policy))
         compiled = self._compiled_graph()

@@ -363,7 +363,7 @@ class ExpansionKernel:
         self._arcs = compiled.arcs
         self._costs = compiled.cell_costs[cost_index]
         self._fac_cells = compiled.facility_cells
-        self._fac_nodes = compiled.facility_node_flags()
+        self._fac_nodes = compiled.facility_node_flags
         self._heap: list[tuple[float, int, object]] = []
         self._tiebreak = 0
         self._settled_flags = bytearray(compiled.num_nodes)

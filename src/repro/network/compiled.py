@@ -24,13 +24,15 @@ walk directly:
   bit-identical; facility mutations patch only the cells of the edges they
   touched, driven by the facility set's bounded changelog;
 * **page plans** (only when compiled from a disk-resident
-  :class:`~repro.storage.NetworkStorage`) — for every possible accessor
-  request, the fixed page-id sequence that request reads.  Replaying a plan
-  through an LRU buffer performs the same buffered reads as the
-  record-materialising path, which is how the fast path keeps page-read and
-  buffer-hit counters bit-identical without scanning page records.
+  :class:`~repro.storage.NetworkStorage`) — for an accessor request, the
+  fixed page-id sequence that request reads, computed the first time a
+  search makes that request.  Replaying a plan through an LRU buffer
+  performs the same buffered reads as the record-materialising path, which
+  is how the fast path keeps page-read and buffer-hit counters
+  bit-identical without scanning page records.
 
-The snapshot shares nothing mutable with its searches: one
+The snapshot shares nothing mutable with its searches (a page plan is
+filled in on first use, the same tuple whichever search asks): one
 ``CompiledGraph`` can back every shard worker of a parallel batch, the
 session's monitor and its searches, while each charges its own buffer and
 counters.  :meth:`CompiledGraph.derive` builds another snapshot over the same
@@ -54,6 +56,27 @@ from repro.network.graph import EdgeId, MultiCostGraph, NodeId
 __all__ = ["CompiledGraph"]
 
 
+class _PagePlans(dict):
+    """Page plans keyed by dense index (or facility id), each computed on first use.
+
+    ``plan_of`` reads a plan off the static storage through uncounted
+    ``peek`` reads, so computing one in the middle of a search moves no
+    counter and no buffer page; a snapshot pays only for the requests its
+    searches make instead of walking every index tree when it is built.
+    """
+
+    __slots__ = ("_plan_of", "_ids")
+
+    def __init__(self, plan_of, ids=None):
+        super().__init__()
+        self._plan_of = plan_of
+        self._ids = ids
+
+    def __missing__(self, key):
+        plan = self[key] = self._plan_of(key if self._ids is None else self._ids[key])
+        return plan
+
+
 class CompiledGraph:
     """A read-only compiled snapshot of a graph + facility set (+ optional page plans)."""
 
@@ -71,11 +94,7 @@ class CompiledGraph:
         self._storage = storage
         self._build_topology()
         self._build_facility_store()
-        self._adjacency_plans: list[tuple[int, ...]] | None = None
-        self._facility_plans: list[tuple[int, ...]] | None = None
-        self._facility_tree_plans: dict[FacilityId, tuple[int, ...]] | None = None
-        if storage is not None:
-            self._build_page_plans(storage)
+        self._set_page_plans()
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -120,8 +139,6 @@ class CompiledGraph:
 
     def _build_topology(self) -> None:
         graph = self._graph
-        self._num_nodes_at_build = graph.num_nodes
-        self._num_edges_at_build = graph.num_edges
         # One int object per node, owned by the snapshot and allocated
         # together: settled maps keyed through this tuple share their keys
         # with every other search over the snapshot instead of boxing a fresh
@@ -156,14 +173,26 @@ class CompiledGraph:
                         column.append(value)
                 row.append((node_index[neighbor], dense_edge * 2 + (node_id == edge.u)))
             arcs.append(tuple(row))
-        self.node_index = node_index
-        self.node_ids = node_ids
-        self.edge_index = edge_index
-        self.edge_ids = edge_ids
-        self.edge_length = edge_length
-        self.arcs = arcs
+        self._set_topology(node_ids, node_index, edge_ids, edge_index, edge_length, arcs)
         self.cell_costs = cell_costs
         self._costs_revision = graph.costs_revision
+
+    def _set_topology(
+        self,
+        node_ids: tuple[NodeId, ...],
+        node_index: dict[NodeId, int],
+        edge_ids: list[EdgeId],
+        edge_index: dict[EdgeId, int],
+        edge_length: list[float],
+        arcs: list[tuple[tuple[int, int], ...]],
+    ) -> None:
+        """Bind the static topology: every field :meth:`derive` shares with its source."""
+        self.node_ids = node_ids
+        self.node_index = node_index
+        self.edge_ids = edge_ids
+        self.edge_index = edge_index
+        self.edge_length = edge_length
+        self.arcs = arcs
 
     def _build_facility_store(self) -> None:
         # One O(|F|) grouping pass over the set (iterating the set preserves
@@ -188,23 +217,47 @@ class CompiledGraph:
             )
             for facility in bucket:
                 facility_edge_of[facility.facility_id] = edge_id
-        self._edge_records = edge_records
-        self.facility_edge_of = facility_edge_of
-        self._hosting = set(grouped)
-        self._facilities_revision = facilities.revision
-        # A snapshot made by derive() may read its source's facility side
-        # (see ensure_fresh); a store built here is this snapshot's own.
-        self._facility_source: CompiledGraph | None = None
         cells: list[tuple] = [()] * (2 * self.num_edges)
         flags = bytearray(self.num_nodes)
+        # Bound before the cells are filled: _facility_cells reads the records.
+        self._set_facility_side(edge_records, facility_edge_of, set(grouped), cells, flags)
         for dense_edge in self._hosting:
             cells[dense_edge * 2], cells[dense_edge * 2 + 1] = self._facility_cells(
                 dense_edge
             )
             for node_idx in self.edge_nodes(dense_edge):
                 flags[node_idx] = 1
+
+    def _set_facility_side(
+        self,
+        edge_records: list[tuple],
+        facility_edge_of: dict[FacilityId, EdgeId],
+        hosting: set[int],
+        cells: list[tuple],
+        flags: bytearray,
+        source: "CompiledGraph | None" = None,
+    ) -> None:
+        """Bind the facility side: every field :meth:`derive` may share with its source.
+
+        ``facility_node_flags`` flags each dense node some edge of whose
+        neighbour list hosts facilities; the kernels' serving loops take a
+        facility-free fast branch when settling an unflagged node, which in
+        sparse-facility regimes is nearly every settle.  Like the table, the
+        flags are patched in place by the incremental refresh, so a kernel
+        that bound both at construction sees every mutation.  ``source`` is
+        the snapshot whose side this one reads until either facility set
+        moves (see :meth:`ensure_fresh`); ``None`` for a side of its own.
+        """
+        self._edge_records = edge_records
+        self.facility_edge_of = facility_edge_of
+        self._hosting = hosting
         self.facility_cells = cells
-        self._fac_node_flags = flags
+        self.facility_node_flags = flags
+        self._facilities_revision = self._facilities.revision
+        self._facility_source = source
+        self._facility_source_revision = (
+            None if source is None else source._facilities_revision
+        )
 
     def _facility_cells(self, dense_edge: int) -> tuple[tuple, tuple]:
         """The (backward, forward) facility-table cells of one edge.
@@ -256,7 +309,7 @@ class CompiledGraph:
             cells[dense_edge * 2], cells[dense_edge * 2 + 1] = self._facility_cells(
                 dense_edge
             )
-            self._patch_fac_node_flags(dense_edge)
+            self._patch_facility_node_flags(dense_edge)
         self._facilities_revision = facilities.revision
 
     def _refresh_edge_costs(self, dense_edges: Iterable[int]) -> None:
@@ -286,37 +339,22 @@ class CompiledGraph:
             return (first,)
         return (first, self.node_index[edge.v])
 
-    def facility_node_flags(self) -> bytearray:
-        """Per-dense-node flag: some edge the node's neighbour list reaches hosts facilities.
-
-        The kernels' serving loops use this to take a facility-free fast
-        branch when settling a node — in sparse-facility regimes that's
-        nearly every settle.  The bitmap is facility-set state: it is
-        rebuilt with the facility store and patched in place by the
-        incremental refresh, so a kernel that bound it at construction sees
-        mutations exactly as it sees the facility table it also bound.
-        """
-        return self._fac_node_flags
-
-    def _patch_fac_node_flags(self, dense_edge: int) -> None:
+    def _patch_facility_node_flags(self, dense_edge: int) -> None:
         """Recompute the flag of every node incident to one refreshed edge."""
-        flags = self._fac_node_flags
+        flags = self.facility_node_flags
         hosting = self._hosting
         arcs = self.arcs
         for node_idx in self.edge_nodes(dense_edge):
             flags[node_idx] = any((cell >> 1) in hosting for _n, cell in arcs[node_idx])
 
-    def _build_page_plans(self, storage) -> None:
-        self._adjacency_plans = [
-            storage.adjacency_page_plan(node_id) for node_id in self.node_ids
-        ]
-        self._facility_plans = [
-            storage.facility_page_plan(edge_id) for edge_id in self.edge_ids
-        ]
-        self._facility_tree_plans = {
-            facility_id: storage.facility_tree_page_plan(facility_id)
-            for facility_id in self.facility_edge_of
-        }
+    def _set_page_plans(self) -> None:
+        storage = self._storage
+        if storage is None:
+            self._adjacency_plans = self._facility_plans = self._facility_tree_plans = None
+            return
+        self._adjacency_plans = _PagePlans(storage.adjacency_page_plan, self.node_ids)
+        self._facility_plans = _PagePlans(storage.facility_page_plan, self.edge_ids)
+        self._facility_tree_plans = _PagePlans(storage.facility_tree_page_plan)
 
     def derive(
         self,
@@ -341,10 +379,10 @@ class CompiledGraph:
         facility table until either facility set moves, after which it
         builds a table of its own; a disk-resident snapshot (``storage``
         given, page plans built over it) or a source with page plans builds
-        its own facility side.  A disk-resident session's monitor runs on
-        ``derive(graph, facilities)``, a plan-free twin of the session's
-        snapshot; a temporal snapshot session runs on one derived from the
-        base session's.
+        its own facility side.  A disk-resident session's engine and monitor
+        share one topology this way (the plan-free snapshot and the one with
+        page plans, whichever is compiled first); a temporal snapshot
+        session runs on one derived from the base session's.
         """
         if facilities.graph is not graph:
             raise QueryError("facility set was built for a different graph")
@@ -355,14 +393,14 @@ class CompiledGraph:
         twin._graph = graph
         twin._facilities = facilities
         twin._storage = storage
-        twin._num_nodes_at_build = self._num_nodes_at_build
-        twin._num_edges_at_build = self._num_edges_at_build
-        twin.node_ids = self.node_ids
-        twin.node_index = self.node_index
-        twin.edge_ids = self.edge_ids
-        twin.edge_index = self.edge_index
-        twin.edge_length = self.edge_length
-        twin.arcs = self.arcs
+        twin._set_topology(
+            self.node_ids,
+            self.node_index,
+            self.edge_ids,
+            self.edge_index,
+            self.edge_length,
+            self.arcs,
+        )
         twin.cell_costs = [list(column) for column in self.cell_costs]
         lagging = self._graph.changed_edges_since(self._costs_revision)
         if lagging is None:
@@ -374,19 +412,17 @@ class CompiledGraph:
             )
         twin._costs_revision = graph.costs_revision
         if storage is None and self._storage is None:
-            twin._edge_records = self._edge_records
-            twin.facility_edge_of = self.facility_edge_of
-            twin._hosting = self._hosting
-            twin.facility_cells = self.facility_cells
-            twin._fac_node_flags = self._fac_node_flags
-            twin._facilities_revision = facilities.revision
-            twin._facility_source = self
-            twin._facility_source_revision = self._facilities_revision
+            twin._set_facility_side(
+                self._edge_records,
+                self.facility_edge_of,
+                self._hosting,
+                self.facility_cells,
+                self.facility_node_flags,
+                source=self,
+            )
         else:
             twin._build_facility_store()
-        twin._adjacency_plans = twin._facility_plans = twin._facility_tree_plans = None
-        if storage is not None:
-            twin._build_page_plans(storage)
+        twin._set_page_plans()
         return twin
 
     # ------------------------------------------------------------------ #
@@ -426,12 +462,12 @@ class CompiledGraph:
         return self._adjacency_plans is not None
 
     @property
-    def adjacency_plans(self) -> list[tuple[int, ...]] | None:
+    def adjacency_plans(self) -> dict[int, tuple[int, ...]] | None:
         """Per-dense-node page plans of an adjacency request (``None`` in-memory)."""
         return self._adjacency_plans
 
     @property
-    def facility_plans(self) -> list[tuple[int, ...]] | None:
+    def facility_plans(self) -> dict[int, tuple[int, ...]] | None:
         """Per-dense-edge page plans of an edge-facilities request (``None`` in-memory)."""
         return self._facility_plans
 
@@ -474,10 +510,7 @@ class CompiledGraph:
         path reads them as they were loaded, so this snapshot stays what it
         was compiled from too.  Returns ``self`` for chaining.
         """
-        if (
-            self._graph.num_nodes != self._num_nodes_at_build
-            or self._graph.num_edges != self._num_edges_at_build
-        ):
+        if self._graph.num_nodes != self.num_nodes or self._graph.num_edges != self.num_edges:
             raise QueryError(
                 "the graph gained nodes or edges after it was compiled; "
                 "rebuild the CompiledGraph (topology must be static)"

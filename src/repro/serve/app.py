@@ -585,7 +585,6 @@ class ServeApp:
 
             def reapply(tick=tick):
                 self._monitor_handle().tick(tick)
-                self._session.invalidate_result_caches()
 
             await loop.run_in_executor(self._executor, reapply)
             key, payload = record.get("key"), record.get("payload")
@@ -974,6 +973,8 @@ class ServeApp:
         def apply():
             handle = self._monitor_handle()
             response = handle.tick(tick)
+            # The tick dropped the session's caches already; asking again
+            # counts the services it dropped them for, which the answer reports.
             invalidated = self._session.invalidate_result_caches()
             return response, invalidated
 

@@ -104,8 +104,7 @@ class TemporalExecutor:
     LRU.  ``open_session(snapshot, facilities, recosted)`` opens the static
     session over one snapshot (``recosted`` names the profiled edges); the
     owning session passes its own, which derives the snapshot's compiled
-    graph from its engine's, and by default a plain :class:`Session` with
-    ``policy`` is opened.
+    graph from the session's.
     """
 
     def __init__(
@@ -115,8 +114,7 @@ class TemporalExecutor:
         network: TimeVaryingMCN,
         *,
         policy: ExecutionPolicy,
-        open_session: Callable[[MultiCostGraph, FacilitySet, Sequence[EdgeId]], Session]
-        | None = None,
+        open_session: Callable[[MultiCostGraph, FacilitySet, Sequence[EdgeId]], Session],
     ):
         if network.base_graph is not graph:
             raise PolicyError(
@@ -127,9 +125,7 @@ class TemporalExecutor:
         self._facilities = facilities
         self._network = network
         self._policy = policy
-        self._open_session = open_session or (
-            lambda snapshot, rebound, _recosted: Session(snapshot, rebound, policy=policy)
-        )
+        self._open_session = open_session
         self._entries: OrderedDict[int, _SnapshotEntry] = OrderedDict()
         self._statistics = SnapshotStatistics()
 

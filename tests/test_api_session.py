@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import warnings
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,13 @@ from repro.datagen import (
     make_workload,
 )
 from repro.errors import PolicyError, QueryError
-from repro.monitor import MonitoringService, delta_report_to_payload
+from repro.monitor import (
+    EdgeCostUpdate,
+    FacilityDelete,
+    MonitoringService,
+    UpdateTick,
+    delta_report_to_payload,
+)
 from repro.network.facilities import FacilitySet
 from repro.parallel import ShardedQueryService
 from repro.service import QueryService, SkylineRequest, TopKRequest
@@ -338,6 +346,72 @@ class TestSessionMonitor:
         second = session.monitor(_requests()[1:2])
         assert first.service is second.service
         assert set(first.subscription_ids).isdisjoint(second.subscription_ids)
+
+    @pytest.mark.parametrize("compiled", ["on", "off"])
+    def test_a_tick_drops_the_result_memo(self, compiled):
+        facilities = FacilitySet(_WORKLOAD.graph, iter(_WORKLOAD.facilities))
+        request = SkylineRequest(_WORKLOAD.queries[0])
+        with Session(
+            _WORKLOAD.graph, facilities, policy=ExecutionPolicy(compiled=compiled)
+        ) as session:
+            victim = min(session.query(request).result.facility_ids())
+            session.monitor(()).tick(UpdateTick((FacilityDelete(victim),)))
+            response = session.query(request)
+            assert not response.served_from_memo
+            assert victim not in response.result.facility_ids()
+            fresh = Session(
+                _WORKLOAD.graph, FacilitySet(_WORKLOAD.graph, iter(facilities))
+            ).query(request)
+            assert _signature(response) == _signature(fresh)
+
+    @pytest.mark.parametrize("compiled", ["on", "off"])
+    def test_a_baseline_request_after_a_tick_matches_a_fresh_session(self, compiled):
+        # Edge-cost ticks mutate the graph, so this test owns its workload.
+        workload = make_workload(
+            WorkloadSpec(num_nodes=150, num_facilities=40, num_cost_types=2, num_queries=2, seed=5)
+        )
+        location = workload.queries[0]
+        policy = ExecutionPolicy(compiled=compiled)
+        with Session(workload.graph, workload.facilities, policy=policy) as session:
+            # The record path and (under "on") the kernel both fill the cache.
+            session.query(SkylineRequest(workload.queries[1], algorithm="baseline"))
+            session.query(SkylineRequest(location, algorithm="cea"))
+            handle = session.monitor(())
+            if location.edge_id is None:
+                ends = (location.node_id,)
+            else:
+                query_edge = workload.graph.edge(location.edge_id)
+                ends = (query_edge.u, query_edge.v)
+            edges = {e.edge_id: e for n in ends for _m, e in workload.graph.neighbors(n)}
+            handle.tick(
+                UpdateTick(
+                    tuple(
+                        EdgeCostUpdate(e.edge_id, [c * 4 for c in e.costs])
+                        for e in edges.values()
+                    )
+                )
+            )
+            victim = min(session.facilities.facility_ids())
+            handle.tick(UpdateTick((FacilityDelete(victim),)))
+            request = SkylineRequest(location, algorithm="baseline")
+            response = session.query(request)
+            fresh = Session(
+                workload.graph,
+                FacilitySet(workload.graph, iter(session.facilities)),
+                policy=policy,
+            ).query(request)
+            assert (_signature(response), response.io) == (_signature(fresh), fresh.io)
+
+    def test_a_handle_does_not_keep_its_session_alive(self):
+        facilities = FacilitySet(_WORKLOAD.graph, iter(_WORKLOAD.facilities))
+        session = Session(_WORKLOAD.graph, facilities)
+        handle = session.monitor(_requests()[:1])
+        alive = weakref.ref(session)
+        del session
+        gc.collect()
+        assert alive() is None
+        victim = min(facilities.facility_ids())
+        assert handle.tick(UpdateTick((FacilityDelete(victim),))).updates == 1
 
     def test_unsubscribe_updates_the_handle(self):
         session = Session(_WORKLOAD.graph, FacilitySet(_WORKLOAD.graph, iter(_WORKLOAD.facilities)))

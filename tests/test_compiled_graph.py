@@ -13,6 +13,8 @@ from __future__ import annotations
 import asyncio
 import gc
 import random
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -164,12 +166,48 @@ class TestPagePlans:
         storage = NetworkStorage.build(workload.graph, workload.facilities, page_size=1024)
         before_reads = storage.disk.statistics.page_reads
         before_stats = storage.statistics.snapshot()
-        CompiledGraph.from_accessor(storage)
+        compiled = CompiledGraph.from_accessor(storage)
+        # Plans are read on first use; reading every one moves no counter.
+        for node_idx in range(compiled.num_nodes):
+            compiled.adjacency_plans[node_idx]
+        for edge_idx in range(compiled.num_edges):
+            compiled.facility_plans[edge_idx]
+        for facility_id in compiled.facility_edge_of:
+            compiled.facility_tree_plans[facility_id]
         assert storage.disk.statistics.page_reads == before_reads
         after = storage.statistics
         assert after.adjacency_requests == before_stats.adjacency_requests
         assert after.page_reads == before_stats.page_reads
         assert after.buffer_hits == before_stats.buffer_hits
+
+    def test_plans_filled_by_racing_threads_match_the_storage(self, workload):
+        # Thread shard workers share one snapshot, so they fill its plans
+        # concurrently; every plan must still be the storage's own.
+        storage = NetworkStorage.build(workload.graph, workload.facilities, page_size=1024)
+        compiled = CompiledGraph.from_accessor(storage)
+        order = list(range(compiled.num_nodes))
+
+        def fill(seed):
+            shuffled = order[:]
+            random.Random(seed).shuffle(shuffled)
+            for node_idx in shuffled:
+                compiled.adjacency_plans[node_idx]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=fill, args=(seed,)) for seed in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert dict(compiled.adjacency_plans) == {
+            node_idx: storage.adjacency_page_plan(node_id)
+            for node_idx, node_id in enumerate(compiled.node_ids)
+        }
 
 
 class TestLayerFactory:
@@ -280,7 +318,7 @@ class TestFreshnessGuards:
         assert compiled._edge_records == fresh._edge_records
         assert compiled.facility_edge_of == fresh.facility_edge_of
         assert compiled.facility_cells == fresh.facility_cells
-        assert compiled.facility_node_flags() == fresh.facility_node_flags()
+        assert compiled.facility_node_flags == fresh.facility_node_flags
         stale_engine = MCNQueryEngine(workload.graph, facilities, compiled=compiled)
         fresh_engine = MCNQueryEngine(workload.graph, facilities, compiled=fresh)
         for query in workload.queries:
@@ -348,10 +386,16 @@ class TestSharedTopology:
             maintainer = handle.maintainer_of(handle.subscription_ids[0])
             assert maintainer._compiled is compiled
 
-    def test_disk_monitor_runs_on_a_plan_free_twin(self, workload):
+    @pytest.mark.parametrize("first", ["monitor", "query"])
+    def test_disk_monitor_runs_on_a_plan_free_twin(self, workload, first):
         policy = ExecutionPolicy(compiled="on", residency="disk", page_size=1024)
         with Session(workload.graph, _fresh(workload), policy=policy) as session:
+            if first == "query":
+                session.query(SkylineRequest(workload.queries[1]))
             handle = session.monitor([SkylineRequest(workload.queries[0])])
+            # A monitor opened before any query compiles its plan-free
+            # snapshot straight from the graph and bulk-loads no storage.
+            assert (session._storage is None) == (first == "monitor")
             disk = session.engine_for().compiled_graph
             twin = handle.service._engine.compiled_graph
             assert disk.has_page_plans and not twin.has_page_plans
@@ -416,6 +460,33 @@ class TestSharedTopology:
             assert victim not in base.ensure_fresh().facility_edge_of
             assert victim in rebuilt.ensure_fresh().facility_edge_of
             assert rebuilt.facility_cells is not base.facility_cells
+
+    def test_a_disk_temporal_session_loads_no_base_storage(self):
+        workload = make_workload(
+            WorkloadSpec(num_nodes=90, num_facilities=25, num_cost_types=2, num_queries=1, seed=71)
+        )
+        network = make_profile_network(
+            workload.graph, EdgeCostStreamSpec(num_ticks=4, time_step=0.5, seed=72)
+        )
+        policy = ExecutionPolicy(
+            compiled="on",
+            residency="disk",
+            page_size=1024,
+            temporal="profiles",
+            profile_source="rush",
+        )
+        with Session(
+            workload.graph, workload.facilities, policy=policy, profiles={"rush": network}
+        ) as session:
+            handle = session.monitor(())
+            response = session.query(SkylineRequest(workload.queries[0], departure_time=6.5))
+            assert response.io.page_reads > 0
+            assert session._storage is None and session._engine is None
+            shared = handle.service._engine.compiled_graph
+            snapshot = session._temporal_for(session.policy).session_at(6.5)
+            derived = snapshot.engine_for().compiled_graph
+            assert derived.has_page_plans and derived.storage is snapshot.storage_for()
+            assert derived.arcs is shared.arcs
 
     def test_a_served_session_with_subscriptions_holds_one_compiled_graph(
         self, monkeypatch, workload

@@ -112,7 +112,7 @@ class TestFreshness:
         compiled.ensure_fresh()  # patches only the two touched edges
         rebuilt = CompiledGraph.from_accessor(accessor)
         assert compiled.facility_cells == rebuilt.facility_cells
-        assert compiled.facility_node_flags() == rebuilt.facility_node_flags()
+        assert compiled.facility_node_flags == rebuilt.facility_node_flags
         assert compiled.facility_edge_of == rebuilt.facility_edge_of
         assert compiled.facilities_revision == facilities.revision
 
