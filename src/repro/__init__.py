@@ -47,13 +47,10 @@ response envelope::
     tick = handle.tick(UpdateTick((FacilityInsert(9000, edge_id=5, offset=1.0),)))
     tick.deltas[0].entered  # facilities that joined the skyline
 
-    # The compiled expansion kernel runs by default.  The record-walking
-    # expansion gives bit-identical answers and I/O accounting; it shapes
-    # the session's engine, so a session is built with it.  Or globally:
-    # REPRO_COMPILED=0.
-    plain = Session(workload.graph, workload.facilities,
-                    policy=session.policy.replace(compiled="off"))
-    plain.run_batch([SkylineRequest(query)])
+The data layer picks the expansion: the compiled kernel wherever a
+:class:`CompiledGraph` can be built (memory, disk, the monitor, temporal
+snapshots), the record-walking expansion on a standalone dataset pack.
+Both give bit-identical answers and I/O accounting.
 
 Datasets can also live on disk as single checksummed *pack* files
 (:mod:`repro.storage.persist` / :mod:`repro.storage.catalog`): build once

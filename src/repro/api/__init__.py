@@ -19,28 +19,23 @@ policy that changes only how that call runs (``algorithm``, ``workers``,
     delta = handle.tick(update_tick)                               # TickResponse
 
 :mod:`repro.api.policy` is additionally the single source of truth for the
-``REPRO_COMPILED`` environment toggle and for the parallel-execution
-vocabulary (``ROUTINGS`` / ``EXECUTORS``).
+parallel-execution vocabulary (``ROUTINGS`` / ``EXECUTORS``).
 
 The :class:`Session`-side symbols are imported lazily (PEP 562): modules
-deep in the stack (e.g. :mod:`repro.core.engine`) import
+deep in the stack (e.g. :mod:`repro.service.service`) import
 :mod:`repro.api.policy` at module level, which must not drag the whole
 session machinery — and thereby a circular import — with it.
 """
 
 from repro.api.policy import (
     ALGORITHMS,
-    COMPILED_ENV_VAR,
-    COMPILED_MODES,
     DEFAULT_POLICY,
     EXECUTORS,
     ExecutionPolicy,
     RESIDENCIES,
     ROUTINGS,
-    compiled_env_default,
     policy_from_payload,
     policy_to_payload,
-    resolve_compiled,
 )
 from repro.api.stats import (
     DEFAULT_TRACKED_QUANTILES,
@@ -52,8 +47,6 @@ from repro.api.stats import (
 __all__ = [
     "ALGORITHMS",
     "BatchResponse",
-    "COMPILED_ENV_VAR",
-    "COMPILED_MODES",
     "DEFAULT_POLICY",
     "DEFAULT_TRACKED_QUANTILES",
     "EXECUTORS",
@@ -67,10 +60,8 @@ __all__ = [
     "RollingLatencyStats",
     "Session",
     "TickResponse",
-    "compiled_env_default",
     "policy_from_payload",
     "policy_to_payload",
-    "resolve_compiled",
 ]
 
 _SESSION_EXPORTS = frozenset(

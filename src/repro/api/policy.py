@@ -3,25 +3,18 @@
 An :class:`ExecutionPolicy` is the only configuration the batch, sharded
 and monitoring services take: one frozen, hashable, JSON-serialisable value
 object saying *where* the data lives (``residency``), *how* searches run
-(``algorithm``, ``compiled``), *how wide* (``workers`` / ``routing`` /
-``executor``), and *what is shared* across queries (``memoize_results`` /
-``max_cached_entries``).
+(``algorithm``), *how wide* (``workers`` / ``routing`` / ``executor``), and
+*what is shared* across queries (``memoize_results`` /
+``max_cached_entries``).  Which expansion runs is not configurable: the
+data layer picks it (see :class:`~repro.core.engine.MCNQueryEngine`).
 
 Every field is validated at construction — a bad policy raises
 :class:`~repro.errors.PolicyError` with an actionable message before any
 engine, pool or subscription exists, never mid-batch.
 
-This module is also the single source of truth for the ``REPRO_COMPILED``
-environment toggle: :func:`compiled_env_default` is the only place the
-variable is parsed, and :func:`resolve_compiled` maps the policies'
-``"auto"``/``"on"``/``"off"`` modes onto it.  The compiled kernel is the
-default; ``REPRO_COMPILED=0`` keeps the record-walking expansion.
-:mod:`repro.core.engine`, the sharded workers and the monitoring service all
-defer here.
-
 Example
 -------
->>> policy = ExecutionPolicy(residency="disk", compiled="on", workers=4)
+>>> policy = ExecutionPolicy(residency="disk", workers=4)
 >>> policy_from_payload(policy_to_payload(policy)) == policy
 True
 """
@@ -29,40 +22,24 @@ True
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 
 from repro.errors import PolicyError
 
 __all__ = [
     "ALGORITHMS",
-    "COMPILED_ENV_VAR",
-    "COMPILED_MODES",
     "DEFAULT_POLICY",
     "EXECUTORS",
     "ExecutionPolicy",
     "RESIDENCIES",
     "ROUTINGS",
     "TEMPORAL_MODES",
-    "compiled_env_default",
     "policy_from_payload",
     "policy_to_payload",
-    "resolve_compiled",
 ]
-
-#: Environment toggle for the compiled fast path.  A policy (or engine) in
-#: ``"auto"`` mode consults it: unset, the
-#: :class:`~repro.core.kernel.ExpansionKernel` runs; ``0`` (or ``false``,
-#: ``no``, ``off``) keeps the record-walking expansion, which CI uses to run
-#: the whole test suite on the path dataset packs and the conformance suite
-#: still use.
-COMPILED_ENV_VAR = "REPRO_COMPILED"
-
-_FALSY = frozenset({"0", "false", "no", "off"})
 
 ALGORITHMS = ("cea", "lsa", "baseline")
 RESIDENCIES = ("memory", "disk")
-COMPILED_MODES = ("auto", "on", "off")
 TEMPORAL_MODES = ("off", "profiles")
 
 #: Canonical parallel-execution vocabulary.  Defined here (the only module
@@ -70,33 +47,6 @@ TEMPORAL_MODES = ("off", "profiles")
 #: :mod:`repro.parallel`.
 ROUTINGS = ("round_robin", "locality")
 EXECUTORS = ("process", "thread", "serial")
-
-
-def compiled_env_default() -> bool:
-    """Whether ``REPRO_COMPILED`` currently leaves the fast path on.
-
-    On unless the variable says ``0``, ``false``, ``no`` or ``off``.  The
-    only place the variable is parsed — the engine, the sharded workers and
-    the monitoring service all route their env handling through here.
-    """
-    return os.environ.get(COMPILED_ENV_VAR, "").strip().lower() not in _FALSY
-
-
-def resolve_compiled(mode: str) -> bool:
-    """Resolve a policy ``compiled`` mode to the effective on/off decision.
-
-    ``"on"`` and ``"off"`` are unconditional; ``"auto"`` defers to the
-    ``REPRO_COMPILED`` environment toggle at resolution time.
-    """
-    if mode == "on":
-        return True
-    if mode == "off":
-        return False
-    if mode == "auto":
-        return compiled_env_default()
-    raise PolicyError(
-        f"unknown compiled mode {mode!r}; expected one of {COMPILED_MODES}"
-    )
 
 
 @dataclass(frozen=True)
@@ -112,6 +62,13 @@ class ExecutionPolicy:
     :class:`~repro.errors.PolicyError` (see
     :meth:`~repro.api.Session.check_policy`).
 
+    No field picks the expansion: the data layer does.  Searches run on the
+    compiled :class:`~repro.core.kernel.ExpansionKernel` wherever a
+    :class:`~repro.network.compiled.CompiledGraph` can be built (memory,
+    disk, the monitor, temporal snapshots), and on the record-walking
+    expansion over a standalone dataset pack.  Answers and I/O counters
+    are the same on both.
+
     Parameters
     ----------
     algorithm:
@@ -123,12 +80,6 @@ class ExecutionPolicy:
         the simulated disk-resident :class:`~repro.storage.NetworkStorage`
         (page reads are then counted).  A session opened on a dataset pack
         runs on that pack whatever the residency says.
-    compiled:
-        Compiled fast-path mode: ``"on"``, ``"off"`` or ``"auto"`` (the
-        default: on, unless the ``REPRO_COMPILED`` environment toggle says
-        ``0``; a session reads it once, when it builds its engine, and a
-        session opened on a dataset pack always runs the record path).
-        Answers and I/O counters are identical either way.
     page_size / buffer_fraction:
         Storage-scheme knobs, used only under ``residency="disk"``.
     workers / routing / executor:
@@ -158,7 +109,6 @@ class ExecutionPolicy:
 
     algorithm: str = "cea"
     residency: str = "memory"
-    compiled: str = "auto"
     page_size: int = 4096
     buffer_fraction: float = 0.01
     workers: int = 1
@@ -182,11 +132,6 @@ class ExecutionPolicy:
                 f"unknown residency {self.residency!r}; expected one of "
                 f"{RESIDENCIES} (disk builds the simulated storage scheme; "
                 "to query a dataset pack, open it with Session.from_dataset)"
-            )
-        if self.compiled not in COMPILED_MODES:
-            raise PolicyError(
-                f"unknown compiled mode {self.compiled!r}; expected one of "
-                f"{COMPILED_MODES} ('auto' defers to {COMPILED_ENV_VAR})"
             )
         if not isinstance(self.page_size, int) or isinstance(self.page_size, bool) or self.page_size < 128:
             raise PolicyError(
@@ -294,10 +239,6 @@ class ExecutionPolicy:
         """A copy of this policy with ``changes`` applied (and re-validated)."""
         return dataclasses.replace(self, **changes)  # type: ignore[arg-type]
 
-    def resolved_compiled(self) -> bool:
-        """The effective fast-path decision (``"auto"`` resolved against the env)."""
-        return resolve_compiled(self.compiled)
-
     # ------------------------------------------------------------------ #
     # JSON payload codecs
     # ------------------------------------------------------------------ #
@@ -311,8 +252,7 @@ class ExecutionPolicy:
         return policy_from_payload(payload)
 
 
-#: The all-defaults policy: in-memory, sequential, the compiled kernel on
-#: unless ``REPRO_COMPILED=0``.
+#: The all-defaults policy: in-memory, sequential, CEA.
 DEFAULT_POLICY = ExecutionPolicy()
 
 _PAYLOAD_FIELDS = tuple(field.name for field in dataclasses.fields(ExecutionPolicy))

@@ -377,6 +377,11 @@ class MonitorHandle:
 class Session:
     """One dataset, one object, one execution stack.
 
+    The data layer picks the expansion: the session's engine, its monitor
+    and its temporal snapshot sessions run the compiled kernel on one
+    shared :class:`~repro.network.compiled.CompiledGraph` topology, and a
+    session opened on a dataset pack runs the record-walking expansion.
+
     Parameters
     ----------
     graph:
@@ -396,9 +401,9 @@ class Session:
         set are then read-only ``mmap``-backed views of the pack, and every
         query runs through the pack's storage, whose buffer the session
         policy's ``buffer_fraction`` sizes; the policy's ``residency`` and
-        page knobs do not apply.  The compiled fast path is off (it needs
-        the in-memory topology), so a pack session runs the record path,
-        and :meth:`monitor` is rejected.
+        page knobs do not apply.  A pack has no in-memory topology to
+        compile, so a pack session runs the record path, and
+        :meth:`monitor` is rejected.
     verify_checksum:
         Whether opening ``dataset_path`` verifies the pack's SHA-256
         (default ``True``).
@@ -644,17 +649,17 @@ class Session:
     def engine_for(self) -> MCNQueryEngine:
         """The session's engine, built on first use.
 
-        The compiled fast path is decided once, here: the policy's
-        ``compiled`` mode (``"auto"`` is on unless ``REPRO_COMPILED=0``),
-        and always off on a pack, which has no in-memory topology to
-        compile.  The monitor and every temporal snapshot session share the
-        engine's :class:`~repro.network.compiled.CompiledGraph` topology.
+        The data layer picks the expansion: the engine runs the kernel on a
+        :class:`~repro.network.compiled.CompiledGraph` of its memory or disk
+        layer, and the record path on a pack, which has no in-memory
+        topology to compile.  The monitor and every temporal snapshot
+        session share the engine's topology.
         """
         self._ensure_open()
         if self._engine is None:
             storage = self.storage_for()  # None for memory
-            compiled = self._pack is None and self._policy.resolved_compiled()
-            if compiled and self._plan_free is not None:
+            compiled = None
+            if self._plan_free is not None:
                 # A disk session's monitor or snapshots compiled first: the
                 # engine's planned snapshot shares their topology.
                 compiled = self._plan_free.derive(
@@ -830,9 +835,9 @@ class Session:
         :class:`~repro.MonitoringService`, built from the session's policy
         on first use.  Monitoring always runs on the in-memory layer over the
         session's *live* facility set (the policy's ``residency`` / page
-        knobs do not apply); ``compiled``, ``workers``/``routing``/
-        ``executor`` and ``shard_fallback_threshold`` configure it.  On the
-        compiled path the monitor runs on the session engine's
+        knobs do not apply); ``workers``/``routing``/``executor`` and
+        ``shard_fallback_threshold`` configure it.  The monitor runs the
+        kernel on the session engine's
         :class:`~repro.network.compiled.CompiledGraph` (a disk-resident
         session's on a plan-free snapshot over the same topology), so the
         session holds one copy of the topology.
@@ -965,23 +970,21 @@ class Session:
     def _compiled_graph(self) -> CompiledGraph | None:
         """The plan-free snapshot the monitor and temporal snapshots share.
 
-        ``None`` off the compiled path.  A memory session's is its engine's.
-        A disk session's is a plan-free twin of its engine's or, while it has
-        no engine, one compiled straight from the graph, so a session that
-        only monitors or only answers departure-time requests never
-        bulk-loads its own storage; the engine derives from it when built.
+        A memory session's is its engine's.  A disk session's is a
+        plan-free twin of its engine's or, while it has no engine, one
+        compiled straight from the graph, so a session that only monitors
+        or only answers departure-time requests never bulk-loads its own
+        storage; the engine derives from it when built.  A pack session
+        never asks: it refuses monitoring and temporal policies.
         """
         if self._plan_free is None:
-            if self._engine is not None:
-                compiled = self._engine.compiled_graph
+            if self._engine is None and self._policy.residency == "disk":
+                self._plan_free = CompiledGraph(self._graph, self._facilities)
+            else:
+                compiled = self.engine_for().compiled_graph
                 if compiled is not None and compiled.has_page_plans:
                     compiled = compiled.derive(self._graph, self._facilities)
                 self._plan_free = compiled
-            elif self._pack is None and self._policy.resolved_compiled():
-                if self._policy.residency == "disk":
-                    self._plan_free = CompiledGraph(self._graph, self._facilities)
-                else:
-                    self._plan_free = self.engine_for().compiled_graph
         return self._plan_free
 
     def _open_snapshot(
@@ -994,23 +997,21 @@ class Session:
 
         ``graph`` is :meth:`~repro.network.graph.MultiCostGraph.recosted`
         from this session's graph (``recosted`` names the re-costed edges)
-        and ``facilities`` rebinds this session's set to it.  On the
-        compiled path the snapshot session's engine runs on a snapshot
+        and ``facilities`` rebinds this session's set to it.  The snapshot
+        session's engine runs on a snapshot
         :meth:`~repro.network.compiled.CompiledGraph.derive` builds from this
         session's: its topology and facility table, its own cost lists.
         """
         session = Session(graph, facilities, policy=self._static_policy(self._policy))
-        compiled = self._compiled_graph()
-        if compiled is not None:
-            storage = session.storage_for()
-            session._engine = MCNQueryEngine(
-                graph,
-                facilities,
-                accessor=storage,
-                compiled=compiled.derive(
-                    graph, facilities, recosted=recosted, storage=storage
-                ),
-            )
+        storage = session.storage_for()
+        session._engine = MCNQueryEngine(
+            graph,
+            facilities,
+            accessor=storage,
+            compiled=self._compiled_graph().derive(
+                graph, facilities, recosted=recosted, storage=storage
+            ),
+        )
         return session
 
     def _service_for(self) -> QueryService:

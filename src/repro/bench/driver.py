@@ -250,7 +250,6 @@ def replay_workload(spec: ReplaySpec, *, workload: Workload | None = None) -> Re
     base_policy = ExecutionPolicy(
         algorithm=spec.algorithm,
         residency="disk",
-        compiled="off",
         page_size=spec.page_size,
         buffer_fraction=spec.buffer_fraction,
         routing=spec.routing,

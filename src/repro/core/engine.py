@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator, Sequence
+from typing import Literal
 
-from repro.api.policy import compiled_env_default
 from repro.core.aggregates import (
     AggregateFunction,
     MaxCost,
@@ -56,7 +56,7 @@ class MCNQueryEngine:
         facilities: FacilitySet,
         *,
         accessor: GraphAccessor | None = None,
-        compiled: bool | CompiledGraph | None = None,
+        compiled: CompiledGraph | Literal[False] | None = None,
     ):
         """Create an engine over ``graph`` and ``facilities``.
 
@@ -70,20 +70,20 @@ class MCNQueryEngine:
         reads; it is then also :attr:`storage`.  Any other
         :class:`GraphAccessor` works too.
 
-        ``compiled`` controls the compiled fast path.  ``True`` compiles the
-        engine's data layer into a :class:`~repro.network.compiled.CompiledGraph`
-        so LSA/CEA (skyline, top-k, incremental top-k) run on the
-        :class:`~repro.core.kernel.ExpansionKernel` — answers and all I/O
-        counters stay bit-identical, queries just get faster.  An existing
+        The data layer picks the expansion.  With ``compiled=None`` (the
+        default) the engine compiles its data layer into a
+        :class:`~repro.network.compiled.CompiledGraph` exactly when
+        :meth:`CompiledGraph.can_compile
+        <repro.network.compiled.CompiledGraph.can_compile>` accepts it (the
+        in-memory accessor, or a storage with its graph attached), so
+        LSA/CEA (skyline, top-k, incremental top-k) run on the
+        :class:`~repro.core.kernel.ExpansionKernel`; a standalone dataset
+        pack runs the record-walking expansion.  Answers and all I/O
+        counters are bit-identical either way.  An existing
         :class:`CompiledGraph` is adopted as-is (this is how shard workers,
         a session's monitor and its searches share one snapshot instead of
-        each re-reading the network).  ``None`` (the default) compiles unless
-        the ``REPRO_COMPILED`` environment toggle says ``0`` (parsed only by
-        :func:`repro.api.policy.compiled_env_default`), and only a data layer
-        :meth:`CompiledGraph.can_compile
-        <repro.network.compiled.CompiledGraph.can_compile>` accepts — a
-        standalone dataset pack runs the record path; ``False`` disables the
-        fast path outright.
+        each re-reading the network).  ``False`` runs the record path on
+        any data layer: the reference the tests compare the kernel against.
         """
         self._graph = graph
         self._facilities = facilities
@@ -95,24 +95,21 @@ class MCNQueryEngine:
                 f"for a {graph.num_cost_types}-cost graph"
             )
         self._accessor: GraphAccessor = accessor
+        self._compiled: CompiledGraph | None = None
         if compiled is None:
-            compiled = compiled_env_default() and CompiledGraph.can_compile(accessor)
-        if isinstance(compiled, CompiledGraph):
+            if CompiledGraph.can_compile(accessor):
+                self._compiled = CompiledGraph.from_accessor(accessor)
+        elif isinstance(compiled, CompiledGraph):
             if compiled.graph is not graph:
                 raise QueryError("the compiled graph was built over a different graph")
             if compiled.facilities is not facilities:
                 raise QueryError(
                     "the compiled graph was built over a different facility set"
                 )
-            self._compiled: CompiledGraph | None = compiled
-        elif isinstance(compiled, bool):
-            self._compiled = (
-                CompiledGraph.from_accessor(self._accessor) if compiled else None
-            )
-        else:
+            self._compiled = compiled
+        elif compiled is not False:
             raise QueryError(
-                f"compiled must be a bool, None or a CompiledGraph, "
-                f"got {type(compiled).__name__}"
+                f"compiled must be None, False or a CompiledGraph, got {compiled!r}"
             )
 
     # ------------------------------------------------------------------ #
@@ -139,7 +136,7 @@ class MCNQueryEngine:
 
     @property
     def compiled_graph(self) -> CompiledGraph | None:
-        """The columnar snapshot the fast path runs on (``None`` when disabled)."""
+        """The snapshot the kernel runs on (``None`` on the record path)."""
         return self._compiled
 
     def _search_compiled(self) -> CompiledGraph | None:

@@ -19,11 +19,11 @@ from collections.abc import Iterator
 
 from repro.core.aggregates import AggregateFunction
 from repro.core.candidates import CandidateEntry, CandidatePool
-from repro.core.expansion import ExpansionSeeds, NearestFacilityExpansion
-from repro.core.kernel import ExpansionKernel, make_kernel_data_layer
+from repro.core.expansion import ExpansionSeeds
+from repro.core.kernel import make_expansions
 from repro.core.results import QueryStatistics, RankedFacility
 from repro.errors import QueryError
-from repro.network.accessor import FetchOnceCache, GraphAccessor
+from repro.network.accessor import GraphAccessor
 from repro.network.compiled import CompiledGraph
 from repro.network.graph import MultiCostGraph
 from repro.network.location import NetworkLocation
@@ -50,21 +50,9 @@ class IncrementalTopK(Iterator[RankedFacility]):
         self._base_accessor = accessor
         io_before = accessor.statistics.snapshot()
         seeds = ExpansionSeeds.from_query(graph, query)
-        if compiled is not None:
-            layer = make_kernel_data_layer(
-                compiled, target=accessor, fetch_once=share_accesses
-            )
-            self._data_layer = layer
-            self._expansions = [
-                ExpansionKernel(layer, seeds, index)
-                for index in range(accessor.num_cost_types)
-            ]
-        else:
-            self._data_layer = FetchOnceCache(accessor) if share_accesses else accessor
-            self._expansions = [
-                NearestFacilityExpansion(self._data_layer, seeds, index)
-                for index in range(accessor.num_cost_types)
-            ]
+        _, self._expansions = make_expansions(
+            accessor, seeds, compiled=compiled, fetch_once=share_accesses
+        )
         self._pool = CandidatePool(accessor.num_cost_types)
         self._scores: dict[int, float] = {}
         self._reported: set[int] = set()

@@ -56,9 +56,14 @@ import heapq
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from repro.core.expansion import ExpansionSeeds, FacilityHit
+from repro.core.expansion import ExpansionSeeds, FacilityHit, NearestFacilityExpansion
 from repro.errors import QueryError
-from repro.network.accessor import FacilityRecord, GraphAccessor, InMemoryAccessor
+from repro.network.accessor import (
+    FacilityRecord,
+    FetchOnceCache,
+    GraphAccessor,
+    InMemoryAccessor,
+)
 from repro.network.compiled import CompiledGraph
 from repro.network.facilities import FacilityId
 from repro.network.graph import EdgeId, NodeId
@@ -70,6 +75,7 @@ __all__ = [
     "FetchOnceChargeLayer",
     "ForwardingLayer",
     "KernelDataLayer",
+    "make_expansions",
     "make_kernel_data_layer",
 ]
 
@@ -301,6 +307,38 @@ def make_kernel_data_layer(
     if fetch_once:
         return FetchOnceChargeLayer(compiled, target)
     return DirectChargeLayer(compiled, target)
+
+
+def make_expansions(
+    accessor: GraphAccessor,
+    seeds: ExpansionSeeds,
+    *,
+    compiled: CompiledGraph | None,
+    data_layer: GraphAccessor | None = None,
+    fetch_once: bool = False,
+) -> tuple[
+    GraphAccessor | KernelDataLayer, list[ExpansionKernel | NearestFacilityExpansion]
+]:
+    """One query's d expansions and the data layer they read through.
+
+    With a ``compiled`` snapshot they are :class:`ExpansionKernel`\\ s over
+    :func:`make_kernel_data_layer`.  Without one they are the record path's
+    :class:`~repro.core.expansion.NearestFacilityExpansion`\\ s over
+    ``data_layer`` when given, else over ``accessor``, deduplicated per
+    query through a :class:`~repro.network.accessor.FetchOnceCache` when
+    ``fetch_once`` (the CEA regime).
+    """
+    dimensions = range(accessor.num_cost_types)
+    if compiled is not None:
+        layer = make_kernel_data_layer(
+            compiled, target=accessor, external=data_layer, fetch_once=fetch_once
+        )
+        return layer, [ExpansionKernel(layer, seeds, index) for index in dimensions]
+    if data_layer is None:
+        data_layer = FetchOnceCache(accessor) if fetch_once else accessor
+    return data_layer, [
+        NearestFacilityExpansion(data_layer, seeds, index) for index in dimensions
+    ]
 
 
 # Charge-folding modes, resolved once per kernel from the layer's

@@ -38,7 +38,11 @@ CEA pass at the end of an update tick refreshes every stale maintainer via
 
 Both maintainers evaluate against the in-memory accessor (the disk-resident
 layout of Figure 2 is bulk-loaded and static; rebuilding it belongs to a
-load pipeline, not to query maintenance).
+load pipeline, not to query maintenance), and run the
+:class:`~repro.core.kernel.ExpansionKernel` on a
+:class:`~repro.network.compiled.CompiledGraph`: the one passed as
+``compiled`` (the monitoring service shares its engine's), or else one the
+maintainer compiles itself.
 """
 
 from __future__ import annotations
@@ -46,13 +50,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.aggregates import AggregateFunction
-from repro.core.expansion import ExpansionSeeds, NearestFacilityExpansion
+from repro.core.expansion import ExpansionSeeds
 from repro.core.kernel import ExpansionKernel, KernelDataLayer, make_kernel_data_layer
 from repro.core.results import SkylineResult, TopKResult
 from repro.core.skyline import MCNSkylineSearch
 from repro.core.topk import MCNTopKSearch
 from repro.errors import FacilityError, QueryError
-from repro.network.accessor import FetchOnceCache, InMemoryAccessor
+from repro.network.accessor import InMemoryAccessor
 from repro.network.compiled import CompiledGraph
 from repro.network.costs import dominates
 from repro.network.facilities import Facility, FacilityId, FacilitySet
@@ -136,13 +140,14 @@ class _QueryDistanceMaps:
     facility on the query's own edge, forward traversal only on directed
     graphs).
 
-    The expansions run in candidate mode with no candidates and share one
-    :class:`~repro.network.accessor.FetchOnceCache` (on the kernel path, one
-    ``fetch_once`` charge layer), as CEA shares them within one query.  The
-    cache outlives the facility updates of many ticks.  That is sound only
-    because candidate mode with no candidates never reads an adjacency
-    record's ``facility_count`` or an edge's facility list: the query-edge
-    list a seed reads is discarded unread.  What the cache does keep,
+    The expansions are :class:`~repro.core.kernel.ExpansionKernel`\\ s over
+    the maintainer's :class:`~repro.network.compiled.CompiledGraph`.  They
+    run in candidate mode with no candidates and share one ``fetch_once``
+    charge layer, as CEA shares one within a query.  The layer outlives the
+    facility updates of many ticks.  That is sound only because candidate
+    mode with no candidates never reads an adjacency record's
+    ``facility_count`` or an edge's facility list: the query-edge list a
+    seed reads is discarded unread.  What the expansions do read,
     neighbours and edge costs, changes only with the query or the edge
     costs, and those replace this object.
 
@@ -157,39 +162,31 @@ class _QueryDistanceMaps:
         accessor: InMemoryAccessor,
         graph: MultiCostGraph,
         query: NetworkLocation,
-        compiled: CompiledGraph | None = None,
+        compiled: CompiledGraph,
     ):
         self._accessor = accessor
         self._graph = graph
         self._compiled = compiled
         self._seeds = ExpansionSeeds.from_query(graph, query)
         self._component = graph.component_of(self._seeds.anchors[0][0])
-        self._shared: FetchOnceCache | KernelDataLayer | None = None
-        self._expansions: list[NearestFacilityExpansion | ExpansionKernel | None] = [
-            None
-        ] * graph.num_cost_types
+        self._shared: KernelDataLayer | None = None
+        self._expansions: list[ExpansionKernel | None] = [None] * graph.num_cost_types
 
-    def _expansion(self, cost_index: int) -> NearestFacilityExpansion | ExpansionKernel:
+    def _expansion(self, cost_index: int) -> ExpansionKernel:
         expansion = self._expansions[cost_index]
         if expansion is not None:
             return expansion
-        if self._compiled is not None:
-            # No blanket ensure_fresh(): candidate mode never reads the
-            # facility columns, so skipping the refresh keeps insertion
-            # pricing from rebuilding them on every monitoring tick.  Arc
-            # columns *are* cost-dependent, so a cost-revision drift alone
-            # forces the refresh.
-            if self._compiled.costs_revision != self._graph.costs_revision:
-                self._compiled.ensure_fresh()
-            if self._shared is None:
-                self._shared = make_kernel_data_layer(
-                    self._compiled, target=self._accessor, fetch_once=True
-                )
-            expansion = ExpansionKernel(self._shared, self._seeds, cost_index)
-        else:
-            if self._shared is None:
-                self._shared = FetchOnceCache(self._accessor)
-            expansion = NearestFacilityExpansion(self._shared, self._seeds, cost_index)
+        # No blanket ensure_fresh(): candidate mode never reads the facility
+        # columns, so skipping the refresh keeps insertion pricing from
+        # rebuilding them on every monitoring tick.  Arc columns *are*
+        # cost-dependent, so a cost-revision drift alone forces the refresh.
+        if self._compiled.costs_revision != self._graph.costs_revision:
+            self._compiled.ensure_fresh()
+        if self._shared is None:
+            self._shared = make_kernel_data_layer(
+                self._compiled, target=self._accessor, fetch_once=True
+            )
+        expansion = ExpansionKernel(self._shared, self._seeds, cost_index)
         expansion.enter_candidate_mode({})
         self._expansions[cost_index] = expansion
         return expansion
@@ -300,23 +297,22 @@ class _MaintainerBase:
             accessor = InMemoryAccessor(graph, facilities)
         elif accessor.graph is not graph:
             raise QueryError("the accessor was built over a different graph")
-        if compiled is not None:
-            if compiled.graph is not graph:
-                raise QueryError("the compiled graph was built over a different graph")
-            if compiled.facilities is not facilities:
-                raise QueryError(
-                    "the compiled graph was built over a different facility set"
-                )
+        if compiled is None:
+            compiled = CompiledGraph(graph, facilities)
+        elif compiled.graph is not graph:
+            raise QueryError("the compiled graph was built over a different graph")
+        elif compiled.facilities is not facilities:
+            raise QueryError(
+                "the compiled graph was built over a different facility set"
+            )
         self._accessor = accessor
         self._compiled = compiled
         self._distances = _QueryDistanceMaps(accessor, graph, query, compiled)
         self._statistics = MaintenanceStatistics()
         self._stale = False
 
-    def _search_compiled(self) -> CompiledGraph | None:
-        """The compiled snapshot for a fallback search, refreshed if present."""
-        if self._compiled is None:
-            return None
+    def _search_compiled(self) -> CompiledGraph:
+        """The compiled snapshot for a fallback search, refreshed."""
         return self._compiled.ensure_fresh()
 
     # ------------------------------------------------------------------ #

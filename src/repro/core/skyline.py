@@ -29,10 +29,10 @@ from collections.abc import Iterator
 
 from repro.core.candidates import CandidateEntry, CandidatePool
 from repro.core.expansion import ExpansionSeeds, NearestFacilityExpansion
-from repro.core.kernel import ExpansionKernel, make_kernel_data_layer
+from repro.core.kernel import make_expansions
 from repro.core.results import QueryStatistics, SkylineFacility, SkylineResult
 from repro.errors import QueryError
-from repro.network.accessor import FetchOnceCache, GraphAccessor
+from repro.network.accessor import GraphAccessor
 from repro.network.compiled import CompiledGraph
 from repro.network.graph import MultiCostGraph
 from repro.network.location import NetworkLocation
@@ -128,23 +128,13 @@ class MCNSkylineSearch:
         self._io_before = accessor.statistics.snapshot()
         if seeds is None:
             seeds = ExpansionSeeds.from_query(graph, query)
-        if compiled is not None:
-            layer = make_kernel_data_layer(
-                compiled, target=accessor, external=data_layer, fetch_once=share_accesses
-            )
-            self._expansions = [
-                ExpansionKernel(layer, seeds, index)
-                for index in range(accessor.num_cost_types)
-            ]
-            data_layer = layer
-        else:
-            if data_layer is None:
-                data_layer = FetchOnceCache(accessor) if share_accesses else accessor
-            self._expansions = [
-                NearestFacilityExpansion(data_layer, seeds, index)
-                for index in range(accessor.num_cost_types)
-            ]
-        self._data_layer = data_layer
+        self._data_layer, self._expansions = make_expansions(
+            accessor,
+            seeds,
+            compiled=compiled,
+            data_layer=data_layer,
+            fetch_once=share_accesses,
+        )
         self._pool = CandidatePool(accessor.num_cost_types)
         self._stage = _Stage.GROWING
         self._active = [True] * accessor.num_cost_types

@@ -26,10 +26,10 @@ import time
 from repro.core.aggregates import AggregateFunction
 from repro.core.candidates import CandidateEntry, CandidatePool
 from repro.core.expansion import ExpansionSeeds, NearestFacilityExpansion
-from repro.core.kernel import ExpansionKernel, make_kernel_data_layer
+from repro.core.kernel import make_expansions
 from repro.core.results import QueryStatistics, RankedFacility, TopKResult
 from repro.errors import QueryError
-from repro.network.accessor import FetchOnceCache, GraphAccessor
+from repro.network.accessor import GraphAccessor
 from repro.network.compiled import CompiledGraph
 from repro.network.graph import MultiCostGraph
 from repro.network.location import NetworkLocation
@@ -67,23 +67,13 @@ class MCNTopKSearch:
         self._io_before = accessor.statistics.snapshot()
         if seeds is None:
             seeds = ExpansionSeeds.from_query(graph, query)
-        if compiled is not None:
-            layer = make_kernel_data_layer(
-                compiled, target=accessor, external=data_layer, fetch_once=share_accesses
-            )
-            self._expansions = [
-                ExpansionKernel(layer, seeds, index)
-                for index in range(accessor.num_cost_types)
-            ]
-            self._data_layer = layer
-        else:
-            if data_layer is None:
-                data_layer = FetchOnceCache(accessor) if share_accesses else accessor
-            self._data_layer = data_layer
-            self._expansions = [
-                NearestFacilityExpansion(self._data_layer, seeds, index)
-                for index in range(accessor.num_cost_types)
-            ]
+        self._data_layer, self._expansions = make_expansions(
+            accessor,
+            seeds,
+            compiled=compiled,
+            data_layer=data_layer,
+            fetch_once=share_accesses,
+        )
         self._pool = CandidatePool(accessor.num_cost_types)
         self._statistics = QueryStatistics()
         # Tentative result: facility id -> RankedFacility.

@@ -389,130 +389,128 @@ def build_packed_dataset(spec: PackedDatasetSpec, path: str) -> "DatasetCatalog"
     for facility_id, edge_id in enumerate(facility_edges):
         facilities_by_edge.setdefault(edge_id, []).append(facility_id)
 
-    writer = PackWriter(
+    with PackWriter(
         path, page_size=spec.page_size, num_cost_types=spec.num_cost_types
-    )
-    disk = SpoolingDisk(writer)
+    ) as writer, tempfile.TemporaryFile() as node_spool:
+        disk = SpoolingDisk(writer)
 
-    # Stage 1 — facility file (costs are pure functions of the edge id, so
-    # no topology scan is needed here).
-    edge_pages: dict[int, tuple[int, ...]] = {}
+        # Stage 1 — facility file (costs are pure functions of the edge id, so
+        # no topology scan is needed here).
+        edge_pages: dict[int, tuple[int, ...]] = {}
 
-    def facility_groups():
-        for edge_id in sorted(facilities_by_edge):
-            _costs, length = _edge_costs(spec, edge_id)
-            yield edge_id, [
-                FacilityRecord(fid, edge_id, _facility_offset(spec, fid, length))
-                for fid in facilities_by_edge[edge_id]
-            ]
+        def facility_groups():
+            for edge_id in sorted(facilities_by_edge):
+                _costs, length = _edge_costs(spec, edge_id)
+                yield edge_id, [
+                    FacilityRecord(fid, edge_id, _facility_offset(spec, fid, length))
+                    for fid in facilities_by_edge[edge_id]
+                ]
 
-    pack_record_groups(
-        disk,
-        PageKind.FACILITY,
-        facility_groups(),
-        edge_pages.__setitem__,
-        entry_size=sizes.facility_entry(),
-        header_size=sizes.facility_header(),
-    )
+        pack_record_groups(
+            disk,
+            PageKind.FACILITY,
+            facility_groups(),
+            edge_pages.__setitem__,
+            entry_size=sizes.facility_entry(),
+            header_size=sizes.facility_header(),
+        )
 
-    # Stage 2 — adjacency file; the same scan also emits the node-id and
-    # edge-table sections and spools (node, pages) pairs for stage 3.
-    node_section = writer.section(SECTION_NODE_IDS)
-    edge_section = writer.section(SECTION_EDGE_TABLE)
-    edge_row = struct.Struct(f"<qqqd{spec.num_cost_types}d")
-    node_spool = tempfile.TemporaryFile()
-    spool_header = struct.Struct("<qI")
+        # Stage 2 — adjacency file; the same scan also emits the node-id and
+        # edge-table sections and spools (node, pages) pairs for stage 3.
+        node_section = writer.section(SECTION_NODE_IDS)
+        edge_section = writer.section(SECTION_EDGE_TABLE)
+        edge_row = struct.Struct(f"<qqqd{spec.num_cost_types}d")
+        spool_header = struct.Struct("<qI")
 
-    def adjacency_groups():
-        for node, incident in stream_topology(spec, shortcuts):
-            node_section.write(struct.pack("<q", node))
-            records = []
-            for edge_id, other, first_node in incident:
-                costs, length = _edge_costs(spec, edge_id)
-                if first_node == node:  # this scan step numbered the edge
-                    edge_section.write(
-                        edge_row.pack(edge_id, node, other, length, *costs)
+        def adjacency_groups():
+            for node, incident in stream_topology(spec, shortcuts):
+                node_section.write(struct.pack("<q", node))
+                records = []
+                for edge_id, other, first_node in incident:
+                    costs, length = _edge_costs(spec, edge_id)
+                    if first_node == node:  # this scan step numbered the edge
+                        edge_section.write(
+                            edge_row.pack(edge_id, node, other, length, *costs)
+                        )
+                    records.append(
+                        StoredAdjacencyEntry(
+                            node=node,
+                            record=AdjacencyRecord(
+                                neighbor=other,
+                                edge_id=edge_id,
+                                costs=costs,
+                                length=length,
+                                first_node=first_node,
+                                facility_count=len(facilities_by_edge.get(edge_id, ())),
+                            ),
+                            facility_pages=edge_pages.get(edge_id, ()),
+                        )
                     )
-                records.append(
-                    StoredAdjacencyEntry(
-                        node=node,
-                        record=AdjacencyRecord(
-                            neighbor=other,
-                            edge_id=edge_id,
-                            costs=costs,
-                            length=length,
-                            first_node=first_node,
-                            facility_count=len(facilities_by_edge.get(edge_id, ())),
-                        ),
-                        facility_pages=edge_pages.get(edge_id, ()),
-                    )
-                )
-            yield node, records
+                yield node, records
 
-    def spool_node_pages(node: int, pages: tuple[int, ...]) -> None:
-        node_spool.write(spool_header.pack(node, len(pages)))
-        for page_id in pages:
-            node_spool.write(struct.pack("<q", page_id))
+        def spool_node_pages(node: int, pages: tuple[int, ...]) -> None:
+            node_spool.write(spool_header.pack(node, len(pages)))
+            for page_id in pages:
+                node_spool.write(struct.pack("<q", page_id))
 
-    pack_record_groups(
-        disk,
-        PageKind.ADJACENCY,
-        adjacency_groups(),
-        spool_node_pages,
-        entry_size=sizes.adjacency_entry(spec.num_cost_types),
-        header_size=sizes.adjacency_header(),
-    )
+        pack_record_groups(
+            disk,
+            PageKind.ADJACENCY,
+            adjacency_groups(),
+            spool_node_pages,
+            entry_size=sizes.adjacency_entry(spec.num_cost_types),
+            header_size=sizes.adjacency_header(),
+        )
 
-    # Stage 3 — adjacency tree, bulk-loaded from the spooled pointers.
-    def spooled_entries():
-        node_spool.seek(0)
-        while True:
-            header = node_spool.read(spool_header.size)
-            if not header:
-                break
-            node, count = spool_header.unpack(header)
-            pages = struct.unpack(f"<{count}q", node_spool.read(count * 8))
-            yield node, pages
+        # Stage 3 — adjacency tree, bulk-loaded from the spooled pointers.
+        def spooled_entries():
+            node_spool.seek(0)
+            while True:
+                header = node_spool.read(spool_header.size)
+                if not header:
+                    break
+                node, count = spool_header.unpack(header)
+                pages = struct.unpack(f"<{count}q", node_spool.read(count * 8))
+                yield node, pages
 
-    adjacency_tree = StaticBPlusTree(
-        disk, PageKind.ADJACENCY_INDEX, spooled_entries(), presorted=True
-    )
-    node_spool.close()
+        adjacency_tree = StaticBPlusTree(
+            disk, PageKind.ADJACENCY_INDEX, spooled_entries(), presorted=True
+        )
 
-    # Stage 4 — facility tree.
-    facility_tree = StaticBPlusTree(
-        disk,
-        PageKind.FACILITY_INDEX,
-        (
-            (fid, (edge_id, edge_pages.get(edge_id, ())))
-            for fid, edge_id in enumerate(facility_edges)
-        ),
-        presorted=True,
-    )
-    disk.flush()
+        # Stage 4 — facility tree.
+        facility_tree = StaticBPlusTree(
+            disk,
+            PageKind.FACILITY_INDEX,
+            (
+                (fid, (edge_id, edge_pages.get(edge_id, ())))
+                for fid, edge_id in enumerate(facility_edges)
+            ),
+            presorted=True,
+        )
+        disk.flush()
 
-    _write_facility_index(writer, edge_pages)
-    payload = {
-        "directed": False,
-        "num_nodes": spec.num_nodes,
-        "num_edges": num_edges,
-        "num_facilities": spec.num_facilities,
-        "page_kind_counts": {
-            kind.value: disk.pages_of_kind(kind) for kind in PageKind
-        },
-        "adjacency_tree": TreeShape(
-            root_page_id=adjacency_tree.root_page_id,
-            height=adjacency_tree.height,
-            num_entries=adjacency_tree.num_entries,
-        ).to_payload(),
-        "facility_tree": TreeShape(
-            root_page_id=facility_tree.root_page_id,
-            height=facility_tree.height,
-            num_entries=facility_tree.num_entries,
-        ).to_payload(),
-        "extras": {"generator": "packed-grid", "spec": spec.to_payload()},
-    }
-    return DatasetCatalog.from_payload(writer.finalize(payload))
+        _write_facility_index(writer, edge_pages)
+        payload = {
+            "directed": False,
+            "num_nodes": spec.num_nodes,
+            "num_edges": num_edges,
+            "num_facilities": spec.num_facilities,
+            "page_kind_counts": {
+                kind.value: disk.pages_of_kind(kind) for kind in PageKind
+            },
+            "adjacency_tree": TreeShape(
+                root_page_id=adjacency_tree.root_page_id,
+                height=adjacency_tree.height,
+                num_entries=adjacency_tree.num_entries,
+            ).to_payload(),
+            "facility_tree": TreeShape(
+                root_page_id=facility_tree.root_page_id,
+                height=facility_tree.height,
+                num_entries=facility_tree.num_entries,
+            ).to_payload(),
+            "extras": {"generator": "packed-grid", "spec": spec.to_payload()},
+        }
+        return DatasetCatalog.from_payload(writer.finalize(payload))
 
 
 def materialize_packed_dataset(spec: PackedDatasetSpec) -> tuple[MultiCostGraph, FacilitySet]:

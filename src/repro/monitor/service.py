@@ -205,22 +205,24 @@ class MonitoringService:
         applied; hand it a private copy if the caller needs the original.
     policy:
         An :class:`~repro.api.ExecutionPolicy` supplying the monitoring
-        knobs: ``compiled`` (the columnar fast-path mode — insertion pricing
-        and the batched end-of-tick CEA pass then run on the
-        :class:`~repro.core.kernel.ExpansionKernel`, with the compiled
-        facility columns refreshing automatically as ticks mutate the set),
-        ``workers`` / ``routing`` / ``executor`` (with ``workers > 1`` and
-        at least ``shard_fallback_threshold`` stale subscriptions in one
-        tick, the end-of-tick fallback pass is sharded across workers), and
-        ``shard_fallback_threshold`` itself (the pool is not worth spinning
-        up for one or two queries).  Monitoring always runs on the in-memory
-        data layer; the policy's residency / page knobs do not apply.
+        knobs: ``workers`` / ``routing`` / ``executor`` (with
+        ``workers > 1`` and at least ``shard_fallback_threshold`` stale
+        subscriptions in one tick, the end-of-tick fallback pass is sharded
+        across workers), and ``shard_fallback_threshold`` itself (the pool
+        is not worth spinning up for one or two queries).  Monitoring always
+        runs on the in-memory data layer; the policy's residency / page
+        knobs do not apply.
     compiled_graph:
         A plan-free :class:`~repro.network.compiled.CompiledGraph` over
         ``graph`` and ``facilities`` to run the kernel on, instead of
-        compiling one from the policy.  :meth:`repro.api.Session.monitor`
-        hands over its engine's snapshot (or, for a disk-resident session, a
-        plan-free twin of it), so a monitored session holds one topology.
+        compiling one.  :meth:`repro.api.Session.monitor` hands over its
+        engine's snapshot (or, for a disk-resident session, a plan-free twin
+        of it), so a monitored session holds one topology.
+
+    The in-memory data layer always compiles, so insertion pricing, the
+    maintainers' fallback searches and the batched end-of-tick CEA pass all
+    run on the :class:`~repro.core.kernel.ExpansionKernel`, with the
+    snapshot's facility side refreshing as ticks mutate the set.
     """
 
     def __init__(
@@ -246,13 +248,7 @@ class MonitoringService:
         self._graph = graph
         self._facilities = facilities
         self._policy = policy
-        self._engine = MCNQueryEngine(
-            graph,
-            facilities,
-            compiled=(
-                policy.resolved_compiled() if compiled_graph is None else compiled_graph
-            ),
-        )
+        self._engine = MCNQueryEngine(graph, facilities, compiled=compiled_graph)
         self._accessor = self._engine.accessor
         self._subscriptions: dict[int, _Subscription] = {}
         self._retired = MaintenanceStatistics()

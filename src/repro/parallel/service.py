@@ -8,7 +8,8 @@ on its own worker, and the per-shard :class:`~repro.service.BatchReport`\\ s
 are merged back into one report whose outcomes sit in submission order —
 indistinguishable, result-wise, from a sequential run.
 
-Worker isolation is the whole trick.  Every worker owns
+Shard isolation is the whole trick.  Every shard runs on its own worker
+service, which owns
 
 * an **independent data layer** — a read-only snapshot view of the shared
   engine's accessor (:meth:`repro.storage.NetworkStorage.snapshot_view` or
@@ -16,7 +17,7 @@ Worker isolation is the whole trick.  Every worker owns
   built network pages copy-free while bringing a private LRU buffer and
   private I/O counters;
 * an **independent** :class:`~repro.service.CrossQueryExpansionCache` and
-  result memo, so no query ever observes another worker's mutation.
+  result memo, so no query ever observes another shard's mutation.
 
 Because the caches only short-circuit reads of immutable records, a sharded
 run returns byte-identical results to the sequential service no matter how
@@ -28,7 +29,8 @@ true multi-core parallelism; the engine is inherited copy-on-write, so
 workers share the built network without pickling it), ``"thread"`` (a thread
 pool — parallel I/O-style execution inside one interpreter) and ``"serial"``
 (the same sharding and merging without any pool, useful as a deterministic
-oracle and on single-core hosts).
+oracle and on single-core hosts).  A pool runs at most one worker per CPU,
+however many shards the batch asks for.
 """
 
 from __future__ import annotations
@@ -168,9 +170,8 @@ def _make_worker_service(engine: MCNQueryEngine, policy: ExecutionPolicy) -> Que
     # (or re-compiling) the network per worker: the snapshot is immutable, so
     # fork workers inherit it copy-on-write and thread workers read it
     # concurrently, while every worker still charges its own snapshot-view
-    # buffer and counters.  With no parent snapshot the workers run the
-    # record path too: the parent engine already resolved the policy, so the
-    # REPRO_COMPILED default must not turn the kernel back on.
+    # buffer and counters.  A parent on the record path (a pack, or a
+    # compiled=False reference engine) keeps its workers on it.
     compiled = engine.compiled_graph
     worker_engine = MCNQueryEngine(
         engine.graph,
@@ -199,13 +200,12 @@ def _execute_shard(service: QueryService, shard: Shard) -> ShardReport:
 # ------------------------------------------------------------------ #
 # Fork-based worker plumbing.  The parent stashes its engine + knobs in a
 # module global right before the pool forks; children inherit the global
-# (copy-on-write, no pickling of the network) and build their own service
+# (copy-on-write, no pickling of the network) and build a service per shard
 # over a snapshot view of the inherited storage.  The lock serialises
 # concurrent process-pool launches in one parent: the global must not be
 # swapped (or cleared) between another run's pool creation and its fork.
 # ------------------------------------------------------------------ #
 _FORK_CONTEXT: tuple[MCNQueryEngine, ExecutionPolicy] | None = None
-_FORK_SERVICE: QueryService | None = None
 _FORK_LOCK = threading.Lock()
 
 # Chaos seams (set in the parent, inherited copy-on-write by fork workers).
@@ -231,20 +231,21 @@ def set_shard_timeout(seconds: float | None) -> None:
     _SHARD_TIMEOUT = None if seconds is None else float(seconds)
 
 
-def _init_fork_worker() -> None:
-    global _FORK_SERVICE
+def _run_shard_in_fork(shard: Shard) -> ShardReport:
     if _FORK_CONTEXT is None:  # pragma: no cover - defensive; set before forking
         raise QueryError("fork worker started without a parent context")
-    engine, policy = _FORK_CONTEXT
-    _FORK_SERVICE = _make_worker_service(engine, policy)
-
-
-def _run_shard_in_fork(shard: Shard) -> ShardReport:
-    if _FORK_SERVICE is None:  # pragma: no cover - initializer always ran first
-        raise QueryError("fork worker has no service")
     if _WORKER_FAULT_HOOK is not None:
         _WORKER_FAULT_HOOK(shard.index)
-    return _execute_shard(_FORK_SERVICE, shard)
+    return _execute_shard(_make_worker_service(*_FORK_CONTEXT), shard)
+
+
+def _pool_size(plan: ShardPlan) -> int:
+    """Pool workers for ``plan``: one per shard, at most one per CPU.
+
+    The shard count comes from the caller (a wire batch may ask for one
+    shard per request), so the machine, not the request, bounds the pool.
+    """
+    return min(len(plan.shards), os.cpu_count() or 1)
 
 
 class ShardedQueryService:
@@ -259,9 +260,9 @@ class ShardedQueryService:
         An :class:`~repro.api.ExecutionPolicy` supplying the parallelism
         spec and the caching knobs replicated into every worker's
         :class:`~repro.service.QueryService`.  ``workers`` is the number of
-        shards / pool size; ``routing`` is ``"round_robin"`` or
-        ``"locality"``; ``executor`` is ``"process"`` (requires the ``fork``
-        start method), ``"thread"`` or ``"serial"``.
+        shards (a pool runs at most one worker per CPU); ``routing`` is
+        ``"round_robin"`` or ``"locality"``; ``executor`` is ``"process"``
+        (requires the ``fork`` start method), ``"thread"`` or ``"serial"``.
 
     Example
     -------
@@ -366,16 +367,15 @@ class ShardedQueryService:
     # ------------------------------------------------------------------ #
     # Executor backends
     # ------------------------------------------------------------------ #
+    def _run_shard(self, shard: Shard) -> ShardReport:
+        return _execute_shard(_make_worker_service(self._engine, self._policy), shard)
+
     def _run_serial(self, plan: ShardPlan) -> list[ShardReport]:
-        return [
-            _execute_shard(_make_worker_service(self._engine, self._policy), shard)
-            for shard in plan.shards
-        ]
+        return [self._run_shard(shard) for shard in plan.shards]
 
     def _run_thread(self, plan: ShardPlan) -> list[ShardReport]:
-        services = [_make_worker_service(self._engine, self._policy) for _ in plan.shards]
-        with ThreadPoolExecutor(max_workers=len(plan.shards)) as pool:
-            return list(pool.map(_execute_shard, services, plan.shards))
+        with ThreadPoolExecutor(max_workers=_pool_size(plan)) as pool:
+            return list(pool.map(self._run_shard, plan.shards))
 
     def _run_process(
         self, plan: ShardPlan
@@ -389,9 +389,7 @@ class ShardedQueryService:
             _FORK_CONTEXT = (self._engine, self._policy)
             try:
                 with ProcessPoolExecutor(
-                    max_workers=min(self._policy.workers, len(plan.shards)),
-                    mp_context=context,
-                    initializer=_init_fork_worker,
+                    max_workers=_pool_size(plan), mp_context=context
                 ) as pool:
                     futures = [
                         (shard, pool.submit(_run_shard_in_fork, shard))
@@ -426,9 +424,7 @@ class ShardedQueryService:
         # the parent, once the pool is out of the way.
         retried: list[int] = []
         for shard in failed:
-            reports[shard.index] = _execute_shard(
-                _make_worker_service(self._engine, self._policy), shard
-            )
+            reports[shard.index] = self._run_shard(shard)
             retried.append(shard.index)
         return [reports[shard.index] for shard in plan.shards], tuple(retried)
 

@@ -498,41 +498,41 @@ def pack_network_storage(storage, path: str, *, extras: dict | None = None) -> D
     source storage.
     """
     graph = storage.graph
-    writer = PackWriter(
+    with PackWriter(
         path, page_size=storage.config.page_size, num_cost_types=graph.num_cost_types
-    )
-    disk = storage.disk
-    for page_id in range(disk.num_pages):
-        writer.add_page(disk.peek(page_id))
+    ) as writer:
+        disk = storage.disk
+        for page_id in range(disk.num_pages):
+            writer.add_page(disk.peek(page_id))
 
-    node_section = writer.section(SECTION_NODE_IDS)
-    for node_id in sorted(graph.node_ids()):
-        node_section.write(_I64.pack(node_id))
-    edge_section = writer.section(SECTION_EDGE_TABLE)
-    for edge in sorted(graph.edges(), key=lambda e: e.edge_id):
-        edge_section.write(
-            struct.pack(
-                f"<qqqd{graph.num_cost_types}d",
-                edge.edge_id,
-                edge.u,
-                edge.v,
-                edge.length,
-                *edge.costs.values,
+        node_section = writer.section(SECTION_NODE_IDS)
+        for node_id in sorted(graph.node_ids()):
+            node_section.write(_I64.pack(node_id))
+        edge_section = writer.section(SECTION_EDGE_TABLE)
+        for edge in sorted(graph.edges(), key=lambda e: e.edge_id):
+            edge_section.write(
+                struct.pack(
+                    f"<qqqd{graph.num_cost_types}d",
+                    edge.edge_id,
+                    edge.u,
+                    edge.v,
+                    edge.length,
+                    *edge.costs.values,
+                )
             )
-        )
-    _write_facility_index(writer, storage._facility_pages)
+        _write_facility_index(writer, storage._facility_pages)
 
-    payload = {
-        "directed": graph.directed,
-        "num_nodes": graph.num_nodes,
-        "num_edges": graph.num_edges,
-        "num_facilities": len(storage.facilities),
-        "page_kind_counts": {
-            kind.value: disk.pages_of_kind(kind) for kind in PageKind
-        },
-        "adjacency_tree": _tree_shape(storage._adjacency_tree).to_payload(),
-        "facility_tree": _tree_shape(storage._facility_tree).to_payload(),
-        "extras": dict(extras or {}),
-    }
-    final = writer.finalize(payload)
+        payload = {
+            "directed": graph.directed,
+            "num_nodes": graph.num_nodes,
+            "num_edges": graph.num_edges,
+            "num_facilities": len(storage.facilities),
+            "page_kind_counts": {
+                kind.value: disk.pages_of_kind(kind) for kind in PageKind
+            },
+            "adjacency_tree": _tree_shape(storage._adjacency_tree).to_payload(),
+            "facility_tree": _tree_shape(storage._facility_tree).to_payload(),
+            "extras": dict(extras or {}),
+        }
+        final = writer.finalize(payload)
     return DatasetCatalog.from_payload(final)

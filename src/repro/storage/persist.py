@@ -531,6 +531,9 @@ class PackWriter:
     (the final slot width is only known once the largest page has been
     seen), then assembled into the destination file by :meth:`finalize`.
     Nothing is held in memory, so million-page packs build with bounded RSS.
+    :meth:`finalize` closes the spill files; a build that fails before it
+    closes them with :meth:`close`, or by using the writer in a ``with``
+    block.
     """
 
     def __init__(self, path: str, *, page_size: int, num_cost_types: int):
@@ -554,6 +557,18 @@ class PackWriter:
     @property
     def num_pages(self) -> int:
         return self._num_pages
+
+    def close(self) -> None:
+        """Close the spill files (idempotent); the writer takes nothing after."""
+        for section in self._sections:
+            section.close()
+        self._slots.close()
+
+    def __enter__(self) -> "PackWriter":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def add_page(self, page: Page) -> None:
         """Append a page; pages must arrive in ``page_id`` order from 0."""
@@ -601,32 +616,33 @@ class PackWriter:
         catalog_offset = offset
         catalog_bytes = json.dumps(payload, sort_keys=True).encode("utf-8")
 
-        with open(self._path, "wb") as out:
-            out.write(
-                _HEADER.pack(
-                    PACK_MAGIC,
-                    _ENDIAN_TAG,
-                    PACK_VERSION,
-                    self._page_size,
-                    slot_size,
-                    self._num_pages,
-                    catalog_offset,
-                    len(catalog_bytes),
-                    b"\x00" * 32,
+        try:
+            with open(self._path, "wb") as out:
+                out.write(
+                    _HEADER.pack(
+                        PACK_MAGIC,
+                        _ENDIAN_TAG,
+                        PACK_VERSION,
+                        self._page_size,
+                        slot_size,
+                        self._num_pages,
+                        catalog_offset,
+                        len(catalog_bytes),
+                        b"\x00" * 32,
+                    )
                 )
-            )
-            self._slots.seek(0)
-            for _ in range(self._num_pages):
-                (length,) = _U32.unpack(self._slots.read(_U32.size))
-                encoded = self._slots.read(length)
-                out.write(encoded)
-                out.write(b"\x00" * (slot_size - length))
-            for section in self._sections:
-                section.copy_into(out)
-                section.close()
-            out.write(catalog_bytes)
-            out.flush()
-        self._slots.close()
+                self._slots.seek(0)
+                for _ in range(self._num_pages):
+                    (length,) = _U32.unpack(self._slots.read(_U32.size))
+                    encoded = self._slots.read(length)
+                    out.write(encoded)
+                    out.write(b"\x00" * (slot_size - length))
+                for section in self._sections:
+                    section.copy_into(out)
+                out.write(catalog_bytes)
+                out.flush()
+        finally:
+            self.close()
         with open(self._path, "r+b") as out:
             checksum = compute_pack_checksum(out, os.path.getsize(self._path))
             out.seek(_CHECKSUM_OFFSET)

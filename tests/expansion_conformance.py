@@ -18,14 +18,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.api.policy import ExecutionPolicy
 from repro.core.engine import MCNQueryEngine
 from repro.core.expansion import ExpansionSeeds, NearestFacilityExpansion
 from repro.core.kernel import make_kernel_data_layer
 from repro.datagen import WorkloadSpec, make_workload
 from repro.datagen.updates import UpdateStreamSpec, make_update_stream
 from repro.monitor import MonitoringService
-from repro.monitor.service import tick_report_to_payload
 from repro.network.accessor import FetchOnceCache, InMemoryAccessor
 from repro.network.compiled import CompiledGraph
 from repro.network.facilities import FacilitySet
@@ -113,7 +111,8 @@ class ExpansionConformanceSuite:
                 workload.graph, workload.facilities, accessor=storage, compiled=compiled
             )
 
-        return engine(False), engine(True)
+        # The default compiles either residency; False is the reference.
+        return engine(False), engine(None)
 
     @staticmethod
     def reset(engine):
@@ -121,7 +120,7 @@ class ExpansionConformanceSuite:
             engine.storage.reset_statistics(clear_buffer=True)
 
     def test_engine_selects_this_kernel(self):
-        """``compiled=True`` engines run every search on the kernel under test.
+        """Default engines run every search on the kernel under test.
 
         In both residencies, LSA and CEA, skyline and top-k alike; the
         ``compiled=False`` engine's searches run the reference expansion.
@@ -395,6 +394,12 @@ class ExpansionConformanceSuite:
         assert vars(fast_report.cache) == vars(legacy_report.cache)
 
     def test_monitor_ticks_identical(self):
+        """After every tick each subscription holds the reference's answer.
+
+        The monitor runs the kernel; the reference is a fresh
+        ``compiled=False`` engine's CEA skyline over a copy of the
+        post-tick facility set.
+        """
         workload = self.build_workload(
             WorkloadSpec(num_nodes=150, num_facilities=45, num_cost_types=2, num_queries=4, seed=17)
         )
@@ -403,16 +408,20 @@ class ExpansionConformanceSuite:
             workload.facilities,
             UpdateStreamSpec(num_ticks=6, updates_per_tick=4, seed=18),
         )
-        payloads = {}
-        io_totals = {}
-        for compiled in (False, True):
-            facilities = FacilitySet(workload.graph, iter(workload.facilities))
-            policy = ExecutionPolicy(compiled="on" if compiled else "off")
-            service = MonitoringService(workload.graph, facilities, policy=policy)
-            for query in workload.queries:
-                service.subscribe(SkylineRequest(query))
-            reports = [service.apply_tick(tick) for tick in stream]
-            payloads[compiled] = [tick_report_to_payload(report) for report in reports]
-            io_totals[compiled] = sum(report.io.total_requests for report in reports)
-        assert payloads[True] == payloads[False]
-        assert io_totals[True] == io_totals[False]
+        facilities = FacilitySet(workload.graph, iter(workload.facilities))
+        service = MonitoringService(workload.graph, facilities)
+        queries = {service.subscribe(SkylineRequest(query)): query for query in workload.queries}
+        for tick in stream:
+            service.apply_tick(tick)
+            reference = MCNQueryEngine(
+                workload.graph,
+                FacilitySet(workload.graph, iter(facilities)),
+                compiled=False,
+            )
+            for subscription_id, query in queries.items():
+                expected = reference.skyline(query, algorithm="cea")
+                held = service.maintainer_of(subscription_id).skyline
+                assert set(held) == expected.facility_ids()
+                for member in expected:
+                    if None not in member.costs:
+                        assert held[member.facility_id] == member.costs

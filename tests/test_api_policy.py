@@ -1,4 +1,4 @@
-"""ExecutionPolicy: validation, env handling and payload codecs."""
+"""ExecutionPolicy: validation and payload codecs."""
 
 from __future__ import annotations
 
@@ -8,18 +8,13 @@ import pytest
 
 import repro.parallel
 from repro.api import (
-    COMPILED_ENV_VAR,
     DEFAULT_POLICY,
     EXECUTORS,
     ROUTINGS,
     ExecutionPolicy,
-    compiled_env_default,
     policy_from_payload,
     policy_to_payload,
-    resolve_compiled,
 )
-from repro.core.engine import MCNQueryEngine
-from repro.datagen import WorkloadSpec, make_workload
 from repro.errors import PolicyError, QueryError
 
 
@@ -28,7 +23,6 @@ class TestDefaults:
         policy = ExecutionPolicy()
         assert policy.algorithm == "cea"
         assert policy.residency == "memory"
-        assert policy.compiled == "auto"
         assert policy.page_size == 4096
         assert policy.workers == 1
         assert policy.routing == "round_robin"
@@ -60,7 +54,6 @@ class TestValidation:
             ("algorithm", "dijkstra"),
             ("residency", "ram"),
             ("residency", "dataset"),
-            ("compiled", "yes"),
             ("page_size", 64),
             ("page_size", "big"),
             ("buffer_fraction", 0.0),
@@ -83,8 +76,18 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "fields",
-        [{"vector": "off"}, {"harvest_settled": True}, {"dataset_path": "x.mcnpack"}],
-        ids=["removed-field", "removed-field-harvest", "removed-field-dataset-path"],
+        [
+            {"vector": "off"},
+            {"harvest_settled": True},
+            {"dataset_path": "x.mcnpack"},
+            {"compiled": "off"},
+        ],
+        ids=[
+            "removed-field",
+            "removed-field-harvest",
+            "removed-field-dataset-path",
+            "removed-field-compiled",
+        ],
     )
     def test_removed_field_rejected_at_construction(self, fields):
         (field,) = fields
@@ -99,8 +102,6 @@ class TestValidation:
     def test_messages_are_actionable(self):
         with pytest.raises(PolicyError, match="expected one of"):
             ExecutionPolicy(routing="nearest")
-        with pytest.raises(PolicyError, match=COMPILED_ENV_VAR):
-            ExecutionPolicy(compiled="enabled")
         with pytest.raises(PolicyError, match="sequential"):
             ExecutionPolicy(workers=0)
 
@@ -117,68 +118,9 @@ class TestValidation:
         assert policy == ExecutionPolicy(buffer_fraction=1.0)
 
 
-class TestCompiledEnvHandling:
-    def test_unset_enables(self, monkeypatch):
-        # The kernel is the default: no variable, no opt-out.
-        monkeypatch.delenv(COMPILED_ENV_VAR, raising=False)
-        assert compiled_env_default() is True
-        assert resolve_compiled("auto") is True
-
-    @pytest.mark.parametrize("value", ["", "1", "true", "YES", " on ", "banana"])
-    def test_other_values_enable(self, monkeypatch, value):
-        monkeypatch.setenv(COMPILED_ENV_VAR, value)
-        assert compiled_env_default() is True
-        assert resolve_compiled("auto") is True
-
-    @pytest.mark.parametrize("value", ["0", "false", "OFF", " no "])
-    def test_falsy_values_disable(self, monkeypatch, value):
-        monkeypatch.setenv(COMPILED_ENV_VAR, value)
-        assert compiled_env_default() is False
-        assert resolve_compiled("auto") is False
-
-    def test_explicit_modes_ignore_the_environment(self, monkeypatch):
-        monkeypatch.setenv(COMPILED_ENV_VAR, "1")
-        assert resolve_compiled("off") is False
-        monkeypatch.setenv(COMPILED_ENV_VAR, "0")
-        assert resolve_compiled("on") is True
-
-    def test_engine_default_routes_through_the_policy_module(self, monkeypatch):
-        # MCNQueryEngine(compiled=None) defers to compiled_env_default, the one
-        # parser of the variable; explicit flags ignore the environment.
-        workload = make_workload(
-            WorkloadSpec(num_nodes=40, num_facilities=8, num_cost_types=2, num_queries=0, seed=3)
-        )
-
-        def compiles(**kwargs):
-            engine = MCNQueryEngine(workload.graph, workload.facilities, **kwargs)
-            return engine.compiled_graph is not None
-
-        monkeypatch.setenv(COMPILED_ENV_VAR, " Yes ")
-        assert compiles() is True
-        assert compiles(compiled=False) is False
-        monkeypatch.delenv(COMPILED_ENV_VAR)
-        assert compiles() is True
-        monkeypatch.setenv(COMPILED_ENV_VAR, "0")
-        assert compiles() is False
-        assert compiles(compiled=True) is True
-
-    def test_resolve_compiled_rejects_unknown_mode(self):
-        with pytest.raises(PolicyError):
-            resolve_compiled("maybe")
-
-    def test_policy_resolved_compiled(self, monkeypatch):
-        monkeypatch.setenv(COMPILED_ENV_VAR, "1")
-        assert ExecutionPolicy(compiled="auto").resolved_compiled() is True
-        assert ExecutionPolicy(compiled="off").resolved_compiled() is False
-        monkeypatch.setenv(COMPILED_ENV_VAR, "0")
-        assert ExecutionPolicy(compiled="auto").resolved_compiled() is False
-        assert ExecutionPolicy(compiled="on").resolved_compiled() is True
-
-
 GOLDEN_POLICY = ExecutionPolicy(
     algorithm="lsa",
     residency="disk",
-    compiled="on",
     page_size=1024,
     buffer_fraction=0.05,
     workers=3,
@@ -192,7 +134,6 @@ GOLDEN_POLICY = ExecutionPolicy(
 GOLDEN_PAYLOAD = {
     "algorithm": "lsa",
     "residency": "disk",
-    "compiled": "on",
     "page_size": 1024,
     "buffer_fraction": 0.05,
     "workers": 3,
@@ -237,8 +178,15 @@ class TestPayloadCodecs:
             {"vector": "off"},
             {"harvest_settled": True},
             {"dataset_path": "x.mcnpack"},
+            {"compiled": "off"},
         ],
-        ids=["typo", "removed-field", "removed-field-harvest", "removed-field-dataset-path"],
+        ids=[
+            "typo",
+            "removed-field",
+            "removed-field-harvest",
+            "removed-field-dataset-path",
+            "removed-field-compiled",
+        ],
     )
     def test_unknown_field_rejected(self, payload):
         (field,) = payload

@@ -68,7 +68,11 @@ def _signature(item):
 
 
 def _direct_report(policy: ExecutionPolicy, requests):
-    """The pre-facade path: hand-built engine + direct service construction."""
+    """The pre-facade path: a hand-built record-path engine and service.
+
+    The engine runs the record-walking expansion (``compiled=False``), so
+    the session's kernel runs are checked against that reference.
+    """
     storage = None
     if policy.residency == "disk":
         storage = NetworkStorage.build(
@@ -81,7 +85,7 @@ def _direct_report(policy: ExecutionPolicy, requests):
         _WORKLOAD.graph,
         _WORKLOAD.facilities,
         accessor=storage,
-        compiled=policy.resolved_compiled(),
+        compiled=False,
     )
     if policy.workers > 1:
         return ShardedQueryService(engine, policy=policy).run_batch(requests)
@@ -114,7 +118,6 @@ _KEPT_FIELD_CHANGES = [
     ("residency", "disk"),
     ("page_size", 1024),
     ("buffer_fraction", 0.5),
-    ("compiled", "on"),
     ("memoize_results", False),
     ("max_cached_entries", 8),
     ("shard_fallback_threshold", 2),
@@ -230,7 +233,7 @@ class TestSessionQuery:
 
 class TestSessionBatchEquivalence:
     def test_sequential_disk_batch_is_bit_identical_to_query_service(self):
-        policy = ExecutionPolicy(residency="disk", compiled="off", page_size=2048)
+        policy = ExecutionPolicy(residency="disk", page_size=2048)
         requests = _requests()
         response = Session(
             _WORKLOAD.graph, _WORKLOAD.facilities, policy=policy
@@ -278,21 +281,19 @@ class TestSessionBatchEquivalence:
     @settings(max_examples=10, deadline=None)
     @given(
         residency=st.sampled_from(["memory", "disk"]),
-        compiled=st.sampled_from(["on", "off"]),
         workers=st.sampled_from([1, 2, 3]),
         executor=st.sampled_from(["serial", "thread", "process"]),
         routing=st.sampled_from(["round_robin", "locality"]),
         memoize=st.booleans(),
     )
     def test_session_batches_match_direct_paths(
-        self, residency, compiled, workers, executor, routing, memoize
+        self, residency, workers, executor, routing, memoize
     ):
-        """Results AND counter totals are identical to the pre-facade paths
-        across random policies (disk/memory x compiled on/off x
+        """Results AND counter totals are identical to the pre-facade
+        record-path runs across random policies (disk/memory x
         serial/thread/fork)."""
         policy = ExecutionPolicy(
             residency=residency,
-            compiled=compiled,
             workers=workers,
             executor=executor,
             routing=routing,
@@ -347,13 +348,10 @@ class TestSessionMonitor:
         assert first.service is second.service
         assert set(first.subscription_ids).isdisjoint(second.subscription_ids)
 
-    @pytest.mark.parametrize("compiled", ["on", "off"])
-    def test_a_tick_drops_the_result_memo(self, compiled):
+    def test_a_tick_drops_the_result_memo(self):
         facilities = FacilitySet(_WORKLOAD.graph, iter(_WORKLOAD.facilities))
         request = SkylineRequest(_WORKLOAD.queries[0])
-        with Session(
-            _WORKLOAD.graph, facilities, policy=ExecutionPolicy(compiled=compiled)
-        ) as session:
+        with Session(_WORKLOAD.graph, facilities) as session:
             victim = min(session.query(request).result.facility_ids())
             session.monitor(()).tick(UpdateTick((FacilityDelete(victim),)))
             response = session.query(request)
@@ -364,16 +362,15 @@ class TestSessionMonitor:
             ).query(request)
             assert _signature(response) == _signature(fresh)
 
-    @pytest.mark.parametrize("compiled", ["on", "off"])
-    def test_a_baseline_request_after_a_tick_matches_a_fresh_session(self, compiled):
+    def test_a_baseline_request_after_a_tick_matches_a_fresh_session(self):
         # Edge-cost ticks mutate the graph, so this test owns its workload.
         workload = make_workload(
             WorkloadSpec(num_nodes=150, num_facilities=40, num_cost_types=2, num_queries=2, seed=5)
         )
         location = workload.queries[0]
-        policy = ExecutionPolicy(compiled=compiled)
+        policy = ExecutionPolicy()
         with Session(workload.graph, workload.facilities, policy=policy) as session:
-            # The record path and (under "on") the kernel both fill the cache.
+            # The record path (baseline) and the kernel both fill the cache.
             session.query(SkylineRequest(workload.queries[1], algorithm="baseline"))
             session.query(SkylineRequest(location, algorithm="cea"))
             handle = session.monitor(())
@@ -469,9 +466,9 @@ class TestServicePolicies:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             service = MonitoringService(
-                _WORKLOAD.graph, facilities, policy=ExecutionPolicy(compiled="off")
+                _WORKLOAD.graph, facilities, policy=ExecutionPolicy(shard_fallback_threshold=2)
             )
-        assert service.policy.compiled == "off"
+        assert service.policy.shard_fallback_threshold == 2
 
     def test_bare_constructors_take_default_policy(self):
         facilities = FacilitySet(_WORKLOAD.graph, iter(_WORKLOAD.facilities))

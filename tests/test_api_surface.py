@@ -24,8 +24,6 @@ from repro.api.session import BatchResponse, MonitorHandle, Response, TickRespon
 API_ALL = [
     "ALGORITHMS",
     "BatchResponse",
-    "COMPILED_ENV_VAR",
-    "COMPILED_MODES",
     "DEFAULT_POLICY",
     "DEFAULT_TRACKED_QUANTILES",
     "EXECUTORS",
@@ -39,10 +37,8 @@ API_ALL = [
     "RollingLatencyStats",
     "Session",
     "TickResponse",
-    "compiled_env_default",
     "policy_from_payload",
     "policy_to_payload",
-    "resolve_compiled",
 ]
 
 SESSION_SIGNATURES = {
@@ -87,7 +83,6 @@ SESSION_SIGNATURES = {
 POLICY_SCHEMA = [
     ("algorithm", "cea"),
     ("residency", "memory"),
-    ("compiled", "auto"),
     ("page_size", 4096),
     ("buffer_fraction", 0.01),
     ("workers", 1),

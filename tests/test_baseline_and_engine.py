@@ -193,7 +193,7 @@ class TestDirectSearchStatistics:
     of them under LSA, one under CEA) and the pages it reads.
     """
 
-    @pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "record"])
+    @pytest.mark.parametrize("compiled", [None, False], ids=["kernel", "record"])
     @pytest.mark.parametrize("algorithm", ["lsa", "cea"])
     @pytest.mark.parametrize("kind", ["skyline", "top_k", "iter_top"])
     def test_io_equals_the_accessor_delta(self, small_workload, kind, algorithm, compiled):

@@ -20,7 +20,6 @@ import tracemalloc
 import pytest
 
 from repro.api import ExecutionPolicy, Session
-from repro.api.policy import COMPILED_ENV_VAR
 from repro.core.engine import MCNQueryEngine
 from repro.core.kernel import (
     DirectChargeLayer,
@@ -44,6 +43,7 @@ from repro.network.facilities import FacilitySet
 from repro.serve import InProcessClient, ServeApp
 from repro.service import (
     CrossQueryExpansionCache,
+    QueryService,
     SharedCacheChargeLayer,
     SkylineRequest,
     TopKRequest,
@@ -255,6 +255,9 @@ class TestLayerFactory:
         # Same graph AND same facility set: adopted fine.
         engine = MCNQueryEngine(workload.graph, workload.facilities, compiled=compiled)
         assert engine.compiled_graph is compiled
+        # The data layer decides whether to compile; True is not a choice.
+        with pytest.raises(QueryError, match="True"):
+            MCNQueryEngine(workload.graph, workload.facilities, compiled=True)
 
 
 class TestFreshnessGuards:
@@ -330,8 +333,9 @@ class TestFreshnessGuards:
     def test_overflow_mid_monitor_tick_matches_uncompiled_service(self):
         # A single monitoring tick larger than the changelog bound drives the
         # compiled path through the overflow fallback mid-tick.  Results must
-        # stay identical to the uncompiled service, and the snapshot left
-        # behind must equal a from-scratch compile of the mutated set.
+        # stay identical to a record-path (compiled=False) search over the
+        # mutated set, and the snapshot left behind must equal a
+        # from-scratch compile of it.
         workload = make_workload(
             WorkloadSpec(
                 num_nodes=150, num_facilities=50, num_cost_types=2, num_queries=4, seed=11
@@ -342,26 +346,25 @@ class TestFreshnessGuards:
             workload.facilities,
             UpdateStreamSpec(num_ticks=1, updates_per_tick=1300, seed=5),
         )
-        signatures = {}
-        compiled_state = {}
-        for mode in (True, False):
-            facilities = FacilitySet(workload.graph, iter(workload.facilities))
-            service = MonitoringService(
-                workload.graph,
-                facilities,
-                policy=ExecutionPolicy(compiled="on" if mode else "off"),
-            )
-            revision_before = facilities.revision
-            sids = [service.subscribe(SkylineRequest(query)) for query in workload.queries]
-            for tick in stream:
-                service.apply_tick(tick)
-            # The tick genuinely overflowed the bounded changelog.
-            assert facilities.changed_facilities_since(revision_before) is None
-            signatures[mode] = [service.result_signature(sid) for sid in sids]
-            if mode:
-                compiled_state[mode] = (service._engine.compiled_graph, facilities)
-        assert signatures[True] == signatures[False]
-        compiled, facilities = compiled_state[True]
+        facilities = FacilitySet(workload.graph, iter(workload.facilities))
+        service = MonitoringService(workload.graph, facilities)
+        revision_before = facilities.revision
+        sids = [service.subscribe(SkylineRequest(query)) for query in workload.queries]
+        for tick in stream:
+            service.apply_tick(tick)
+        # The tick genuinely overflowed the bounded changelog.
+        assert facilities.changed_facilities_since(revision_before) is None
+        reference = MCNQueryEngine(
+            workload.graph, FacilitySet(workload.graph, iter(facilities)), compiled=False
+        )
+        for sid, query in zip(sids, workload.queries):
+            expected = reference.skyline(query, algorithm="cea")
+            held = service.maintainer_of(sid).skyline
+            assert set(held) == expected.facility_ids()
+            for member in expected:
+                if None not in member.costs:
+                    assert held[member.facility_id] == member.costs
+        compiled = service._engine.compiled_graph
         assert compiled is not None
         compiled.ensure_fresh()
         fresh = CompiledGraph(workload.graph, facilities)
@@ -378,8 +381,7 @@ class TestSharedTopology:
     """One topology per session: the monitor, snapshots and searches share it."""
 
     def test_memory_monitor_runs_on_the_session_snapshot(self, workload):
-        policy = ExecutionPolicy(compiled="on")
-        with Session(workload.graph, _fresh(workload), policy=policy) as session:
+        with Session(workload.graph, _fresh(workload)) as session:
             handle = session.monitor([SkylineRequest(workload.queries[0])])
             compiled = session.engine_for().compiled_graph
             assert handle.service._engine.compiled_graph is compiled
@@ -388,7 +390,7 @@ class TestSharedTopology:
 
     @pytest.mark.parametrize("first", ["monitor", "query"])
     def test_disk_monitor_runs_on_a_plan_free_twin(self, workload, first):
-        policy = ExecutionPolicy(compiled="on", residency="disk", page_size=1024)
+        policy = ExecutionPolicy(residency="disk", page_size=1024)
         with Session(workload.graph, _fresh(workload), policy=policy) as session:
             if first == "query":
                 session.query(SkylineRequest(workload.queries[1]))
@@ -421,7 +423,7 @@ class TestSharedTopology:
                 num_ticks=4, start_time=6.0, time_step=0.5, affected_fraction=0.3, seed=72
             ),
         )
-        policy = ExecutionPolicy(compiled="on", temporal="profiles", profile_source="rush")
+        policy = ExecutionPolicy(temporal="profiles", profile_source="rush")
         request = SkylineRequest(workload.queries[0], departure_time=8.0)
         with Session(
             workload.graph, workload.facilities, policy=policy, profiles={"rush": network}
@@ -469,7 +471,6 @@ class TestSharedTopology:
             workload.graph, EdgeCostStreamSpec(num_ticks=4, time_step=0.5, seed=72)
         )
         policy = ExecutionPolicy(
-            compiled="on",
             residency="disk",
             page_size=1024,
             temporal="profiles",
@@ -488,10 +489,7 @@ class TestSharedTopology:
             assert derived.has_page_plans and derived.storage is snapshot.storage_for()
             assert derived.arcs is shared.arcs
 
-    def test_a_served_session_with_subscriptions_holds_one_compiled_graph(
-        self, monkeypatch, workload
-    ):
-        monkeypatch.delenv(COMPILED_ENV_VAR, raising=False)
+    def test_a_served_session_with_subscriptions_holds_one_compiled_graph(self, workload):
         edge = next(iter(workload.graph.edges()))
 
         def query(index):
@@ -541,29 +539,45 @@ class TestKernelFilledCache:
                 requests.append(
                     TopKRequest(location, 3, weights=(0.5, 0.3, 0.2), algorithm=algorithm)
                 )
-        runs = {}
-        for compiled in ("on", "off"):
-            policy = ExecutionPolicy(
-                compiled=compiled, residency=residency, page_size=1024, memoize_results=False
+        policy = ExecutionPolicy(residency=residency, page_size=1024, memoize_results=False)
+        # The reference runs the record path on the data layer a session
+        # of this policy compiles.
+        facilities = _fresh(workload)
+        storage = None
+        if residency == "disk":
+            storage = NetworkStorage.build(
+                workload.graph,
+                facilities,
+                page_size=policy.page_size,
+                buffer_fraction=policy.buffer_fraction,
             )
-            with Session(workload.graph, _fresh(workload), policy=policy) as session:
+        reference = QueryService(
+            MCNQueryEngine(workload.graph, facilities, accessor=storage, compiled=False),
+            policy=policy,
+        )
+        runs = {}
+        with Session(workload.graph, _fresh(workload), policy=policy) as session:
+            legs = {
+                "on": (session._service_for(), session.query),
+                "off": (reference, reference.execute),
+            }
+            for compiled, (service, execute) in legs.items():
                 responses = []
                 membership_only = 0
                 for request in requests:
-                    cache = session._service_for().cache
                     if request.algorithm == "baseline":
                         membership_only += sum(
                             isinstance(value, CompiledGraph)
-                            for value in cache._adjacency.values()
+                            for value in service.cache._adjacency.values()
                         )
-                    response = session.query(request)
+                    response = execute(request)
                     if isinstance(request, SkylineRequest):
                         answer = [(item.facility_id, item.costs) for item in response.result]
                     else:
                         answer = [(item.facility_id, item.score) for item in response.result]
                     responses.append((answer, response.io))
-                runs[compiled] = (responses, session._service_for().cache_statistics.snapshot())
-            # The kernel run really left membership-only entries for the
-            # baseline to read; the record path never does.
-            assert (membership_only > 0) == (compiled == "on")
+                runs[compiled] = (responses, service.cache_statistics.snapshot())
+                # The kernel run really left membership-only entries for the
+                # baseline to read; the record path never does.
+                assert (membership_only > 0) == (compiled == "on")
         assert runs["on"] == runs["off"]

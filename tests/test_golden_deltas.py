@@ -18,7 +18,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.api.policy import ExecutionPolicy
 from repro.datagen import (
     make_update_stream,
     make_workload,
@@ -48,13 +47,10 @@ def test_delta_fixtures_are_checked_in():
 
 @pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda p: p.stem)
 class TestGoldenDeltaStreams:
-    def build(self, fixture: dict, policy: ExecutionPolicy | None = None):
+    def build(self, fixture: dict):
         workload = make_workload(workload_spec_from_payload(fixture["workload"]))
         facilities = FacilitySet(workload.graph, iter(workload.facilities))
-        if policy is None:
-            service = MonitoringService(workload.graph, facilities)
-        else:
-            service = MonitoringService(workload.graph, facilities, policy=policy)
+        service = MonitoringService(workload.graph, facilities)
         requests = decode_requests(fixture["requests"])
         sids = [service.subscribe(request) for request in requests]
         return workload, service, sids
@@ -82,25 +78,6 @@ class TestGoldenDeltaStreams:
         _workload, service, _sids = self.build(fixture)
         stream = stream_from_payload(fixture["stream"])
         reports = service.run(stream)
-        expected_ticks = fixture["expected"]["ticks"]
-        assert len(reports) == len(expected_ticks)
-        for report, expected in zip(reports, expected_ticks):
-            assert tick_report_to_payload(report) == expected
-
-    @pytest.mark.parametrize("compiled", ["on", "off"], ids=["kernel", "record-path"])
-    def test_kernel_selection_replay_emits_pinned_deltas(self, path, compiled):
-        """Both expansion paths reproduce every pinned tick payload exactly.
-
-        The monitor's insertion pricing and end-of-tick fallback passes run
-        on the compiled kernel (``compiled="on"``) or the record-walking
-        expansion (``"off"``); neither may move a single delta, counter or
-        maintenance-path split away from what the fixture recorded —
-        independent of the ``REPRO_COMPILED`` environment.
-        """
-        fixture = load_fixture(path)
-        policy = ExecutionPolicy(compiled=compiled)
-        _workload, service, _sids = self.build(fixture, policy)
-        reports = service.run(stream_from_payload(fixture["stream"]))
         expected_ticks = fixture["expected"]["ticks"]
         assert len(reports) == len(expected_ticks)
         for report, expected in zip(reports, expected_ticks):

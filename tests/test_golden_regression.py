@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Literal
 
 import pytest
 
@@ -31,7 +32,8 @@ def load_fixture(path: Path) -> dict:
     return json.loads(path.read_text())
 
 
-def build_engine(fixture: dict, *, compiled: bool = False) -> MCNQueryEngine:
+def build_engine(fixture: dict, *, compiled: Literal[False] | None = False) -> MCNQueryEngine:
+    """An engine over the fixture's storage: the record path unless ``compiled=None``."""
     workload = make_workload(workload_spec_from_payload(fixture["workload"]))
     storage = NetworkStorage.build(
         workload.graph,
@@ -116,7 +118,7 @@ class TestGoldenReplay:
         """The compiled-kernel fast path must reproduce every golden fixture
         exactly — answers AND the pinned page-read/buffer-hit totals."""
         fixture = load_fixture(path)
-        engine = build_engine(fixture, compiled=True)
+        engine = build_engine(fixture, compiled=None)
         assert engine.compiled_graph is not None and engine.compiled_graph.has_page_plans
         requests = decode_requests(fixture["requests"])
         report = QueryService(engine).run_batch(requests)
@@ -141,37 +143,44 @@ POLICY_FIXTURE_PATHS = [
 class TestGoldenPolicyReplay:
     @pytest.mark.parametrize("compiled", ["on", "off"], ids=["kernel", "record-path"])
     def test_kernel_selection_replay_is_bit_identical(self, path, compiled):
-        """Both policy selections reproduce every policy-expressible golden fixture.
+        """Both expansions reproduce every policy-expressible golden fixture.
 
-        Routed through :class:`~repro.api.Session` and pinned independently
-        of the ``REPRO_COMPILED`` environment: ``compiled="on"`` must run the
-        kernel over page plans, ``"off"`` the record-walking expansion, and
-        each must hit the answers and page-read/buffer-hit totals the fixture
-        recorded.
+        The kernel runs through a disk :class:`~repro.api.Session`, whose
+        data layer compiles page plans; the record path through a
+        :class:`QueryService` over a ``compiled=False`` engine on the same
+        storage shape.  Each must hit the answers and page-read/buffer-hit
+        totals the fixture recorded.
         """
         fixture = load_fixture(path)
-        workload = make_workload(workload_spec_from_payload(fixture["workload"]))
-        session = Session(
-            workload.graph,
-            workload.facilities,
-            policy=ExecutionPolicy(
-                residency="disk",
-                page_size=fixture["page_size"],
-                buffer_fraction=fixture["buffer_fraction"],
-                compiled=compiled,
-            ),
-        )
-        compiled_graph = session.engine_for().compiled_graph
+        requests = decode_requests(fixture["requests"])
+        if compiled == "on":
+            workload = make_workload(workload_spec_from_payload(fixture["workload"]))
+            session = Session(
+                workload.graph,
+                workload.facilities,
+                policy=ExecutionPolicy(
+                    residency="disk",
+                    page_size=fixture["page_size"],
+                    buffer_fraction=fixture["buffer_fraction"],
+                ),
+            )
+            engine = session.engine_for()
+            batch = session.run_batch(requests)
+            outcomes, io = list(batch), batch.io
+        else:
+            engine = build_engine(fixture)
+            report = QueryService(engine).run_batch(requests)
+            outcomes, io = report.outcomes, report.io
+        compiled_graph = engine.compiled_graph
         if compiled == "on":
             assert compiled_graph is not None and compiled_graph.has_page_plans
         else:
             assert compiled_graph is None
-        batch = session.run_batch(decode_requests(fixture["requests"]))
         expected = fixture["expected"]
-        assert len(batch) == len(expected["results"])
-        for response, expected_result in zip(batch, expected["results"]):
+        assert len(outcomes) == len(expected["results"])
+        for outcome, expected_result in zip(outcomes, expected["results"]):
             assert_results_match(
-                expected_result, observed_payload(response.request, response.result)
+                expected_result, observed_payload(outcome.request, outcome.result)
             )
-        assert batch.io.page_reads == expected["page_reads"]
-        assert batch.io.buffer_hits == expected["buffer_hits"]
+        assert io.page_reads == expected["page_reads"]
+        assert io.buffer_hits == expected["buffer_hits"]

@@ -9,13 +9,17 @@ that are not per-implementation.
 
 from __future__ import annotations
 
+import os
+from collections.abc import MutableMapping
+
 import pytest
 
 from repro.api import ExecutionPolicy, Session
 from repro.core.engine import MCNQueryEngine
 from repro.core.expansion import ExpansionSeeds
 from repro.core.kernel import ExpansionKernel, make_kernel_data_layer
-from repro.datagen import WorkloadSpec, make_workload
+from repro.datagen import EdgeCostStreamSpec, WorkloadSpec, make_profile_network, make_workload
+from repro.datagen.road_network import PackedDatasetSpec, build_packed_dataset
 from repro.monitor import FacilityDelete, UpdateTick
 from repro.network.accessor import InMemoryAccessor
 from repro.network.compiled import CompiledGraph
@@ -79,7 +83,7 @@ class TestFreshness:
             WorkloadSpec(num_nodes=120, num_facilities=30, num_cost_types=2, num_queries=1, seed=5)
         )
         facilities = FacilitySet(workload.graph, iter(workload.facilities))
-        fast = MCNQueryEngine(workload.graph, facilities, compiled=True)
+        fast = MCNQueryEngine(workload.graph, facilities)
         query = workload.queries[0]
         before = fast.skyline(query).facility_ids()
         # Plant a facility at the query's exact location — zero distance in
@@ -180,21 +184,44 @@ def _run_monitor_tick(session, workload):
     handle.tick(UpdateTick((FacilityDelete(victim),)))
 
 
-class TestPolicySelectsTheKernel:
-    """``compiled="on"`` builds the kernel at every entry point, ``"off"`` never.
+class _ReadRecorder(MutableMapping):
+    """An environment that records every variable read through it."""
+
+    def __init__(self, environ):
+        self._environ = environ
+        self.reads = []
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return self._environ[key]
+
+    def __setitem__(self, key, value):
+        self._environ[key] = value
+
+    def __delitem__(self, key):
+        del self._environ[key]
+
+    def __iter__(self):
+        return iter(self._environ)
+
+    def __len__(self):
+        return len(self._environ)
+
+
+class TestDataLayerSelectsTheKernel:
+    """The data layer alone picks the expansion.
 
     Both paths return identical answers and counters, so no parity oracle
     notices an entry point that silently skips the kernel; this spies on the
-    kernel's constructor instead.
+    kernel's constructor and the engines' snapshots instead.
     """
 
-    @pytest.mark.parametrize("compiled", ["on", "off"])
     @pytest.mark.parametrize(
         "entry",
         [_run_query, _run_batch, _run_sharded_batch, _run_iter_top, _run_monitor_tick],
         ids=["query", "run_batch", "run_batch-sharded", "iter_top", "monitor-tick"],
     )
-    def test_kernel_runs_only_where_the_policy_turns_it_on(self, monkeypatch, entry, compiled):
+    def test_kernel_runs_at_every_entry_point(self, monkeypatch, entry):
         built = []
         construct = ExpansionKernel.__init__
 
@@ -207,7 +234,49 @@ class TestPolicySelectsTheKernel:
             WorkloadSpec(num_nodes=80, num_facilities=20, num_cost_types=2, num_queries=4, seed=5)
         )
         facilities = FacilitySet(workload.graph, iter(workload.facilities))
-        policy = ExecutionPolicy(compiled=compiled)
-        with Session(workload.graph, facilities, policy=policy) as session:
+        with Session(workload.graph, facilities) as session:
             entry(session, workload)
-        assert bool(built) == (compiled == "on")
+        assert built
+
+    def test_no_environment_variable_picks_the_expansion(self, monkeypatch, tmp_path):
+        """Every stack a graph can compile runs the kernel; a pack runs none.
+
+        The stacks are built while ``os.environ`` records each read, and
+        none may read it: no variable can turn the kernel off.
+        """
+        pack = tmp_path / "tiny.mcnpack"
+        build_packed_dataset(
+            PackedDatasetSpec(rows=4, cols=4, num_cost_types=2, num_facilities=5), str(pack)
+        )
+        workload = make_workload(
+            WorkloadSpec(num_nodes=90, num_facilities=25, num_cost_types=2, num_queries=1, seed=71)
+        )
+        network = make_profile_network(
+            workload.graph, EdgeCostStreamSpec(num_ticks=4, time_step=0.5, seed=72)
+        )
+        disk_policy = ExecutionPolicy(
+            residency="disk", page_size=1024, temporal="profiles", profile_source="rush"
+        )
+        environ = _ReadRecorder(os.environ)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "environ", environ)
+            memory = Session(workload.graph, workload.facilities)
+            disk = Session(
+                workload.graph, workload.facilities, policy=disk_policy, profiles={"rush": network}
+            )
+            handle = disk.monitor([SkylineRequest(workload.queries[0])])
+            snapshot = disk._temporal_for(disk.policy).session_at(6.5)
+            engines = [
+                memory.engine_for(),
+                disk.engine_for(),
+                handle.service._engine,
+                snapshot.engine_for(),
+            ]
+            with Session(dataset_path=str(pack)) as packed:
+                pack_engine = packed.engine_for()
+        assert environ.reads == []
+        assert all(engine.compiled_graph is not None for engine in engines)
+        assert disk.engine_for().storage is not None
+        maintainer = handle.maintainer_of(handle.subscription_ids[0])
+        assert maintainer._compiled is handle.service._engine.compiled_graph
+        assert pack_engine.compiled_graph is None

@@ -211,13 +211,10 @@ class TestDirectedReachability:
         facilities.add(Facility(0, first.edge_id, 0.5))
         return graph, facilities, onward.edge_id, stranded.edge_id
 
-    @pytest.mark.parametrize("compiled", ["off", "on"])
-    def test_unreachable_tail_refused_up_front(self, compiled):
+    def test_unreachable_tail_refused_up_front(self):
         graph, facilities, onward, stranded = self.build()
         assert graph.component_of(3) == graph.component_of(0)
-        service = MonitoringService(
-            graph, facilities, policy=ExecutionPolicy(compiled=compiled)
-        )
+        service = MonitoringService(graph, facilities)
         query = NetworkLocation.at_node(0)
         sids = (
             service.subscribe(SkylineRequest(query)),

@@ -214,9 +214,8 @@ class TestDatasetSession:
             ExecutionPolicy(residency="disk"),
             ExecutionPolicy(residency="disk", page_size=1024),
             ExecutionPolicy(residency="disk", buffer_fraction=0.5),
-            ExecutionPolicy(compiled="on"),
         ],
-        ids=["memory", "disk", "disk-page-size", "disk-buffer-fraction", "compiled"],
+        ids=["memory", "disk", "disk-page-size", "disk-buffer-fraction"],
     )
     def test_every_policy_runs_on_the_pack(self, streamed_path, policy):
         with Session(dataset_path=str(streamed_path), policy=policy) as session:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import threading
+import time
 import tracemalloc
 
 import pytest
@@ -20,6 +23,7 @@ from repro.core.engine import MCNQueryEngine
 from repro.datagen import WorkloadSpec, make_workload
 from repro.errors import QueryError
 from repro.network.accessor import InMemoryAccessor
+from repro.parallel import service as parallel_service
 from repro.parallel import (
     ShardedBatchReport,
     ShardedQueryService,
@@ -231,6 +235,31 @@ class TestShardedQueryService:
         pids = {shard.pid for shard in report.shards}
         assert os.getpid() not in pids
         assert len(report.shards) == 2
+
+    @pytest.mark.parametrize("executor", ["process", "thread"])
+    def test_pools_are_sized_by_the_machine(self, monkeypatch, engine, requests, executor):
+        # A batch may ask for one shard per request; its pool still runs at
+        # most one worker per CPU, and each shard its own worker service.
+        batch = requests[:6]
+        serial = _sharded(engine, workers=6, executor="serial").run_batch(batch)
+        threads = set()
+        execute = parallel_service._execute_shard
+
+        def spy(service, shard):
+            threads.add(threading.get_ident())
+            time.sleep(0.02)  # lets an unbounded pool start a worker per shard
+            return execute(service, shard)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel_service, "_execute_shard", spy)
+        report = _sharded(engine, workers=6, executor=executor).run_batch(batch)
+        assert len(report.shards) == 6
+        assert_identical_ordering(serial, report)
+        assert [s.report.io for s in report.shards] == [s.report.io for s in serial.shards]
+        if executor == "process":
+            assert len({shard.pid for shard in report.shards}) <= 2
+        else:
+            assert len(threads) <= 2
 
     def test_single_worker_is_one_shard(self, engine, requests):
         report = _sharded(engine, workers=1, executor="serial").run_batch(requests)

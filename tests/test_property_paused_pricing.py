@@ -29,7 +29,6 @@ from repro.network import (
     NetworkLocation,
 )
 from repro.network.accessor import FetchOnceCache
-from repro.network.compiled import CompiledGraph
 from repro.network.dijkstra import single_source_facility_costs
 
 _SETTINGS = settings(
@@ -170,15 +169,10 @@ def dijkstra_costs(graph, query, facility) -> list[float] | None:
     return costs
 
 
-def compiled_for(facilities, compiled: bool) -> CompiledGraph | None:
-    return CompiledGraph(facilities.graph, facilities) if compiled else None
-
-
-@pytest.mark.parametrize("compiled", [False, True], ids=["records", "kernel"])
 class TestPausedPricing:
     @_SETTINGS
     @given(instance, st.integers(min_value=1, max_value=12))
-    def test_cost_vector_equals_the_drain(self, compiled, params, probes):
+    def test_cost_vector_equals_the_drain(self, params, probes):
         graph, facilities, query, rng = build_instance(params)
         reference = DrainReference(graph, facilities, query)
         maintainer = SkylineMaintainer(
@@ -186,7 +180,6 @@ class TestPausedPricing:
             facilities,
             query,
             accessor=InMemoryAccessor(graph, facilities),
-            compiled=compiled_for(facilities, compiled),
         )
         edges = list(graph.edges())
         for index in range(probes):
@@ -204,21 +197,20 @@ class TestPausedPricing:
 
     @_SETTINGS
     @given(instance, st.integers(min_value=1, max_value=16), st.booleans())
-    def test_pruned_twin_agrees_with_exact_twin(self, compiled, params, steps, top_k):
+    def test_pruned_twin_agrees_with_exact_twin(self, params, steps, top_k):
         graph, facilities, query, rng = build_instance(params)
         reference = DrainReference(graph, facilities, query)
         twins = []
         for _ in range(2):
             live = FacilitySet(graph, iter(facilities))
-            extra = {
-                "accessor": InMemoryAccessor(graph, live),
-                "compiled": compiled_for(live, compiled),
-            }
+            accessor = InMemoryAccessor(graph, live)
             if top_k:
                 aggregate = WeightedSum.uniform(graph.num_cost_types)
-                maintainer = TopKMaintainer(graph, live, query, aggregate, 2, **extra)
+                maintainer = TopKMaintainer(
+                    graph, live, query, aggregate, 2, accessor=accessor
+                )
             else:
-                maintainer = SkylineMaintainer(graph, live, query, **extra)
+                maintainer = SkylineMaintainer(graph, live, query, accessor=accessor)
             twins.append((live, maintainer))
         (_, pruned), (_, exact) = twins
 

@@ -430,27 +430,30 @@ class TestWirePolicyDataLayer:
         response = _run(memory_client.post("/v1/query", payload))
         assert response.status == 200, response.payload
 
-    @pytest.mark.parametrize(
-        "policy",
-        [{"compiled": "off"}, {"memoize_results": False}],
-        ids=["compiled", "memoize"],
-    )
+    @pytest.mark.parametrize("policy", [{"memoize_results": False}], ids=["memoize"])
     def test_policy_changing_a_kept_field_is_refused(self, memory_client, policy):
         payload = dict(_query_payload(), policy=policy)
         response = _run(memory_client.post("/v1/query", payload))
         _assert_envelope(response, 400, "invalid-policy")
         assert next(iter(policy)) in response.payload["error"]["message"]
 
+    def test_policy_naming_the_removed_compiled_field_is_refused(self, memory_client):
+        # The data layer picks the expansion; no policy field does.
+        payload = dict(_query_payload(), policy={"compiled": "off"})
+        response = _run(memory_client.post("/v1/query", payload))
+        _assert_envelope(response, 400, "invalid-policy")
+        message = response.payload["error"]["message"]
+        assert "unknown policy field" in message and "compiled" in message
+
     @pytest.mark.parametrize(
         "policy, status",
         [
             (policy_to_payload(_DISK_POLICY), 200),
-            (policy_to_payload(_DISK_POLICY.replace(compiled="off")), 400),
             (policy_to_payload(_DISK_POLICY.replace(page_size=2048)), 400),
             (policy_to_payload(_DISK_POLICY.replace(residency="memory")), 400),
-            ({"compiled": "off"}, 400),
+            ({"algorithm": "lsa"}, 400),
         ],
-        ids=["served", "served-compiled-off", "page-size", "memory", "partial-payload"],
+        ids=["served", "page-size", "memory", "partial-payload"],
     )
     def test_disk_served_policy_must_name_the_served_pages(self, disk_client, policy, status):
         payload = dict(_query_payload(), policy=policy)

@@ -213,9 +213,30 @@ class TestPageViewLookups:
             if storage.disk.peek(page_id).kind is PageKind.ADJACENCY
         )
         shuffled = Page(0, page.kind, list(reversed(page.records)), page.used_bytes)
-        writer = PackWriter(tmp_path / "unordered.mcnpack", page_size=PAGE_SIZE, num_cost_types=2)
-        with pytest.raises(StorageError, match="out of key order"):
-            writer.add_page(shuffled)
+        path = tmp_path / "unordered.mcnpack"
+        with PackWriter(path, page_size=PAGE_SIZE, num_cost_types=2) as writer:
+            with pytest.raises(StorageError, match="out of key order"):
+                writer.add_page(shuffled)
+
+    def test_a_failed_write_leaves_the_spill_files_closed(self, storage, tmp_path):
+        bad = Page(7, PageKind.FACILITY, [], 0)  # out of id order
+        with pytest.raises(StorageError, match="id order"):
+            with PackWriter(
+                tmp_path / "failed.mcnpack", page_size=PAGE_SIZE, num_cost_types=2
+            ) as writer:
+                section = writer.section("extra")
+                section.write(b"spilled")
+                writer.add_page(bad)
+        assert writer._slots.closed and section._file.closed
+        # finalize closes them too when it cannot write the pack.
+        target = tmp_path / "a-directory"
+        target.mkdir()
+        writer = PackWriter(target, page_size=PAGE_SIZE, num_cost_types=2)
+        section = writer.section("extra")
+        writer.add_page(storage.disk.peek(0))
+        with pytest.raises(OSError):
+            writer.finalize({})
+        assert writer._slots.closed and section._file.closed
 
     def test_view_after_close_raises_storage_error(self, pack_path):
         disk = FileDisk(str(pack_path))

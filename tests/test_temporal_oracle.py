@@ -19,9 +19,11 @@ correctness:
   graph.  The in-place compiled-graph patching and the maintainers'
   edge-cost refresh path must likewise be invisible.
 
-The suite runs on the compiled expansion kernel by default, and the CI
-matrix re-runs it under ``REPRO_COMPILED=0``, so both oracles hold on the
-record-walking expansion too.
+The data layer picks the expansion, so both sides of each oracle run the
+compiled kernel: every session here is graph-backed and compiles its
+graph.  The record-walking expansion runs only on a standalone dataset
+pack and as the reference of the conformance battery
+(``tests/expansion_conformance.py``), which pins the kernel to it.
 """
 
 from __future__ import annotations
