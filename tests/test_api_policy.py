@@ -81,12 +81,16 @@ class TestValidation:
             {"harvest_settled": True},
             {"dataset_path": "x.mcnpack"},
             {"compiled": "off"},
+            {"compiled": "on"},
+            {"compiled": "auto"},
         ],
         ids=[
             "removed-field",
             "removed-field-harvest",
             "removed-field-dataset-path",
             "removed-field-compiled",
+            "removed-field-compiled-on",
+            "removed-field-compiled-auto",
         ],
     )
     def test_removed_field_rejected_at_construction(self, fields):
@@ -179,6 +183,8 @@ class TestPayloadCodecs:
             {"harvest_settled": True},
             {"dataset_path": "x.mcnpack"},
             {"compiled": "off"},
+            {"compiled": "on"},
+            {"compiled": "auto"},
         ],
         ids=[
             "typo",
@@ -186,6 +192,8 @@ class TestPayloadCodecs:
             "removed-field-harvest",
             "removed-field-dataset-path",
             "removed-field-compiled",
+            "removed-field-compiled-on",
+            "removed-field-compiled-auto",
         ],
     )
     def test_unknown_field_rejected(self, payload):

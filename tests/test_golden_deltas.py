@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import ExecutionPolicy, Session
 from repro.datagen import (
     make_update_stream,
     make_workload,
@@ -82,6 +83,33 @@ class TestGoldenDeltaStreams:
         assert len(reports) == len(expected_ticks)
         for report, expected in zip(reports, expected_ticks):
             assert tick_report_to_payload(report) == expected
+
+    @pytest.mark.parametrize(
+        "policy",
+        [ExecutionPolicy(), ExecutionPolicy(residency="disk", page_size=1024)],
+        ids=["memory-session", "disk-session"],
+    )
+    def test_session_monitor_replay_emits_pinned_deltas(self, path, policy):
+        """A session's monitor reproduces every pinned tick payload exactly.
+
+        It runs on the session engine's snapshot (a disk session's on a
+        plan-free twin of the engine's) instead of one the service compiles
+        for itself; no delta, counter or maintenance-path split may move.
+        """
+        fixture = load_fixture(path)
+        workload = make_workload(workload_spec_from_payload(fixture["workload"]))
+        facilities = FacilitySet(workload.graph, iter(workload.facilities))
+        with Session(workload.graph, facilities, policy=policy) as session:
+            engine = session.engine_for()
+            handle = session.monitor(decode_requests(fixture["requests"]))
+            shared = handle.service._engine.compiled_graph
+            if policy.residency == "memory":
+                assert shared is engine.compiled_graph
+            else:
+                assert engine.compiled_graph.has_page_plans and not shared.has_page_plans
+            responses = handle.run(stream_from_payload(fixture["stream"]))
+        expected_ticks = fixture["expected"]["ticks"]
+        assert [tick_report_to_payload(r) for r in responses] == expected_ticks
 
     def test_cumulative_counters_are_pinned(self, path):
         fixture = load_fixture(path)

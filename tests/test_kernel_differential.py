@@ -16,12 +16,19 @@ import pytest
 
 from repro.api import ExecutionPolicy, Session
 from repro.core.engine import MCNQueryEngine
-from repro.core.expansion import ExpansionSeeds
-from repro.core.kernel import ExpansionKernel, make_kernel_data_layer
+from repro.core.expansion import ExpansionSeeds, NearestFacilityExpansion
+from repro.core.kernel import (
+    DirectChargeLayer,
+    ExpansionKernel,
+    FetchOnceChargeLayer,
+    ForwardingLayer,
+    make_expansions,
+    make_kernel_data_layer,
+)
 from repro.datagen import EdgeCostStreamSpec, WorkloadSpec, make_profile_network, make_workload
 from repro.datagen.road_network import PackedDatasetSpec, build_packed_dataset
 from repro.monitor import FacilityDelete, UpdateTick
-from repro.network.accessor import InMemoryAccessor
+from repro.network.accessor import FetchOnceCache, InMemoryAccessor
 from repro.network.compiled import CompiledGraph
 from repro.network.facilities import FacilitySet
 from repro.service import SkylineRequest
@@ -217,11 +224,16 @@ class TestDataLayerSelectsTheKernel:
     """
 
     @pytest.mark.parametrize(
+        "policy",
+        [ExecutionPolicy(), ExecutionPolicy(residency="disk", page_size=1024)],
+        ids=["memory", "disk"],
+    )
+    @pytest.mark.parametrize(
         "entry",
         [_run_query, _run_batch, _run_sharded_batch, _run_iter_top, _run_monitor_tick],
         ids=["query", "run_batch", "run_batch-sharded", "iter_top", "monitor-tick"],
     )
-    def test_kernel_runs_at_every_entry_point(self, monkeypatch, entry):
+    def test_kernel_runs_at_every_entry_point(self, monkeypatch, entry, policy):
         built = []
         construct = ExpansionKernel.__init__
 
@@ -234,7 +246,7 @@ class TestDataLayerSelectsTheKernel:
             WorkloadSpec(num_nodes=80, num_facilities=20, num_cost_types=2, num_queries=4, seed=5)
         )
         facilities = FacilitySet(workload.graph, iter(workload.facilities))
-        with Session(workload.graph, facilities) as session:
+        with Session(workload.graph, facilities, policy=policy) as session:
             entry(session, workload)
         assert built
 
@@ -280,3 +292,58 @@ class TestDataLayerSelectsTheKernel:
         maintainer = handle.maintainer_of(handle.subscription_ids[0])
         assert maintainer._compiled is handle.service._engine.compiled_graph
         assert pack_engine.compiled_graph is None
+
+
+# ---------------------------------------------------------------------- #
+# make_expansions: the one kernel-or-record choice of the searches
+# ---------------------------------------------------------------------- #
+class TestMakeExpansions:
+    """The skyline, top-k and incremental searches build their d expansions
+    through :func:`make_expansions`; the snapshot alone decides which kind."""
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        return make_workload(
+            WorkloadSpec(num_nodes=60, num_facilities=15, num_cost_types=3, num_queries=1, seed=9)
+        )
+
+    @pytest.mark.parametrize(
+        "compiled, fetch_once, external, layer_type, expansion_type",
+        [
+            (True, False, False, DirectChargeLayer, ExpansionKernel),
+            (True, True, False, FetchOnceChargeLayer, ExpansionKernel),
+            (True, True, True, ForwardingLayer, ExpansionKernel),
+            (False, False, False, InMemoryAccessor, NearestFacilityExpansion),
+            (False, True, False, FetchOnceCache, NearestFacilityExpansion),
+            (False, True, True, InMemoryAccessor, NearestFacilityExpansion),
+        ],
+        ids=[
+            "kernel-direct",
+            "kernel-fetch-once",
+            "kernel-external",
+            "record-direct",
+            "record-fetch-once",
+            "record-external",
+        ],
+    )
+    def test_the_snapshot_picks_the_expansion(
+        self, workload, compiled, fetch_once, external, layer_type, expansion_type
+    ):
+        accessor = InMemoryAccessor(workload.graph, workload.facilities)
+        snapshot = CompiledGraph(workload.graph, workload.facilities) if compiled else None
+        injected = InMemoryAccessor(workload.graph, workload.facilities) if external else None
+        seeds = ExpansionSeeds.from_query(workload.graph, workload.queries[0])
+        layer, expansions = make_expansions(
+            accessor, seeds, compiled=snapshot, data_layer=injected, fetch_once=fetch_once
+        )
+        assert type(layer) is layer_type
+        # The record path reads through the injected layer as given, else
+        # through the accessor, wrapped once per query under fetch_once.
+        if not compiled and external:
+            assert layer is injected
+        elif not compiled and fetch_once:
+            assert layer._accessor is accessor
+        elif not compiled:
+            assert layer is accessor
+        assert [type(e) for e in expansions] == [expansion_type] * 3
+        assert [e.cost_index for e in expansions] == [0, 1, 2]

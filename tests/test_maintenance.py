@@ -10,6 +10,7 @@ from repro.core.aggregates import WeightedSum
 from repro.core.maintenance import MaintenanceStatistics, SkylineMaintainer, TopKMaintainer
 from repro.errors import FacilityError, QueryError
 from repro.network import Facility, FacilitySet, InMemoryAccessor, MultiCostGraph, NetworkLocation
+from repro.network.compiled import CompiledGraph
 from tests.helpers import exact_skyline, exact_top_k, facility_vectors, random_mcn, random_query
 
 
@@ -374,6 +375,48 @@ class TestDeferredMaintenance:
         plain.insert(Facility(700, edge.edge_id, 0.25 * edge.length))
         primed.insert(facility, costs=costs)
         assert plain.skyline == primed.skyline
+
+
+def _maintainer(kind, graph, facilities, query, **kwargs):
+    if kind == "skyline":
+        return SkylineMaintainer(graph, facilities, query, **kwargs)
+    aggregate = WeightedSum.uniform(graph.num_cost_types)
+    return TopKMaintainer(graph, facilities, query, aggregate, 3, **kwargs)
+
+
+@pytest.mark.parametrize("kind", ["skyline", "top-k"])
+class TestMaintainerSnapshot:
+    """A maintainer always prices on a compiled snapshot: its own, or the one
+    it is handed (the monitoring service hands over its engine's)."""
+
+    def test_without_a_snapshot_it_compiles_its_own(self, kind):
+        graph, facilities, query = build_dynamic_instance(seed=61)
+        maintainer = _maintainer(kind, graph, facilities, query)
+        assert maintainer._compiled.graph is graph
+        assert maintainer._compiled.facilities is facilities
+
+    def test_a_snapshot_over_the_same_data_is_adopted(self, kind):
+        graph, facilities, query = build_dynamic_instance(seed=62)
+        snapshot = CompiledGraph(graph, facilities)
+        adopted = _maintainer(kind, graph, facilities, query, compiled=snapshot)
+        own = _maintainer(kind, graph, facilities, query)
+        assert adopted._compiled is snapshot
+        edge = next(iter(graph.edges()))
+        probe = Facility(500, edge.edge_id, 0.5 * edge.length)
+        assert adopted.cost_vector(probe) == own.cost_vector(probe)
+
+    @pytest.mark.parametrize("foreign", ["graph", "facility set"])
+    def test_a_snapshot_over_other_data_is_refused(self, kind, foreign):
+        graph, facilities, query = build_dynamic_instance(seed=63)
+        if foreign == "graph":
+            other_graph, other_facilities = random_mcn(
+                num_nodes=40, num_edges=75, num_cost_types=3, num_facilities=4, seed=64
+            )
+            snapshot = CompiledGraph(other_graph, other_facilities)
+        else:
+            snapshot = CompiledGraph(graph, FacilitySet(graph, iter(facilities)))
+        with pytest.raises(QueryError, match=f"different {foreign}"):
+            _maintainer(kind, graph, facilities, query, compiled=snapshot)
 
 
 class TestCostVectorPricing:

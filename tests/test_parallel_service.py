@@ -236,10 +236,16 @@ class TestShardedQueryService:
         assert os.getpid() not in pids
         assert len(report.shards) == 2
 
+    @pytest.mark.parametrize(
+        "cpus, bound", [(2, 2), (None, 1)], ids=["two-cpus", "cpu-count-unknown"]
+    )
     @pytest.mark.parametrize("executor", ["process", "thread"])
-    def test_pools_are_sized_by_the_machine(self, monkeypatch, engine, requests, executor):
+    def test_pools_are_sized_by_the_machine(
+        self, monkeypatch, engine, requests, executor, cpus, bound
+    ):
         # A batch may ask for one shard per request; its pool still runs at
-        # most one worker per CPU, and each shard its own worker service.
+        # most one worker per CPU (one when the CPU count is unknown), and
+        # each shard its own worker service.
         batch = requests[:6]
         serial = _sharded(engine, workers=6, executor="serial").run_batch(batch)
         threads = set()
@@ -250,16 +256,16 @@ class TestShardedQueryService:
             time.sleep(0.02)  # lets an unbounded pool start a worker per shard
             return execute(service, shard)
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(parallel_service, "_execute_shard", spy)
         report = _sharded(engine, workers=6, executor=executor).run_batch(batch)
         assert len(report.shards) == 6
         assert_identical_ordering(serial, report)
         assert [s.report.io for s in report.shards] == [s.report.io for s in serial.shards]
         if executor == "process":
-            assert len({shard.pid for shard in report.shards}) <= 2
+            assert len({shard.pid for shard in report.shards}) <= bound
         else:
-            assert len(threads) <= 2
+            assert len(threads) <= bound
 
     def test_single_worker_is_one_shard(self, engine, requests):
         report = _sharded(engine, workers=1, executor="serial").run_batch(requests)

@@ -29,6 +29,7 @@ from repro.network import (
     NetworkLocation,
 )
 from repro.network.accessor import FetchOnceCache
+from repro.network.compiled import CompiledGraph
 from repro.network.dijkstra import single_source_facility_costs
 
 _SETTINGS = settings(
@@ -169,18 +170,30 @@ def dijkstra_costs(graph, query, facility) -> list[float] | None:
     return costs
 
 
+def snapshot_for(facilities, graph_source: str) -> CompiledGraph | None:
+    """The snapshot a maintainer is handed: none, so that it compiles its
+    own, or one shared with a search, as a monitor shares its engine's."""
+    if graph_source == "own-graph":
+        return None
+    return CompiledGraph(facilities.graph, facilities)
+
+
+@pytest.mark.parametrize("graph_source", ["own-graph", "shared-graph"])
 class TestPausedPricing:
     @_SETTINGS
     @given(instance, st.integers(min_value=1, max_value=12))
-    def test_cost_vector_equals_the_drain(self, params, probes):
+    def test_cost_vector_equals_the_drain(self, graph_source, params, probes):
         graph, facilities, query, rng = build_instance(params)
         reference = DrainReference(graph, facilities, query)
+        snapshot = snapshot_for(facilities, graph_source)
         maintainer = SkylineMaintainer(
             graph,
             facilities,
             query,
             accessor=InMemoryAccessor(graph, facilities),
+            compiled=snapshot,
         )
+        assert snapshot is None or maintainer._compiled is snapshot
         edges = list(graph.edges())
         for index in range(probes):
             facility = random_facility(rng, edges, 1000 + index)
@@ -197,21 +210,27 @@ class TestPausedPricing:
 
     @_SETTINGS
     @given(instance, st.integers(min_value=1, max_value=16), st.booleans())
-    def test_pruned_twin_agrees_with_exact_twin(self, params, steps, top_k):
+    def test_pruned_twin_agrees_with_exact_twin(
+        self, graph_source, params, steps, top_k
+    ):
         graph, facilities, query, rng = build_instance(params)
         reference = DrainReference(graph, facilities, query)
         twins = []
+        snapshots = []
         for _ in range(2):
             live = FacilitySet(graph, iter(facilities))
-            accessor = InMemoryAccessor(graph, live)
+            extra = {
+                "accessor": InMemoryAccessor(graph, live),
+                "compiled": snapshot_for(live, graph_source),
+            }
             if top_k:
                 aggregate = WeightedSum.uniform(graph.num_cost_types)
-                maintainer = TopKMaintainer(
-                    graph, live, query, aggregate, 2, accessor=accessor
-                )
+                maintainer = TopKMaintainer(graph, live, query, aggregate, 2, **extra)
             else:
-                maintainer = SkylineMaintainer(graph, live, query, accessor=accessor)
+                maintainer = SkylineMaintainer(graph, live, query, **extra)
             twins.append((live, maintainer))
+            if extra["compiled"] is not None:
+                snapshots.append(extra["compiled"])
         (_, pruned), (_, exact) = twins
 
         def result(maintainer):
@@ -238,3 +257,7 @@ class TestPausedPricing:
                 pruned.note_insert(facility)
                 exact.note_insert(facility, costs=costs)
             assert result(pruned) == result(exact), f"step {step}"
+            # A search on a shared snapshot refreshes its facility columns
+            # between ticks; the paused expansions must not notice.
+            for snapshot in snapshots:
+                snapshot.ensure_fresh()

@@ -437,10 +437,20 @@ class TestWirePolicyDataLayer:
         _assert_envelope(response, 400, "invalid-policy")
         assert next(iter(policy)) in response.payload["error"]["message"]
 
-    def test_policy_naming_the_removed_compiled_field_is_refused(self, memory_client):
-        # The data layer picks the expansion; no policy field does.
-        payload = dict(_query_payload(), policy={"compiled": "off"})
-        response = _run(memory_client.post("/v1/query", payload))
+    @pytest.mark.parametrize("served", ["memory_client", "disk_client"], ids=["memory", "disk"])
+    @pytest.mark.parametrize("path", ["/v1/query", "/v1/batch"], ids=["query", "batch"])
+    def test_policy_naming_the_removed_compiled_field_is_refused(
+        self, request, served, path
+    ):
+        # The data layer picks the expansion; no policy field does, on
+        # either data layer and for a query or a batch alike.
+        client = request.getfixturevalue(served)
+        if path == "/v1/query":
+            payload = dict(_query_payload(), policy={"compiled": "off"})
+        else:
+            batch = [_query_payload(index)["request"] for index in range(2)]
+            payload = {"requests": batch, "policy": {"compiled": "off"}}
+        response = _run(client.post(path, payload))
         _assert_envelope(response, 400, "invalid-policy")
         message = response.payload["error"]["message"]
         assert "unknown policy field" in message and "compiled" in message

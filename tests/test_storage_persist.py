@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 import struct
+import tempfile
 import threading
 
 import pytest
@@ -28,6 +29,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.api import ExecutionPolicy, Session
 from repro.core.engine import MCNQueryEngine
 from repro.datagen import WorkloadSpec, make_workload
+from repro.datagen.road_network import PackedDatasetSpec, build_packed_dataset
 from repro.errors import (
     PackChecksumError,
     PackFormatError,
@@ -37,6 +39,7 @@ from repro.errors import (
 )
 from repro.service import SkylineRequest, TopKRequest
 from repro.storage import NetworkStorage, open_dataset, pack_network_storage
+from repro.storage import catalog
 from repro.storage.btree import _LeafRecord
 from repro.storage.catalog import TreeShape
 from repro.storage.pages import Page, PageKind
@@ -237,6 +240,47 @@ class TestPageViewLookups:
         with pytest.raises(OSError):
             writer.finalize({})
         assert writer._slots.closed and section._file.closed
+
+    def test_finalize_closes_the_spill_files_and_close_is_idempotent(
+        self, storage, tmp_path
+    ):
+        writer = PackWriter(tmp_path / "done.mcnpack", page_size=PAGE_SIZE, num_cost_types=2)
+        section = writer.section("extra")
+        section.write(b"spilled")
+        writer.add_page(storage.disk.peek(0))
+        writer.finalize({})
+        assert writer._slots.closed and section._file.closed
+        writer.close()
+        writer.close()
+
+    @pytest.mark.parametrize("builder", ["build_packed_dataset", "pack_network_storage"])
+    def test_a_failed_pack_build_closes_every_spill_file(
+        self, monkeypatch, storage, tmp_path, builder
+    ):
+        opened = []
+        temporary_file = tempfile.TemporaryFile
+
+        def recording(*args, **kwargs):
+            handle = temporary_file(*args, **kwargs)
+            opened.append(handle)
+            return handle
+
+        def fail(*_args, **_kwargs):
+            raise StorageError("facility index write failed")
+
+        # Both builders write the facility index last, once the slots, the
+        # node and edge sections (and the node spool) hold data.
+        monkeypatch.setattr(tempfile, "TemporaryFile", recording)
+        monkeypatch.setattr(catalog, "_write_facility_index", fail)
+        path = str(tmp_path / "failed.mcnpack")
+        with pytest.raises(StorageError, match="facility index write failed"):
+            if builder == "build_packed_dataset":
+                spec = PackedDatasetSpec(rows=4, cols=4, num_cost_types=2, num_facilities=5)
+                build_packed_dataset(spec, path)
+            else:
+                pack_network_storage(storage, path)
+        assert len(opened) >= 3
+        assert all(handle.closed for handle in opened)
 
     def test_view_after_close_raises_storage_error(self, pack_path):
         disk = FileDisk(str(pack_path))
