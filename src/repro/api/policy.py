@@ -105,6 +105,10 @@ class ExecutionPolicy:
         Snapshot reuse: departure times are quantised to multiples of
         ``temporal_quantum`` (in the profiles' time unit) before keying the
         snapshot LRU, which holds at most ``temporal_cache_size`` stacks.
+        The default 16 covers a four-hour window at the default 0.25
+        quantum: a smaller LRU evicts keys of a rush hour that are asked
+        again, and each such miss opens a cold stack instead of reusing a
+        warm one or re-costing a stale one.
     """
 
     algorithm: str = "cea"
@@ -120,7 +124,7 @@ class ExecutionPolicy:
     temporal: str = "off"
     profile_source: str | None = None
     temporal_quantum: float = 0.25
-    temporal_cache_size: int = 8
+    temporal_cache_size: int = 16
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:

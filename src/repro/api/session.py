@@ -36,11 +36,6 @@ field, a temporal policy on a pack) are rejected with
 :class:`~repro.errors.PolicyError` when the policy is *resolved* — at
 session construction or call entry — never mid-batch.
 
-Note that monitoring mutates the session's facility set: engines built for
-``residency="disk"`` snapshot the set at build time and keep answering over
-that snapshot, exactly as a directly-constructed
-:class:`~repro.storage.NetworkStorage` would.
-
 Example
 -------
 >>> from repro.api import ExecutionPolicy, Session
@@ -344,7 +339,9 @@ class MonitorHandle:
     def tick(self, tick) -> TickResponse:
         """Apply one :class:`~repro.monitor.UpdateTick` atomically.
 
-        The session's result memo and cross-query cache are dropped after it.
+        The session's result memo and cross-query cache are dropped after it,
+        and a disk session's pages with them (see
+        :meth:`Session.invalidate_result_caches`).
         """
         response = TickResponse.from_report(self._service.apply_tick(tick), self._policy)
         session = self._session()
@@ -612,10 +609,17 @@ class Session:
         facility set or edge costs mutate *outside* the service's view.
         :meth:`MonitorHandle.tick` calls this after every tick.  Returns the
         number of services invalidated (0 before the first query, 1 after).
-        The engine stays warm (a compiled graph refreshes itself via the
-        revision changelogs).
+        A memory session's engine stays warm (a compiled graph refreshes
+        itself via the revision changelogs).  A ``residency="disk"``
+        session's pages and page-planned snapshot hold the network as it
+        was bulk-loaded, so it drops its storage and engine too and keeps
+        the plan-free snapshot: its next query bulk-loads the live network,
+        derives the engine's snapshot from the plan-free one and replaces
+        the service, whose engine is no longer the session's.
         """
         self._ensure_open()
+        if self._policy.residency == "disk" and self._pack is None:
+            self._storage = self._engine = None
         if self._service is None:
             return 0
         self._service.reset_cache()
@@ -996,8 +1000,10 @@ class Session:
         """A static session over a temporal snapshot of this session's graph.
 
         ``graph`` is :meth:`~repro.network.graph.MultiCostGraph.recosted`
-        from this session's graph (``recosted`` names the re-costed edges)
-        and ``facilities`` rebinds this session's set to it.  The snapshot
+        from this session's graph or from an earlier snapshot of it, so it
+        shares this graph's topology (``recosted`` names the edges whose
+        costs may differ from this graph's), and ``facilities`` rebinds
+        this session's set to it.  The snapshot
         session's engine runs on a snapshot
         :meth:`~repro.network.compiled.CompiledGraph.derive` builds from this
         session's: its topology and facility table, its own cost lists.
@@ -1015,8 +1021,7 @@ class Session:
         return session
 
     def _service_for(self) -> QueryService:
-        if self._service is None:
-            self._service = QueryService(
-                self.engine_for(), policy=self._policy.replace(workers=1)
-            )
+        engine = self.engine_for()
+        if self._service is None or self._service.engine is not engine:
+            self._service = QueryService(engine, policy=self._policy.replace(workers=1))
         return self._service

@@ -16,10 +16,25 @@ table shared, cost lists copied and patched for the profiled edges).
 Every cached stack remembers the base graph's cost revision and the live
 facility set's revision at build time; a monitoring tick that re-profiles an
 edge (:class:`~repro.monitor.EdgeCostUpdate`) or mutates the facility set
-therefore invalidates the stack on its next use — the executor rebuilds it
-from the current base state, which is exactly the "fresh static session over
-the profile-evaluated snapshot" the temporal differential oracle pins.  The
-rebuild is the only staleness path: a stack is never patched in place.
+therefore invalidates the stack on its next use — the executor closes it and
+opens a new one over the current base state, which is exactly the "fresh
+static session over the profile-evaluated snapshot" the temporal
+differential oracle pins.  The rebuild is the only staleness path: a stack
+is never patched in place.  Where the new snapshot graph takes its costs
+from depends on the gap: while the base's bounded changelog still covers
+it, the graph is :meth:`~repro.network.graph.MultiCostGraph.recosted` from
+the stale stack's own graph with ``cost_at`` re-evaluated for the edges
+ticked since (none after a facility-only tick); a key's first build and an
+overflowed changelog evaluate every profiled edge through
+:meth:`~repro.timedep.TimeVaryingMCN.snapshot`.  Both use ``cost_at``, so
+the costs are bit-identical.  A registered profile set is read as fixed:
+:meth:`~repro.timedep.TimeVaryingMCN.set_profile` moves no revision, so it
+reaches a cached key only when that key is next built from scratch (its
+first build, after an eviction or an overflowed changelog).  Either graph
+then takes the one path every build takes: the live facility set is
+rebound to it, and its session derives its compiled snapshot from the base
+session's, never from the stale stack, so a replaced stack keeps nothing
+alive.
 """
 
 from __future__ import annotations
@@ -52,10 +67,15 @@ __all__ = ["SnapshotStatistics", "SweepResponse", "TemporalExecutor"]
 class SnapshotStatistics:
     """How the executor's snapshot LRU behaved (the ``bench timedep`` metric).
 
-    ``builds`` counts snapshot stacks materialised from scratch, ``hits``
-    reuses of a warm cached stack, ``rebuilds`` stacks thrown away because
-    the base graph's costs or the facility set moved underneath them, and
-    ``evictions`` stacks dropped by the LRU bound.
+    ``builds`` counts snapshot stacks opened, ``hits`` reuses of a warm
+    cached stack, ``rebuilds`` the builds that replaced a stack because the
+    base graph's costs or the facility set moved underneath it (re-costed
+    from the stale stack's graph, yet counted as one build and one
+    rebuild), and ``evictions`` stacks dropped by the LRU bound.  A build
+    that is neither a key's first nor a rebuild is a capacity miss: the LRU
+    evicted that key earlier.  The default ``temporal_cache_size`` of 16
+    holds a four-hour window at the default quarter-hour quantum, so a
+    rush hour's departure keys stay cached and only ticks force builds.
     """
 
     builds: int = 0
@@ -160,19 +180,29 @@ class TemporalExecutor:
         """The (cached) static session over the snapshot at ``departure_time``."""
         key = self.key(departure_time)
         entry = self._entries.get(key)
+        if (
+            entry is not None
+            and entry.facilities_revision == self._facilities.revision
+            and entry.costs_revision == self._graph.costs_revision
+        ):
+            self._entries.move_to_end(key)
+            self._statistics.hits += 1
+            return entry.session
+        instant = self.quantise(departure_time)
+        snapshot = None
         if entry is not None:
-            if (
-                entry.facilities_revision == self._facilities.revision
-                and entry.costs_revision == self._graph.costs_revision
-            ):
-                self._entries.move_to_end(key)
-                self._statistics.hits += 1
-                return entry.session
-            # The base moved underneath the snapshot: rebuild from scratch.
+            # The base moved underneath the snapshot: rebuild it, re-costing
+            # from its own graph only the edges ticked since it was built.
             del self._entries[key]
+            changed = self._graph.changed_edges_since(entry.costs_revision)
+            if changed is not None:
+                snapshot = entry.session.graph.recosted(
+                    {edge: self._network.cost_at(edge, instant) for edge in changed}
+                )
             entry.session.close()
             self._statistics.rebuilds += 1
-        snapshot = self._network.snapshot(self.quantise(departure_time))
+        if snapshot is None:
+            snapshot = self._network.snapshot(instant)
         rebound = rebind_facilities(snapshot, self._facilities)
         session = self._open_session(snapshot, rebound, self._network.profiled_edges)
         self._entries[key] = _SnapshotEntry(

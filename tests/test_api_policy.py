@@ -149,7 +149,7 @@ GOLDEN_PAYLOAD = {
     "temporal": "off",
     "profile_source": None,
     "temporal_quantum": 0.25,
-    "temporal_cache_size": 8,
+    "temporal_cache_size": 16,
 }
 
 

@@ -348,31 +348,50 @@ class TestSessionMonitor:
         assert first.service is second.service
         assert set(first.subscription_ids).isdisjoint(second.subscription_ids)
 
-    def test_a_tick_drops_the_result_memo(self):
-        facilities = FacilitySet(_WORKLOAD.graph, iter(_WORKLOAD.facilities))
-        request = SkylineRequest(_WORKLOAD.queries[0])
-        with Session(_WORKLOAD.graph, facilities) as session:
+    @staticmethod
+    def _tick(kind, *, victim, edges):
+        """A tick deleting facility ``victim``, or one scaling ``edges``' costs by 4."""
+        if kind == "facility":
+            return UpdateTick((FacilityDelete(victim),))
+        return UpdateTick(
+            tuple(EdgeCostUpdate(e.edge_id, [c * 4 for c in e.costs]) for e in edges)
+        )
+
+    @pytest.mark.parametrize("kind", ["facility", "edge"])
+    @pytest.mark.parametrize("residency", ["memory", "disk"])
+    def test_a_tick_drops_the_result_memo(self, residency, kind):
+        # Edge-cost ticks mutate the graph, so this test owns its workload.
+        workload = make_workload(_WORKLOAD.spec)
+        graph = workload.graph
+        policy = ExecutionPolicy(residency=residency, page_size=1024)
+        request = SkylineRequest(workload.queries[0])
+        with Session(graph, workload.facilities, policy=policy) as session:
             victim = min(session.query(request).result.facility_ids())
-            session.monitor(()).tick(UpdateTick((FacilityDelete(victim),)))
+            session.monitor(()).tick(
+                self._tick(kind, victim=victim, edges=list(graph.edges()))
+            )
             response = session.query(request)
             assert not response.served_from_memo
-            assert victim not in response.result.facility_ids()
+            if kind == "facility":
+                assert victim not in response.result.facility_ids()
             fresh = Session(
-                _WORKLOAD.graph, FacilitySet(_WORKLOAD.graph, iter(facilities))
+                graph, FacilitySet(graph, iter(session.facilities)), policy=policy
             ).query(request)
             assert _signature(response) == _signature(fresh)
 
-    def test_a_baseline_request_after_a_tick_matches_a_fresh_session(self):
+    @pytest.mark.parametrize("kind", ["facility", "edge"])
+    @pytest.mark.parametrize("residency", ["memory", "disk"])
+    def test_a_baseline_request_after_a_tick_matches_a_fresh_session(self, residency, kind):
         # Edge-cost ticks mutate the graph, so this test owns its workload.
         workload = make_workload(
             WorkloadSpec(num_nodes=150, num_facilities=40, num_cost_types=2, num_queries=2, seed=5)
         )
         location = workload.queries[0]
-        policy = ExecutionPolicy()
+        policy = ExecutionPolicy(residency=residency, page_size=1024)
         with Session(workload.graph, workload.facilities, policy=policy) as session:
             # The record path (baseline) and the kernel both fill the cache.
             session.query(SkylineRequest(workload.queries[1], algorithm="baseline"))
-            session.query(SkylineRequest(location, algorithm="cea"))
+            answer = session.query(SkylineRequest(location, algorithm="cea"))
             handle = session.monitor(())
             if location.edge_id is None:
                 ends = (location.node_id,)
@@ -380,16 +399,8 @@ class TestSessionMonitor:
                 query_edge = workload.graph.edge(location.edge_id)
                 ends = (query_edge.u, query_edge.v)
             edges = {e.edge_id: e for n in ends for _m, e in workload.graph.neighbors(n)}
-            handle.tick(
-                UpdateTick(
-                    tuple(
-                        EdgeCostUpdate(e.edge_id, [c * 4 for c in e.costs])
-                        for e in edges.values()
-                    )
-                )
-            )
-            victim = min(session.facilities.facility_ids())
-            handle.tick(UpdateTick((FacilityDelete(victim),)))
+            victim = min(answer.result.facility_ids())
+            handle.tick(self._tick(kind, victim=victim, edges=edges.values()))
             request = SkylineRequest(location, algorithm="baseline")
             response = session.query(request)
             fresh = Session(

@@ -94,7 +94,7 @@ POLICY_SCHEMA = [
     ("temporal", "off"),
     ("profile_source", None),
     ("temporal_quantum", 0.25),
-    ("temporal_cache_size", 8),
+    ("temporal_cache_size", 16),
 ]
 
 RESPONSE_FIELDS = [

@@ -23,6 +23,7 @@ from repro.monitor.stream import tick_to_payload
 from repro.network.facilities import FacilitySet
 from repro.serve import InProcessClient, ServeApp, ServeConfig, collect_events
 from repro.serve.journal import JobJournal
+from repro.serve.payloads import io_to_payload, result_to_payload
 from repro.service.requests import SkylineRequest, request_to_payload
 
 _WORKLOAD = make_workload(
@@ -303,3 +304,63 @@ class TestDepartureTimeOverTheWire:
         assert len(responses) == 2
         assert [entry["kind"] for entry in responses] == ["skyline", "skyline"]
         assert all(entry["result"]["facilities"] for entry in responses)
+
+
+class TestDiskSessionPatches:
+    """A disk-resident session answers from the network its PATCHes left."""
+
+    def test_patched_disk_session_answers_like_a_fresh_one(self):
+        policy = ExecutionPolicy(residency="disk", page_size=1024)
+        workload = make_workload(
+            WorkloadSpec(
+                num_nodes=80, num_facilities=20, num_cost_types=3, num_queries=1, seed=11
+            )
+        )
+        graph = workload.graph
+        session = Session(graph, workload.facilities, policy=policy)
+        request = SkylineRequest(workload.queries[0])
+        body = {"request": request_to_payload(request)}
+
+        def fresh():
+            """A fresh disk session's answer over the live network."""
+            live = FacilitySet(graph, iter(session.facilities))
+            with Session(graph, live, policy=policy) as oracle:
+                response = oracle.query(request)
+            return result_to_payload(response.result), io_to_payload(response.io)
+
+        async def scenario():
+            app = ServeApp(session)
+            client = InProcessClient(app)
+            steps = []
+            async with app:
+                first = await client.post("/v1/query", body)
+                victim = first.payload["result"]["facilities"][0]["facility"]
+                patches = (
+                    ("/v1/facilities", [{"type": "delete", "facility": victim}]),
+                    (
+                        "/v1/edges",
+                        [
+                            {
+                                "type": "edge-cost",
+                                "edge": edge.edge_id,
+                                "costs": [cost * 10 for cost in edge.costs],
+                            }
+                            for edge in graph.edges()
+                        ],
+                    ),
+                )
+                for route, updates in patches:
+                    patched = await client.patch(route, {"updates": updates})
+                    answer = await client.post("/v1/query", body)
+                    steps.append((patched, answer, fresh()))
+            return victim, steps
+
+        victim, steps = _run(scenario())
+        for patched, answer, expected in steps:
+            assert patched.status == 200, patched.payload
+            assert patched.payload["invalidated_services"] == 1
+            assert answer.status == 200, answer.payload
+            assert not answer.payload["served_from_memo"]
+            assert (answer.payload["result"], answer.payload["io"]) == expected
+        deleted = steps[0][1].payload["result"]["facilities"]
+        assert victim not in [entry["facility"] for entry in deleted]

@@ -9,6 +9,8 @@ departure-time work (including mixed batches) to the executor.
 
 from __future__ import annotations
 
+import gc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -212,6 +214,54 @@ class TestExecutorCache:
             stats = executor.statistics
             assert stats.builds == 2
             assert stats.rebuilds == 1
+
+    def test_a_cost_tick_recosts_the_stale_stack_from_its_own_graph(self, monkeypatch):
+        """A stale stack takes its costs from its own graph while the base's
+        changelog covers the gap, and from the profiles once it overflowed."""
+        calls = []
+        snapshot = TimeVaryingMCN.snapshot
+
+        def spy(network, time):
+            calls.append(time)
+            return snapshot(network, time)
+
+        monkeypatch.setattr(TimeVaryingMCN, "snapshot", spy)
+        with self.session() as session:
+            executor = session._temporal_for(session.policy)
+            request = SkylineRequest(WORKLOAD.queries[0], departure_time=8.0)
+            executor.query(request)
+            graph = session.graph
+            edge = next(iter(graph.edges()))
+            graph.update_edge_costs(edge.edge_id, [cost * 2.0 for cost in edge.costs])
+            executor.query(request)
+            assert calls == [8.0]
+            # More updates than the changelog holds: one build from the profiles.
+            for _update in range(1025):
+                graph.update_edge_costs(edge.edge_id, edge.costs)
+            executor.query(request)
+            assert calls == [8.0, 8.0]
+            stats = executor.statistics
+            assert (stats.builds, stats.rebuilds, stats.hits) == (3, 2, 0)
+
+    @pytest.mark.parametrize("moved", ["costs", "facilities"])
+    def test_a_replaced_stack_is_collectable(self, moved):
+        with self.session() as session:
+            executor = session._temporal_for(session.policy)
+            stale = executor.session_at(8.0)
+            stale.query(SkylineRequest(WORKLOAD.queries[0]))
+            refs = (weakref.ref(stale), weakref.ref(stale.graph))
+            del stale
+            if moved == "costs":
+                edge = next(iter(session.graph.edges()))
+                session.graph.update_edge_costs(
+                    edge.edge_id, [cost * 2.0 for cost in edge.costs]
+                )
+            else:
+                session.facilities.remove(min(session.facilities.facility_ids()))
+            replacement = executor.session_at(8.0)
+            gc.collect()
+            assert [ref() for ref in refs] == [None, None]
+            assert executor.session_at(8.0) is replacement
 
     def test_snapshot_stacks_run_under_the_session_policy(self):
         """A snapshot session keeps its owner's fields: without a memo

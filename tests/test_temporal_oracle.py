@@ -145,7 +145,9 @@ class TestTickedDepartureOracle:
     snapshot of the mutated base and the live facility set.  The checks
     alternate direction over the departure times, so with two LRU slots a
     check starts on stale cached stacks (rebuilds) and ends by evicting
-    them; with eight slots every stack is rebuilt after each tick.
+    them; with eight slots every stack stays cached, and after each tick
+    it is rebuilt from its own stale graph with only the ticked edges
+    re-costed (none after the facility tick).
     """
 
     @pytest.mark.parametrize("cache_size", [2, 8])
