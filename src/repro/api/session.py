@@ -996,17 +996,20 @@ class Session:
         graph: MultiCostGraph,
         facilities: FacilitySet,
         recosted: Sequence[EdgeId],
+        costs: CompiledGraph | None,
     ) -> Session:
         """A static session over a temporal snapshot of this session's graph.
 
         ``graph`` is :meth:`~repro.network.graph.MultiCostGraph.recosted`
         from this session's graph or from an earlier snapshot of it, so it
-        shares this graph's topology (``recosted`` names the edges whose
-        costs may differ from this graph's), and ``facilities`` rebinds
-        this session's set to it.  The snapshot
-        session's engine runs on a snapshot
+        shares this graph's topology, and ``facilities`` rebinds this
+        session's set to it.  ``recosted`` names the edges whose costs may
+        differ from this graph's or, when ``costs`` (the earlier
+        snapshot's compiled graph) is given, from the earlier snapshot's.
+        The snapshot session's engine runs on a snapshot
         :meth:`~repro.network.compiled.CompiledGraph.derive` builds from this
-        session's: its topology and facility table, its own cost lists.
+        session's: its topology and facility table, and its own cost lists,
+        copied from ``costs`` when given.
         """
         session = Session(graph, facilities, policy=self._static_policy(self._policy))
         storage = session.storage_for()
@@ -1015,7 +1018,7 @@ class Session:
             facilities,
             accessor=storage,
             compiled=self._compiled_graph().derive(
-                graph, facilities, recosted=recosted, storage=storage
+                graph, facilities, recosted=recosted, storage=storage, costs=costs
             ),
         )
         return session

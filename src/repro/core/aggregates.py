@@ -10,8 +10,9 @@ default, but any monotone callable can be supplied.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from collections.abc import Callable, Sequence
+from dataclasses import dataclass
+from operator import mul
 
 from repro.errors import QueryError
 
@@ -50,7 +51,7 @@ class WeightedSum:
             raise QueryError(
                 f"cost vector has {len(costs)} components, expected {len(self.weights)}"
             )
-        return sum(w * c for w, c in zip(self.weights, costs))
+        return sum(map(mul, self.weights, costs))
 
     @classmethod
     def uniform(cls, dimensions: int) -> "WeightedSum":

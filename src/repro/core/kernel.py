@@ -22,10 +22,12 @@ inner loop walks the snapshot's shared neighbour tuples:
   once per call, and a settle whose incident edges host no facility relaxes
   its arcs without probing the facility table;
 * counter-only charges (in-memory LSA/CEA) are tallied in locals and added
-  to the accessor's counters once per call, and settled nodes are folded
-  into the ``settled_costs`` dict once per call, keyed by the snapshot's
-  tuple of node-id objects.  Views and counters are exact whenever no
-  kernel method is mid-call, which is the only time the searches look.
+  to the accessor's counters once per call; an unbounded cross-query cache
+  over an in-memory base is charged for the nodes one call settled once,
+  on exit; and settled nodes are folded into the ``settled_costs`` dict
+  once per call, keyed by the snapshot's tuple of node-id objects.  Views
+  and counters are exact whenever no kernel method is mid-call, which is
+  the only time the searches look.
 
 **The logical I/O contract.**  The kernel performs *exactly* the data-layer
 requests the legacy expansion performs, at the same points of the search —
@@ -43,11 +45,12 @@ materialisation.  Three layers cover the three sharing regimes:
 Charging against a disk-resident accessor replays the request's precomputed
 page plan through the accessor's own LRU buffer — same pages, same order, so
 page-read/buffer-hit counters cannot drift from the record path; such layers
-(and the cross-query caches) are charged synchronously per request, because
-request *order* is part of the contract for an LRU buffer.  The conformance
-suite (``tests/expansion_conformance.py``) pins all of this against the
-reference expansion: identical facility streams, identical settled maps,
-identical counters.
+(and bounded cross-query caches, which evict in LRU order) are charged
+synchronously per request, because request *order* is part of the contract
+for an LRU buffer.  :meth:`KernelDataLayer.batch_charges` names the four
+charge modes.  The conformance suite (``tests/expansion_conformance.py``)
+pins all of this against the reference expansion: identical facility
+streams, identical settled maps, identical counters.
 """
 
 from __future__ import annotations
@@ -114,10 +117,16 @@ class KernelDataLayer:
         increment; the kernel may tally locally and add the totals in bulk at
         its public-method boundaries.  ``("count_once", (stats, seen_nodes,
         seen_edges))`` — ditto, but deduplicated through the shared seen
-        flags (CEA).  ``("generic", None)`` — the layer has per-request side
-        effects (page-plan replay through an LRU buffer, forwarding to an
-        external cache), so charges must stay synchronous per request.
-        Counters are exact whenever no kernel method is mid-call either way.
+        flags (CEA).  ``("settled", charge)`` — the adjacency requests of a
+        ``next_facility`` call may be charged together on its exit, as
+        ``charge(node_indices)`` with the nodes it settled in settle order,
+        because their outcome does not depend on when they happen (an
+        unbounded cross-query cache over an in-memory base); every other
+        request stays synchronous.  ``("generic", None)`` — the layer has
+        per-request side effects (page-plan replay through an LRU buffer,
+        LRU touches of a bounded cache, forwarding to an external cache), so
+        charges must stay synchronous per request.  Counters are exact
+        whenever no kernel method is mid-call in every mode.
         """
         return ("generic", None)
 
@@ -346,6 +355,7 @@ def make_expansions(
 _GENERIC = 0  # per-request side effects: charge synchronously through the layer
 _COUNT = 1  # unconditional counters: tally locally, bulk-add at call exit
 _COUNT_ONCE = 2  # dedup through the layer's shared seen-flags, then tally (CEA)
+_SETTLED = 3  # charge a call's settled nodes through the layer on its exit
 
 
 class ExpansionKernel:
@@ -381,6 +391,7 @@ class ExpansionKernel:
         "_facilities_retrieved",
         "_charge_mode",
         "_charge_stats",
+        "_charge_settled",
         "_seen_nodes",
         "_seen_edges",
     )
@@ -414,12 +425,17 @@ class ExpansionKernel:
         self._facilities_retrieved = 0
         mode, context = layer.batch_charges()
         self._seen_nodes = self._seen_edges = None
+        self._charge_settled = None
         if mode == "count":
             self._charge_mode = _COUNT
             self._charge_stats = context
         elif mode == "count_once":
             self._charge_mode = _COUNT_ONCE
             self._charge_stats, self._seen_nodes, self._seen_edges = context
+        elif mode == "settled":
+            self._charge_mode = _SETTLED
+            self._charge_stats = None
+            self._charge_settled = context
         else:
             self._charge_mode = _GENERIC
             self._charge_stats = None
@@ -511,7 +527,8 @@ class ExpansionKernel:
         hot structure bound once per call.  Counter-only charges are tallied
         in locals and settled nodes are queued in flat columns; both are
         folded into the counters and the ``settled_costs`` dict on the way
-        out, so views and counters are exact between calls.  The settled
+        out (a ``"settled"`` layer is charged for the queued nodes there
+        too), so views and counters are exact between calls.  The settled
         keys come from the snapshot's tuple of node-id objects, so every
         search over one snapshot shares them.
         """
@@ -527,8 +544,9 @@ class ExpansionKernel:
         allowed = self._allowed
         candidate_mode = self._candidate_edges is not None
         mode = self._charge_mode
-        counting = mode != _GENERIC
+        counting = mode == _COUNT or mode == _COUNT_ONCE
         dedup = mode == _COUNT_ONCE
+        per_settle = mode == _GENERIC
         seen_nodes = self._seen_nodes
         seen_edges = self._seen_edges
         note_adjacency = self._layer.note_adjacency
@@ -558,7 +576,7 @@ class ExpansionKernel:
                                 n_adj += 1
                         else:
                             n_adj += 1
-                    else:
+                    elif per_settle:
                         note_adjacency(payload)
                     if candidate_mode:
                         self._tiebreak = tie
@@ -615,6 +633,8 @@ class ExpansionKernel:
                 stats.adjacency_requests += n_adj
                 stats.facility_requests += n_edge
             if pending_idx:
+                if mode == _SETTLED:
+                    self._charge_settled(pending_idx)
                 self._settled.update(
                     zip(map(self._node_ids.__getitem__, pending_idx), pending_keys)
                 )

@@ -139,57 +139,76 @@ class MCNTopKSearch:
             entry_id = entry.facility_id
             self._data_layer.facility_edge(entry_id)
         candidate_edges = self._pool.candidate_edges(candidates)
-        for expansion in self._expansions:
+        expansions = self._expansions
+        for expansion in expansions:
             expansion.enter_candidate_mode(candidate_edges)
-        active = [not expansion.exhausted for expansion in self._expansions]
+        dimensions = range(len(expansions))
+        active = [not expansion.exhausted for expansion in expansions]
+        aggregate = self._aggregate
+        inf = float("inf")
+        threshold = self._kth_score()
         # The pool cannot gain entries during shrinking (candidate mode only
-        # re-reports facilities already tracked), so the open set is filtered
-        # incrementally instead of rescanning the whole pool per iteration —
-        # membership at every decision point is identical to a fresh scan.
-        open_candidates = self._open_candidates()
+        # re-reports facilities already tracked), and an open candidate
+        # changes only on a hit or an elimination.  So the open list, which
+        # dimensions it still misses and the k-th score are recomputed only
+        # after one; every decision sees what a fresh scan would.
+        open_candidates = candidates
+        missing: list[bool] = []
+        changed = True
         while open_candidates:
-            self._deactivate(active, open_candidates)
+            if changed:
+                missing = [
+                    any(entry.costs[index] is None for entry in open_candidates)
+                    for index in dimensions
+                ]
+                changed = False
+            for index in dimensions:
+                if active[index] and (expansions[index].exhausted or not missing[index]):
+                    active[index] = False
             if not any(active):
                 break
-            for index, expansion in enumerate(self._expansions):
+            for index in dimensions:
                 if not active[index]:
                     continue
+                expansion = expansions[index]
                 hit = expansion.pop_step()
                 if hit is None:
                     if expansion.exhausted:
                         active[index] = False
                     continue
+                changed = True
                 self._statistics.nn_retrievals += 1
                 entry = self._pool.observe(hit.facility_id, hit.cost_index, hit.cost, hit.record)
                 if entry.is_pinned and not entry.eliminated:
                     self._statistics.facilities_pinned += 1
-                    self._resolve_pinned_candidate(entry)
-            open_candidates = [
-                entry
-                for entry in open_candidates
-                if not entry.eliminated and not entry.is_pinned
-            ]
-            self._apply_lower_bound_pruning(open_candidates)
-            open_candidates = [
-                entry for entry in open_candidates if not entry.eliminated
-            ]
-
-    def _open_candidates(self) -> list[CandidateEntry]:
-        return [
-            entry
-            for entry in self._pool.entries()
-            if not entry.eliminated and not entry.is_pinned
-        ]
-
-    def _deactivate(self, active: list[bool], open_candidates: list[CandidateEntry]) -> None:
-        for index in range(len(self._expansions)):
-            if not active[index]:
+                    self._admit(entry)
+                    threshold = self._kth_score()
+            if changed:
+                open_candidates = [
+                    entry
+                    for entry in open_candidates
+                    if not entry.eliminated and not entry.is_pinned
+                ]
+            if threshold == inf:
                 continue
-            if self._expansions[index].exhausted:
-                active[index] = False
-                continue
-            if not any(entry.costs[index] is None for entry in open_candidates):
-                active[index] = False
+            # Lower-bound pruning: unknown costs are at least the frontiers.
+            # An exhausted expansion (frontier inf) can never report the
+            # candidate, so it is unreachable under that cost type and cannot
+            # beat any pinned facility.
+            frontiers = [expansion.head_key() for expansion in expansions]
+            survivors = []
+            for entry in open_candidates:
+                bound = [
+                    frontiers[index] if value is None else value
+                    for index, value in enumerate(entry.costs)
+                ]
+                if inf in bound or aggregate(bound) >= threshold:
+                    entry.eliminated = True
+                else:
+                    survivors.append(entry)
+            if len(survivors) < len(open_candidates):
+                open_candidates = survivors
+                changed = True
 
     def _kth_score(self) -> float:
         if len(self._top) < self._k:
@@ -211,27 +230,6 @@ class MCNTopKSearch:
             self._top[entry.facility_id] = ranked
         else:
             entry.eliminated = True
-
-    def _resolve_pinned_candidate(self, entry: CandidateEntry) -> None:
-        self._admit(entry)
-
-    def _apply_lower_bound_pruning(self, open_candidates: list[CandidateEntry]) -> None:
-        threshold = self._kth_score()
-        if threshold == float("inf"):
-            return
-        frontiers = [expansion.head_key() for expansion in self._expansions]
-        for entry in open_candidates:
-            bound_vector = [
-                value if value is not None else frontiers[index]
-                for index, value in enumerate(entry.costs)
-            ]
-            if any(value == float("inf") for value in bound_vector):
-                # An exhausted expansion can never report this candidate; it is unreachable
-                # under that cost type and therefore cannot beat any pinned facility.
-                entry.eliminated = True
-                continue
-            if self._aggregate(bound_vector) >= threshold:
-                entry.eliminated = True
 
 
 def lsa_top_k(

@@ -363,6 +363,7 @@ class CompiledGraph:
         *,
         recosted: Iterable[EdgeId] = (),
         storage: object | None = None,
+        costs: "CompiledGraph | None" = None,
     ) -> "CompiledGraph":
         """A snapshot of ``graph`` and ``facilities`` over this one's topology.
 
@@ -371,11 +372,17 @@ class CompiledGraph:
         with ``recosted`` naming every edge whose costs may differ.
         ``facilities`` must place exactly the facilities this snapshot's set
         places now (the set itself, or a rebinding of it to ``graph``).
+        ``costs``, when given, is another snapshot derived over this
+        topology: its cost lists are copied instead of this one's, ``graph``
+        is re-costed from *its* graph, and ``recosted`` names the edges
+        whose costs may differ from that graph's.  A stale temporal stack is
+        rebuilt this way, patching only the edges ticked since it was built;
+        nothing of ``costs`` is kept.
 
         The result shares the neighbour tuples and the node and edge
         indexes, and copies only the cost lists, patched for the re-costed
-        edges (and for any edge whose cost this snapshot has not caught up
-        with).  When both snapshots are plan-free it also reads this one's
+        edges (and for any edge whose cost the copied lists have not caught
+        up with).  When both snapshots are plan-free it also reads this one's
         facility table until either facility set moves, after which it
         builds a table of its own; a disk-resident snapshot (``storage``
         given, page plans built over it) or a source with page plans builds
@@ -388,6 +395,8 @@ class CompiledGraph:
             raise QueryError("facility set was built for a different graph")
         if graph.num_nodes != self.num_nodes or graph.num_edges != self.num_edges:
             raise QueryError("the derived graph does not share this snapshot's topology")
+        if costs is None:
+            costs = self
         self.ensure_fresh()
         twin = object.__new__(CompiledGraph)
         twin._graph = graph
@@ -401,8 +410,8 @@ class CompiledGraph:
             self.edge_length,
             self.arcs,
         )
-        twin.cell_costs = [list(column) for column in self.cell_costs]
-        lagging = self._graph.changed_edges_since(self._costs_revision)
+        twin.cell_costs = [list(column) for column in costs.cell_costs]
+        lagging = costs._graph.changed_edges_since(costs._costs_revision)
         if lagging is None:
             twin._refresh_edge_costs(range(self.num_edges))
         else:

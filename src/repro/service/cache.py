@@ -280,6 +280,14 @@ class SharedCacheChargeLayer(DirectChargeLayer):
     accessor would have returned.  Nothing about cache membership, hit/miss
     statistics, eviction counts or base-accessor I/O differs from the
     forwarding path; only the per-request Python overhead does.
+
+    Over an unbounded cache and an in-memory base the layer reports the
+    ``"settled"`` charge mode: a kernel's ``next_facility`` hands it the
+    nodes one call settled, once, on exit (:meth:`note_settled`), instead
+    of one :meth:`note_adjacency` call per settle.  No LRU order or page
+    buffer can observe the difference there.  A bounded cache or a
+    page-planned base keeps every charge synchronous, because the order of
+    its LRU touches is part of the I/O contract.
     """
 
     __slots__ = (
@@ -346,7 +354,29 @@ class SharedCacheChargeLayer(DirectChargeLayer):
         self._edge_store[facility_id] = edge_id
         return edge_id
 
+    def note_settled(self, node_indices: list[int]) -> None:
+        """Charge one adjacency request per node, in order, in one pass.
+
+        The folded form of :meth:`note_adjacency` on an unbounded cache over
+        an in-memory base: the same hits, misses, base ``adjacency_requests``
+        and membership entries, none of which depends on when it is charged.
+        """
+        store = self._adj_store
+        compiled = self.compiled
+        before = len(store)
+        for key in map(self._node_id_of.__getitem__, node_indices):
+            if key not in store:
+                store[key] = compiled
+        misses = len(store) - before
+        self._cache_stats.adjacency_hits += len(node_indices) - misses
+        self._cache_stats.adjacency_misses += misses
+        self._stats.adjacency_requests += misses
+
     def batch_charges(self) -> tuple[str, object]:
-        # Every request flips cache state (counters, LRU order), so charges
-        # must stay synchronous per request even over in-memory accessors.
-        return ("generic", None)
+        # A bounded cache's LRU touches and evictions, and a page-planned
+        # base's buffer reads, depend on request order, so those charges
+        # stay synchronous per request.  Otherwise a kernel call's adjacency
+        # requests may be charged together when it returns.
+        if self._bounded or self._buffer is not None:
+            return ("generic", None)
+        return ("settled", self.note_settled)

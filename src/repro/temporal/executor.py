@@ -13,28 +13,30 @@ compiled path its session's :class:`~repro.network.compiled.CompiledGraph`
 is derived from the base session's the same way (topology and facility
 table shared, cost lists copied and patched for the profiled edges).
 
-Every cached stack remembers the base graph's cost revision and the live
-facility set's revision at build time; a monitoring tick that re-profiles an
-edge (:class:`~repro.monitor.EdgeCostUpdate`) or mutates the facility set
-therefore invalidates the stack on its next use — the executor closes it and
-opens a new one over the current base state, which is exactly the "fresh
-static session over the profile-evaluated snapshot" the temporal
-differential oracle pins.  The rebuild is the only staleness path: a stack
-is never patched in place.  Where the new snapshot graph takes its costs
-from depends on the gap: while the base's bounded changelog still covers
-it, the graph is :meth:`~repro.network.graph.MultiCostGraph.recosted` from
-the stale stack's own graph with ``cost_at`` re-evaluated for the edges
-ticked since (none after a facility-only tick); a key's first build and an
-overflowed changelog evaluate every profiled edge through
-:meth:`~repro.timedep.TimeVaryingMCN.snapshot`.  Both use ``cost_at``, so
-the costs are bit-identical.  A registered profile set is read as fixed:
-:meth:`~repro.timedep.TimeVaryingMCN.set_profile` moves no revision, so it
-reaches a cached key only when that key is next built from scratch (its
-first build, after an eviction or an overflowed changelog).  Either graph
-then takes the one path every build takes: the live facility set is
-rebound to it, and its session derives its compiled snapshot from the base
-session's, never from the stale stack, so a replaced stack keeps nothing
-alive.
+Every cached stack remembers the revisions of the base graph's costs, of
+the live facility set and of the profile set at build time; a monitoring
+tick that re-profiles an edge (:class:`~repro.monitor.EdgeCostUpdate`),
+a mutation of the facility set or a
+:meth:`~repro.timedep.TimeVaryingMCN.set_profile` call therefore
+invalidates the stack on its next use — the executor closes it and opens a
+new one over the current state, which is exactly the "fresh static session
+over the profile-evaluated snapshot" the temporal differential oracle
+pins.  The rebuild is the only staleness path: a stack is never patched in
+place.  Where the new stack takes its costs from depends on what moved.
+While the profiles stand and the base's bounded changelog still covers the
+gap, the snapshot graph is
+:meth:`~repro.network.graph.MultiCostGraph.recosted` from the stale
+stack's own graph with ``cost_at`` re-evaluated for the edges ticked since
+(none after a facility-only tick), and its compiled snapshot copies the
+stale stack's cost lists and patches those edges only.  A key's first
+build, an overflowed changelog and a moved profile set (whose profiled
+edges may have grown) evaluate every profiled edge through
+:meth:`~repro.timedep.TimeVaryingMCN.snapshot` and patch all of them.
+Both use ``cost_at``, so the costs are bit-identical.  Either way the live
+facility set is rebound to the new graph, and its session derives its
+compiled snapshot from the base session's plan-free one, which lends it
+the topology and the facility table: only a copy of the cost lists comes
+from the stale stack, so a replaced stack keeps nothing alive.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from repro.api.policy import ExecutionPolicy
 from repro.api.session import Response, Session
 from repro.errors import PolicyError, QueryError
 from repro.network.accessor import AccessStatistics
+from repro.network.compiled import CompiledGraph
 from repro.network.facilities import FacilitySet
 from repro.network.graph import EdgeId, MultiCostGraph
 from repro.service.requests import QueryRequest, SkylineRequest, TopKRequest
@@ -69,11 +72,11 @@ class SnapshotStatistics:
 
     ``builds`` counts snapshot stacks opened, ``hits`` reuses of a warm
     cached stack, ``rebuilds`` the builds that replaced a stack because the
-    base graph's costs or the facility set moved underneath it (re-costed
-    from the stale stack's graph, yet counted as one build and one
-    rebuild), and ``evictions`` stacks dropped by the LRU bound.  A build
-    that is neither a key's first nor a rebuild is a capacity miss: the LRU
-    evicted that key earlier.  The default ``temporal_cache_size`` of 16
+    base graph's costs, the facility set or the profile set moved
+    underneath it (most re-costed from the stale stack, yet counted as one
+    build and one rebuild), and ``evictions`` stacks dropped by the LRU
+    bound.  A build that is neither a key's first nor a rebuild is a
+    capacity miss: the LRU evicted that key earlier.  The default ``temporal_cache_size`` of 16
     holds a four-hour window at the default quarter-hour quantum, so a
     rush hour's departure keys stay cached and only ticks force builds.
     """
@@ -113,6 +116,7 @@ class _SnapshotEntry:
     session: Session
     facilities_revision: int
     costs_revision: int
+    profiles_revision: int
 
 
 class TemporalExecutor:
@@ -121,10 +125,11 @@ class TemporalExecutor:
     ``policy`` is the owning session's static policy (``temporal="off"``):
     every snapshot session runs under it, its ``temporal_quantum``
     quantises departure times and its ``temporal_cache_size`` bounds the
-    LRU.  ``open_session(snapshot, facilities, recosted)`` opens the static
-    session over one snapshot (``recosted`` names the profiled edges); the
-    owning session passes its own, which derives the snapshot's compiled
-    graph from the session's.
+    LRU.  ``open_session(snapshot, facilities, recosted, costs)`` opens the
+    static session over one snapshot: ``recosted`` names the profiled edges,
+    or, when ``costs`` is the stale stack's compiled graph, the edges
+    ticked since that stack was built.  The owning session passes its own,
+    which derives the snapshot's compiled graph from the session's.
     """
 
     def __init__(
@@ -134,7 +139,9 @@ class TemporalExecutor:
         network: TimeVaryingMCN,
         *,
         policy: ExecutionPolicy,
-        open_session: Callable[[MultiCostGraph, FacilitySet, Sequence[EdgeId]], Session],
+        open_session: Callable[
+            [MultiCostGraph, FacilitySet, Sequence[EdgeId], CompiledGraph | None], Session
+        ],
     ):
         if network.base_graph is not graph:
             raise PolicyError(
@@ -180,35 +187,44 @@ class TemporalExecutor:
         """The (cached) static session over the snapshot at ``departure_time``."""
         key = self.key(departure_time)
         entry = self._entries.get(key)
+        network = self._network
         if (
             entry is not None
             and entry.facilities_revision == self._facilities.revision
             and entry.costs_revision == self._graph.costs_revision
+            and entry.profiles_revision == network.revision
         ):
             self._entries.move_to_end(key)
             self._statistics.hits += 1
             return entry.session
         instant = self.quantise(departure_time)
-        snapshot = None
+        snapshot = costs = None
+        recosted = network.profiled_edges
         if entry is not None:
-            # The base moved underneath the snapshot: rebuild it, re-costing
-            # from its own graph only the edges ticked since it was built.
+            # Something moved underneath the snapshot: rebuild it.  Unless
+            # the profiles moved, re-cost its own graph and copy its cost
+            # lists, patching only the edges ticked since it was built.
             del self._entries[key]
-            changed = self._graph.changed_edges_since(entry.costs_revision)
-            if changed is not None:
-                snapshot = entry.session.graph.recosted(
-                    {edge: self._network.cost_at(edge, instant) for edge in changed}
-                )
+            if entry.profiles_revision == network.revision:
+                changed = self._graph.changed_edges_since(entry.costs_revision)
+                if changed is not None:
+                    stale = entry.session
+                    snapshot = stale.graph.recosted(
+                        {edge: network.cost_at(edge, instant) for edge in changed}
+                    )
+                    costs = stale.engine_for().compiled_graph
+                    recosted = changed
             entry.session.close()
             self._statistics.rebuilds += 1
         if snapshot is None:
-            snapshot = self._network.snapshot(instant)
+            snapshot = network.snapshot(instant)
         rebound = rebind_facilities(snapshot, self._facilities)
-        session = self._open_session(snapshot, rebound, self._network.profiled_edges)
+        session = self._open_session(snapshot, rebound, recosted, costs)
         self._entries[key] = _SnapshotEntry(
             session=session,
             facilities_revision=self._facilities.revision,
             costs_revision=self._graph.costs_revision,
+            profiles_revision=network.revision,
         )
         self._statistics.builds += 1
         while len(self._entries) > self._policy.temporal_cache_size:

@@ -31,6 +31,7 @@ class TimeVaryingMCN:
     ):
         self._base = base_graph
         self._profiles: dict[EdgeId, list[CostProfile]] = {}
+        self._revision = 0
         default = ConstantProfile(1.0)
         for edge_id, edge_profiles in (profiles or {}).items():
             if not base_graph.has_edge(edge_id):
@@ -57,6 +58,15 @@ class TimeVaryingMCN:
         """The edges carrying a profile: the only ones a snapshot re-costs."""
         return tuple(self._profiles)
 
+    @property
+    def revision(self) -> int:
+        """A counter bumped by every :meth:`set_profile` call.
+
+        A snapshot taken at an earlier revision was evaluated under other
+        profiles, possibly over fewer profiled edges.
+        """
+        return self._revision
+
     def set_profile(self, edge_id: EdgeId, cost_index: int, profile: CostProfile) -> None:
         """Attach (or replace) the profile of one edge cost."""
         if not self._base.has_edge(edge_id):
@@ -69,6 +79,7 @@ class TimeVaryingMCN:
         entry = list(entry)
         entry[cost_index] = profile
         self._profiles[edge_id] = entry
+        self._revision += 1
 
     def cost_at(self, edge_id: EdgeId, time: float) -> CostVector:
         """The cost vector of one edge at the given time instant."""

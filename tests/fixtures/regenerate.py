@@ -26,6 +26,13 @@ per-tick delta reports of replaying the matching rush-hour edge-cost stream
 through a :class:`~repro.monitor.MonitoringService` — so both halves of the
 temporal subsystem (snapshot execution and edge-cost maintenance) are
 pinned by ``tests/test_golden_temporal.py``.
+
+``topk_stats.json`` pins one row per top-k query over two tie-prone
+workloads (integer edge costs, facilities on quarter points): the ranking,
+the I/O counters and the search counters, for four aggregates under LSA and
+CEA, in memory and on disk, so a change to the shrinking stage that pops,
+admits or prunes differently is caught by
+``tests/test_golden_topk_stats.py`` even when the ranking survives.
 """
 
 from __future__ import annotations
@@ -351,6 +358,177 @@ def regenerate_temporal_case(name: str, case: dict) -> Path:
     return path
 
 
+#: label -> workload spec of the top-k statistics fixture.  The generated
+#: edge costs are rounded to small integers and every facility is snapped to
+#: a quarter of its edge (see tie_workload), so aggregate scores, lower
+#: bounds and expansion frontiers tie often.
+TOPK_STATS_CASES = {
+    "d2": WorkloadSpec(
+        num_nodes=100,
+        num_facilities=40,
+        num_cost_types=2,
+        clustered=True,
+        num_queries=8,
+        seed=81,
+    ),
+    "d3": WorkloadSpec(
+        num_nodes=120,
+        num_facilities=50,
+        num_cost_types=3,
+        clustered=False,
+        num_queries=8,
+        seed=83,
+    ),
+}
+TOPK_STATS_KS = (1, 4)
+TOPK_STATS_PAGE_SIZE = 1024
+TOPK_STATS_BUFFER_FRACTION = 0.05
+TOPK_STATS_COLUMNS = (
+    "workload",
+    "residency",
+    "algorithm",
+    "aggregate",
+    "k",
+    "query",
+    "ranking",
+    "io",
+    "heap_pops",
+    "nn_retrievals",
+    "facilities_pinned",
+    "candidates_considered",
+    "dominance_checks",
+)
+
+
+def plain_monotone(costs):
+    """A monotone aggregate that is none of the built-in classes."""
+    total = 0.0
+    for index, cost in enumerate(costs):
+        total += (index + 1) * cost
+    return total
+
+
+def topk_stats_aggregates(dimensions: int) -> dict:
+    """The aggregates the top-k statistics fixture runs, by name."""
+    from repro.core.aggregates import MaxCost, WeightedLpNorm, WeightedSum
+
+    ones = tuple(1.0 for _ in range(dimensions))
+    return {
+        "weighted_sum": WeightedSum(tuple(float(i % 2 + 1) for i in range(dimensions))),
+        "lp_norm": WeightedLpNorm(ones, p=2.0),
+        "max_cost": MaxCost(ones),
+        "plain": plain_monotone,
+    }
+
+
+def tie_workload(spec: WorkloadSpec):
+    """``make_workload(spec)`` with integer edge costs and snapped facilities."""
+    from repro.network.facilities import Facility
+
+    workload = make_workload(spec)
+    graph = workload.graph
+    for edge in list(graph.edges()):
+        graph.update_edge_costs(
+            edge.edge_id, [float(max(1, round(cost / 25.0))) for cost in edge.costs]
+        )
+    snapped = []
+    for facility in workload.facilities:
+        length = graph.edge(facility.edge_id).length
+        quarter = min(3, max(1, round(4 * facility.offset / length))) if length else 0
+        snapped.append(Facility(facility.facility_id, facility.edge_id, length * quarter / 4))
+    workload.facilities = FacilitySet(graph, snapped)
+    return workload
+
+
+def topk_stats_rows(*, compiled=None) -> list[list]:
+    """One row per top-k query: its ranking, I/O and search counters.
+
+    ``compiled`` is handed to every engine (``None`` runs the kernel,
+    ``False`` the record path); both must produce the same rows.  Each disk
+    query starts from a cold buffer, so a row does not depend on the ones
+    before it.
+    """
+    rows = []
+    for label, spec in TOPK_STATS_CASES.items():
+        workload = tie_workload(spec)
+        graph, facilities = workload.graph, workload.facilities
+        aggregates = topk_stats_aggregates(graph.num_cost_types)
+        storage = NetworkStorage.build(
+            graph,
+            facilities,
+            page_size=TOPK_STATS_PAGE_SIZE,
+            buffer_fraction=TOPK_STATS_BUFFER_FRACTION,
+        )
+        engines = {
+            "memory": MCNQueryEngine(graph, facilities, compiled=compiled),
+            "disk": MCNQueryEngine(graph, facilities, accessor=storage, compiled=compiled),
+        }
+        for residency, engine in engines.items():
+            for algorithm in ("lsa", "cea"):
+                for name, aggregate in aggregates.items():
+                    for k in TOPK_STATS_KS:
+                        for index, query in enumerate(workload.queries):
+                            if residency == "disk":
+                                storage.reset_statistics(clear_buffer=True)
+                            result = engine.top_k_search(
+                                query, k, aggregate=aggregate, algorithm=algorithm
+                            ).run()
+                            stats = result.statistics
+                            io = stats.io
+                            rows.append(
+                                [
+                                    label,
+                                    residency,
+                                    algorithm,
+                                    name,
+                                    k,
+                                    index,
+                                    [[f.facility_id, f.score] for f in result],
+                                    [
+                                        io.adjacency_requests,
+                                        io.facility_requests,
+                                        io.facility_tree_requests,
+                                        io.page_reads,
+                                        io.buffer_hits,
+                                    ],
+                                    stats.heap_pops,
+                                    stats.nn_retrievals,
+                                    stats.facilities_pinned,
+                                    stats.candidates_considered,
+                                    stats.dominance_checks,
+                                ]
+                            )
+    return rows
+
+
+def render_topk_stats_fixture(rows: list[list]) -> str:
+    """The fixture text: a JSON header, then one row per line."""
+    header = {
+        "name": "topk_stats",
+        "workloads": {
+            label: workload_spec_to_payload(spec) for label, spec in TOPK_STATS_CASES.items()
+        },
+        "ks": list(TOPK_STATS_KS),
+        "page_size": TOPK_STATS_PAGE_SIZE,
+        "buffer_fraction": TOPK_STATS_BUFFER_FRACTION,
+        "columns": list(TOPK_STATS_COLUMNS),
+    }
+    head = json.dumps(header, indent=1)[:-2]  # reopen the object for "rows"
+    body = ",\n".join(" " + json.dumps(row, separators=(",", ":")) for row in rows)
+    return f'{head},\n "rows": [\n{body}\n ]\n}}\n'
+
+
+def regenerate_topk_stats() -> Path:
+    """Pin the top-k shrinking stage's decisions through its counters.
+
+    ``tests/test_golden_topk_stats.py`` replays every row on the kernel and
+    on the record path and compares the text byte for byte.
+    """
+    path = FIXTURES_DIR / "topk_stats.json"
+    path.write_text(render_topk_stats_fixture(topk_stats_rows()))
+    return path
+
+
 def regenerate_serve_surface() -> Path:
     """Pin the serving tier's wire surface (routes, schemas, error shape).
 
@@ -383,6 +561,7 @@ def main() -> None:
     for name, case in TEMPORAL_CASES.items():
         path = regenerate_temporal_case(name, case)
         print(f"wrote {path}")
+    print(f"wrote {regenerate_topk_stats()}")
     print(f"wrote {regenerate_serve_surface()}")
 
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.api import ExecutionPolicy
 from repro.core.engine import MCNQueryEngine
+from repro.core.kernel import ExpansionKernel
 from repro.datagen.workload import WorkloadSpec, make_workload
 from repro.errors import QueryError
 from repro.service import (
@@ -16,6 +18,8 @@ from repro.service import (
     SkylineRequest,
     TopKRequest,
 )
+from repro.serve.payloads import result_to_payload
+from repro.service.cache import SharedCacheChargeLayer
 from repro.storage import NetworkStorage
 
 from tests.helpers import random_mcn, random_query
@@ -285,6 +289,62 @@ class TestQueryService:
         service = QueryService(disk_engine, policy=policy)
         report = service.run_batch(requests)
         assert [outcome_signature(outcome) for outcome in report] == expected
+
+
+class TestFoldedCacheCharges:
+    """An unbounded cache over an in-memory base is charged once per kernel
+    call; a bounded one per settle.  Neither may change a counter."""
+
+    def stream(self, workload):
+        requests = mixed_requests(workload)
+        # A baseline read runs the record path over adjacency entries the
+        # kernel filled; an LSA top-k and a repeat read warm entries again.
+        requests.insert(3, SkylineRequest(workload.queries[0], algorithm="baseline"))
+        requests.insert(6, TopKRequest(workload.queries[2], 2, algorithm="lsa"))
+        requests.append(requests[1])
+        return requests
+
+    @staticmethod
+    def answer(outcome):
+        statistics = dataclasses.replace(outcome.result.statistics, elapsed_seconds=0.0)
+        return result_to_payload(outcome.result), statistics, outcome.io
+
+    def test_unbounded_and_bounded_caches_charge_alike(self, workload, monkeypatch):
+        engine = MCNQueryEngine(workload.graph, workload.facilities)
+        policy = ExecutionPolicy(memoize_results=False)
+        folded = QueryService(engine, policy=policy)
+        # Bounded above every store's size, so it never evicts: only the
+        # charge path differs.
+        bound = workload.graph.num_nodes + workload.graph.num_edges
+        synchronous = QueryService(engine, policy=policy.replace(max_cached_entries=bound))
+        inside: list[ExpansionKernel] = []
+        noted: list[CrossQueryExpansionCache] = []
+        next_facility = ExpansionKernel.next_facility
+        note_adjacency = SharedCacheChargeLayer.note_adjacency
+
+        def spy_next_facility(kernel):
+            inside.append(kernel)
+            try:
+                return next_facility(kernel)
+            finally:
+                inside.pop()
+
+        def spy_note_adjacency(layer, node_idx):
+            if inside:
+                noted.append(layer._cache)
+            return note_adjacency(layer, node_idx)
+
+        monkeypatch.setattr(ExpansionKernel, "next_facility", spy_next_facility)
+        monkeypatch.setattr(SharedCacheChargeLayer, "note_adjacency", spy_note_adjacency)
+        for request in self.stream(workload):
+            lived = folded.execute(request)
+            reference = synchronous.execute(request)
+            assert self.answer(lived) == self.answer(reference)
+            assert folded.cache_statistics == synchronous.cache_statistics
+        assert folded.cache_statistics.adjacency_hits > 0
+        assert folded.cache_statistics.evictions == 0
+        assert not [cache for cache in noted if cache is folded.cache]
+        assert [cache for cache in noted if cache is synchronous.cache]
 
 
 class TestServiceProperty:

@@ -24,7 +24,10 @@ from repro.datagen import (
     make_workload,
 )
 from repro.errors import PolicyError, QueryError
+from repro.monitor import EdgeCostUpdate, UpdateTick
+from repro.network.compiled import CompiledGraph
 from repro.network.location import NetworkLocation
+from repro.serve.payloads import io_to_payload, result_to_payload
 from repro.service.requests import (
     SkylineRequest,
     TopKRequest,
@@ -43,6 +46,7 @@ from repro.timedep import (
     skyline_over_period,
     top_k_over_period,
 )
+from tests.helpers import reference_facilities, reference_snapshot
 
 WORKLOAD = make_workload(
     WorkloadSpec(num_nodes=90, num_facilities=25, num_cost_types=2, num_queries=3, seed=71)
@@ -262,6 +266,96 @@ class TestExecutorCache:
             gc.collect()
             assert [ref() for ref in refs] == [None, None]
             assert executor.session_at(8.0) is replacement
+
+    @pytest.mark.parametrize("residency", ["memory", "disk"])
+    def test_a_rebuilt_stack_patches_only_the_ticked_edges(self, residency, monkeypatch):
+        """A tick of three edges through the session's monitor: the rebuilt
+        stack copies the stale stack's cost lists and patches those three
+        edges alone, and answers like a fresh static session."""
+        policy = replace(POLICY, residency=residency, page_size=1024)
+        patched = []
+        refresh = CompiledGraph._refresh_edge_costs
+
+        def spy(compiled, dense_edges):
+            dense_edges = list(dense_edges)
+            patched.append((compiled, sorted(dense_edges)))
+            return refresh(compiled, dense_edges)
+
+        requests = (
+            SkylineRequest(WORKLOAD.queries[0]),
+            TopKRequest(WORKLOAD.queries[1], 3, weights=(0.4, 0.6)),
+        )
+        with fresh_session(policy) as session:
+            executor = session._temporal_for(session.policy)
+            for request in requests:
+                session.query(replace(request, departure_time=8.0))
+            handle = session.monitor(())
+            graph = session.graph
+            ticked = sorted(executor.network.profiled_edges)[:3]
+            monkeypatch.setattr(CompiledGraph, "_refresh_edge_costs", spy)
+            handle.tick(
+                UpdateTick(
+                    tuple(
+                        EdgeCostUpdate(edge, [c * 3.0 for c in graph.edge(edge).costs])
+                        for edge in ticked
+                    )
+                )
+            )
+            rebuilt = executor.session_at(8.0)
+            monkeypatch.undo()
+            compiled = rebuilt.engine_for().compiled_graph
+            assert [edges for owner, edges in patched if owner is compiled] == [
+                sorted(compiled.edge_index[edge] for edge in ticked)
+            ]
+            snapshot = reference_snapshot(executor.network, 8.0)
+            static = policy.replace(temporal="off", profile_source=None)
+            with Session(
+                snapshot, reference_facilities(snapshot, session.facilities), policy=static
+            ) as oracle:
+                for request in requests:
+                    lived = session.query(replace(request, departure_time=8.0))
+                    expected = oracle.query(request)
+                    assert result_to_payload(lived.result) == result_to_payload(
+                        expected.result
+                    )
+                    assert io_to_payload(lived.io) == io_to_payload(expected.io)
+            assert executor.statistics.rebuilds == 1
+
+    @pytest.mark.parametrize("path", ["hit", "recost"])
+    def test_set_profile_reaches_a_cached_key(self, path):
+        """A profile set registered empty, one read, then a 3x peak on every
+        edge: the next read answers like a fresh session, whether the cached
+        stack was otherwise current or stale from a cost tick."""
+        workload = make_workload(
+            WorkloadSpec(num_nodes=80, num_facilities=20, num_cost_types=2, seed=11)
+        )
+        graph = workload.graph
+        network = TimeVaryingMCN(graph)
+        request = SkylineRequest(workload.queries[0], departure_time=8.0)
+
+        def read(profiles):
+            with Session(
+                graph, workload.facilities, policy=POLICY, profiles=profiles
+            ) as session:
+                response = session.query(request)
+            return result_to_payload(response.result), io_to_payload(response.io)
+
+        with Session(
+            graph, workload.facilities, policy=POLICY, profiles={"rush": network}
+        ) as session:
+            before = session.query(request)
+            peak = peak_profile(peak_time=8.0, peak_multiplier=3.0)
+            for edge in graph.edges():
+                for index in range(graph.num_cost_types):
+                    network.set_profile(edge.edge_id, index, peak)
+            if path == "recost":
+                edge = next(iter(graph.edges()))
+                graph.update_edge_costs(edge.edge_id, edge.costs)
+            after = session.query(request)
+            answer = result_to_payload(after.result), io_to_payload(after.io)
+        assert not after.served_from_memo
+        assert answer == read({"rush": network})
+        assert answer[0] != result_to_payload(before.result)
 
     def test_snapshot_stacks_run_under_the_session_policy(self):
         """A snapshot session keeps its owner's fields: without a memo
