@@ -26,6 +26,13 @@ __all__ = [
 
 AggregateFunction = Callable[[Sequence[float]], float]
 
+_INF = float("inf")
+
+
+def _finite_non_negative(weights: tuple[float, ...]) -> bool:
+    # NaN fails both comparisons, so it is refused with the infinities.
+    return all(0 <= w < _INF for w in weights)
+
 
 @dataclass(frozen=True)
 class WeightedSum:
@@ -41,8 +48,8 @@ class WeightedSum:
     def __post_init__(self) -> None:
         if not self.weights:
             raise QueryError("a weighted sum needs at least one weight")
-        if any(w < 0 for w in self.weights):
-            raise QueryError("weights must be non-negative")
+        if not _finite_non_negative(self.weights):
+            raise QueryError("weights must be finite and non-negative")
         if all(w == 0 for w in self.weights):
             raise QueryError("at least one weight must be positive")
 
@@ -78,10 +85,10 @@ class WeightedLpNorm:
     p: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.p < 1:
-            raise QueryError("the Lp exponent must be >= 1 for monotonicity")
-        if not self.weights or any(w < 0 for w in self.weights):
-            raise QueryError("weights must be non-negative and non-empty")
+        if not 1 <= self.p < _INF:
+            raise QueryError("the Lp exponent must be finite and >= 1 for monotonicity")
+        if not self.weights or not _finite_non_negative(self.weights):
+            raise QueryError("weights must be finite, non-negative and non-empty")
 
     def __call__(self, costs: Sequence[float]) -> float:
         if len(costs) != len(self.weights):
@@ -98,8 +105,8 @@ class MaxCost:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.weights or any(w < 0 for w in self.weights):
-            raise QueryError("weights must be non-negative and non-empty")
+        if not self.weights or not _finite_non_negative(self.weights):
+            raise QueryError("weights must be finite, non-negative and non-empty")
 
     def __call__(self, costs: Sequence[float]) -> float:
         if len(costs) != len(self.weights):

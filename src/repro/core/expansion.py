@@ -129,9 +129,10 @@ class NearestFacilityExpansion:
         """Nodes already expanded, with their settled distance under this cost type.
 
         A node is settled when it is de-heaped, at which point its distance is
-        final (the Dijkstra invariant), so these values can safely be reused
-        by later expansions that start from the very same seeds — the hook the
-        cross-query cache of :mod:`repro.service` harvests after every query.
+        final (the Dijkstra invariant).  Entries are in settle order.  The
+        monitor's insertion pricing (``_QueryDistanceMaps`` in
+        :mod:`repro.core.maintenance`) reads the kernel's version of this
+        view; the record path's is read by the tests' reference expansions.
         Returned as a read-only live view; callers that need a frozen copy
         (none in-tree do) must copy explicitly.
         """

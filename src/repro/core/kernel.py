@@ -21,13 +21,16 @@ inner loop walks the snapshot's shared neighbour tuples:
 * the pop/settle/relax cycle is one flat loop with every hot structure bound
   once per call, and a settle whose incident edges host no facility relaxes
   its arcs without probing the facility table;
-* counter-only charges (in-memory LSA/CEA) are tallied in locals and added
-  to the accessor's counters once per call; an unbounded cross-query cache
-  over an in-memory base is charged for the nodes one call settled once,
-  on exit; and settled nodes are folded into the ``settled_costs`` dict
-  once per call, keyed by the snapshot's tuple of node-id objects.  Views
-  and counters are exact whenever no kernel method is mid-call, which is
-  the only time the searches look.
+* a settle appends its dense index and key to two append-only columns;
+  the ``settled_costs`` dict, keyed by the snapshot's tuple of node-id
+  objects, is built from them only when something reads it, and from then
+  on every settle writes through, so a view handed out stays live;
+* a layer whose adjacency charges no order can observe (in-memory LSA/CEA,
+  an unbounded cross-query cache over an in-memory base) hands the kernel
+  one exit hook that charges a call's settles together when it returns;
+  every other request goes through the layer as it happens.  Views and
+  counters are exact whenever no kernel method is mid-call, which is the
+  only time the searches look.
 
 **The logical I/O contract.**  The kernel performs *exactly* the data-layer
 requests the legacy expansion performs, at the same points of the search —
@@ -47,16 +50,17 @@ page plan through the accessor's own LRU buffer — same pages, same order, so
 page-read/buffer-hit counters cannot drift from the record path; such layers
 (and bounded cross-query caches, which evict in LRU order) are charged
 synchronously per request, because request *order* is part of the contract
-for an LRU buffer.  :meth:`KernelDataLayer.batch_charges` names the four
-charge modes.  The conformance suite (``tests/expansion_conformance.py``)
-pins all of this against the reference expansion: identical facility
-streams, identical settled maps, identical counters.
+for an LRU buffer.  :meth:`KernelDataLayer.exit_charge` is where a layer
+says which of the two it needs.  The conformance suite
+(``tests/expansion_conformance.py``) pins all of this against the reference
+expansion: identical facility streams, identical settled maps in settle
+order, identical counters.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from types import MappingProxyType
 
 from repro.core.expansion import ExpansionSeeds, FacilityHit, NearestFacilityExpansion
@@ -110,25 +114,21 @@ class KernelDataLayer:
     def facility_edge(self, facility_id: FacilityId) -> EdgeId:
         raise NotImplementedError
 
-    def batch_charges(self) -> tuple[str, object]:
-        """How the kernel may fold this layer's request accounting.
+    def exit_charge(self) -> Callable[[list[int]], None] | None:
+        """The hook that charges a ``next_facility`` call's settles on its exit.
 
-        ``("count", stats)`` — every request is one unconditional counter
-        increment; the kernel may tally locally and add the totals in bulk at
-        its public-method boundaries.  ``("count_once", (stats, seen_nodes,
-        seen_edges))`` — ditto, but deduplicated through the shared seen
-        flags (CEA).  ``("settled", charge)`` — the adjacency requests of a
-        ``next_facility`` call may be charged together on its exit, as
-        ``charge(node_indices)`` with the nodes it settled in settle order,
-        because their outcome does not depend on when they happen (an
-        unbounded cross-query cache over an in-memory base); every other
-        request stays synchronous.  ``("generic", None)`` — the layer has
-        per-request side effects (page-plan replay through an LRU buffer,
-        LRU touches of a bounded cache, forwarding to an external cache), so
-        charges must stay synchronous per request.  Counters are exact
-        whenever no kernel method is mid-call in every mode.
+        ``None`` (the default) — each settle is charged through
+        :meth:`note_adjacency` as it happens, because the layer's request
+        order is observable: page-plan replay through an LRU buffer, the LRU
+        touches of a bounded cache, forwarding to an external accessor.  A
+        callable — the kernel calls it once as the call returns, with the
+        dense indices the call settled in settle order, and it charges
+        exactly what as many :meth:`note_adjacency` calls would have.
+        Facility-edge requests and ``pop_step`` settles go through the
+        ``note_*`` hooks as they happen in every layer, so counters are exact
+        whenever no kernel method is mid-call.
         """
-        return ("generic", None)
+        return None
 
 
 def _check_charge_pairing(compiled: CompiledGraph, target: GraphAccessor) -> None:
@@ -210,10 +210,13 @@ class DirectChargeLayer(KernelDataLayer):
                 read(page_id)
         return self.compiled.facility_edge_of[facility_id]
 
-    def batch_charges(self) -> tuple[str, object]:
+    def exit_charge(self) -> Callable[[list[int]], None] | None:
         if self._buffer is not None:
-            return ("generic", None)
-        return ("count", self._stats)
+            return None
+        return self._charge_count
+
+    def _charge_count(self, node_indices: list[int]) -> None:
+        self._stats.adjacency_requests += len(node_indices)
 
 
 class FetchOnceChargeLayer(DirectChargeLayer):
@@ -250,10 +253,19 @@ class FetchOnceChargeLayer(DirectChargeLayer):
         self._seen_facilities.add(facility_id)
         return DirectChargeLayer.facility_edge(self, facility_id)
 
-    def batch_charges(self) -> tuple[str, object]:
+    def exit_charge(self) -> Callable[[list[int]], None] | None:
         if self._buffer is not None:
-            return ("generic", None)
-        return ("count_once", (self._stats, self._seen_nodes, self._seen_edges))
+            return None
+        return self._charge_once
+
+    def _charge_once(self, node_indices: list[int]) -> None:
+        seen = self._seen_nodes
+        charged = 0
+        for node_idx in node_indices:
+            if not seen[node_idx]:
+                seen[node_idx] = 1
+                charged += 1
+        self._stats.adjacency_requests += charged
 
 
 class ForwardingLayer(KernelDataLayer):
@@ -350,14 +362,6 @@ def make_expansions(
     ]
 
 
-# Charge-folding modes, resolved once per kernel from the layer's
-# batch_charges() capability (ints: the serving loop compares them per pop).
-_GENERIC = 0  # per-request side effects: charge synchronously through the layer
-_COUNT = 1  # unconditional counters: tally locally, bulk-add at call exit
-_COUNT_ONCE = 2  # dedup through the layer's shared seen-flags, then tally (CEA)
-_SETTLED = 3  # charge a call's settled nodes through the layer on its exit
-
-
 class ExpansionKernel:
     """Incremental nearest-facility expansion over a compiled snapshot.
 
@@ -382,6 +386,8 @@ class ExpansionKernel:
         "_heap",
         "_tiebreak",
         "_settled_flags",
+        "_settled_idx",
+        "_settled_keys",
         "_settled",
         "_reported",
         "_candidate_edges",
@@ -389,11 +395,7 @@ class ExpansionKernel:
         "_allowed",
         "_heap_pops",
         "_facilities_retrieved",
-        "_charge_mode",
-        "_charge_stats",
-        "_charge_settled",
-        "_seen_nodes",
-        "_seen_edges",
+        "_charge",
     )
 
     def __init__(self, layer: KernelDataLayer, seeds: ExpansionSeeds, cost_index: int):
@@ -416,29 +418,17 @@ class ExpansionKernel:
         self._heap: list[tuple[float, int, object]] = []
         self._tiebreak = 0
         self._settled_flags = bytearray(compiled.num_nodes)
-        self._settled: dict[NodeId, float] = {}
+        # Every settle in settle order; the dict is built on first read.
+        self._settled_idx: list[int] = []
+        self._settled_keys: list[float] = []
+        self._settled: dict[NodeId, float] | None = None
         self._reported: dict[FacilityId, float] = {}
         self._candidate_edges: dict[EdgeId, list[FacilityRecord]] | None = None
         self._cand_nodes: set[int] | None = None
         self._allowed: set[FacilityId] | None = None
         self._heap_pops = 0
         self._facilities_retrieved = 0
-        mode, context = layer.batch_charges()
-        self._seen_nodes = self._seen_edges = None
-        self._charge_settled = None
-        if mode == "count":
-            self._charge_mode = _COUNT
-            self._charge_stats = context
-        elif mode == "count_once":
-            self._charge_mode = _COUNT_ONCE
-            self._charge_stats, self._seen_nodes, self._seen_edges = context
-        elif mode == "settled":
-            self._charge_mode = _SETTLED
-            self._charge_stats = None
-            self._charge_settled = context
-        else:
-            self._charge_mode = _GENERIC
-            self._charge_stats = None
+        self._charge = layer.exit_charge()
         self._seed()
 
     # ------------------------------------------------------------------ #
@@ -459,7 +449,18 @@ class ExpansionKernel:
 
     @property
     def settled_costs(self) -> Mapping[NodeId, float]:
-        """Settled node distances keyed by *real* node id (read-only live view)."""
+        """Settled node distances keyed by *real* node id, in settle order.
+
+        A read-only live view.  The first read builds the dict from the
+        settle columns; from then on ``pop_step`` writes each settle through
+        and ``next_facility`` folds its settles in as it returns, so every
+        view handed out, such as the one ``_QueryDistanceMaps.bound`` holds
+        across ``pop_step`` calls, stays current.  A search that never reads
+        the map never builds it.
+        """
+        if self._settled is None:
+            self._settled = {}
+            self._fold_settled()
         return MappingProxyType(self._settled)
 
     @property
@@ -524,13 +525,13 @@ class ExpansionKernel:
         """Retrieve the next nearest facility, or ``None`` when exhausted.
 
         The whole pop/settle/relax cycle runs in this one loop with every
-        hot structure bound once per call.  Counter-only charges are tallied
-        in locals and settled nodes are queued in flat columns; both are
-        folded into the counters and the ``settled_costs`` dict on the way
-        out (a ``"settled"`` layer is charged for the queued nodes there
-        too), so views and counters are exact between calls.  The settled
-        keys come from the snapshot's tuple of node-id objects, so every
-        search over one snapshot shares them.
+        hot structure bound once per call.  Each settle is appended to the
+        settle columns and charged through the layer's ``note_adjacency``,
+        unless the layer handed the kernel an exit hook
+        (:meth:`KernelDataLayer.exit_charge`): then the call's settles are
+        charged together on the way out.  The ``settled_costs`` dict, once
+        something has read it, is brought up to date there too, so views
+        and counters are exact between calls.
         """
         heap = self._heap
         pop = heapq.heappop
@@ -543,22 +544,16 @@ class ExpansionKernel:
         fac_nodes = self._fac_nodes
         allowed = self._allowed
         candidate_mode = self._candidate_edges is not None
-        mode = self._charge_mode
-        counting = mode == _COUNT or mode == _COUNT_ONCE
-        dedup = mode == _COUNT_ONCE
-        per_settle = mode == _GENERIC
-        seen_nodes = self._seen_nodes
-        seen_edges = self._seen_edges
+        charge = self._charge
+        per_settle = charge is None
         note_adjacency = self._layer.note_adjacency
         note_edge = self._layer.note_edge_facilities
-        pending_idx: list[int] = []
-        pending_keys: list[float] = []
-        pend_idx = pending_idx.append
-        pend_key = pending_keys.append
+        settled_idx = self._settled_idx
+        start = len(settled_idx)
+        settle_idx = settled_idx.append
+        settle_key = self._settled_keys.append
         tie = self._tiebreak
         pops = 0
-        n_adj = 0
-        n_edge = 0
         try:
             while heap:
                 key, _t, payload = pop(heap)
@@ -567,16 +562,9 @@ class ExpansionKernel:
                     if flags[payload]:
                         continue
                     flags[payload] = 1
-                    pend_idx(payload)
-                    pend_key(key)
-                    if counting:
-                        if dedup:
-                            if not seen_nodes[payload]:
-                                seen_nodes[payload] = 1
-                                n_adj += 1
-                        else:
-                            n_adj += 1
-                    elif per_settle:
+                    settle_idx(payload)
+                    settle_key(key)
+                    if per_settle:
                         note_adjacency(payload)
                     if candidate_mode:
                         self._tiebreak = tie
@@ -600,16 +588,7 @@ class ExpansionKernel:
                             push(heap, (key + edge_cost, tie, neighbor))
                         facs = fac_cells[cell]
                         if facs:
-                            if counting:
-                                if dedup:
-                                    edge_idx = cell >> 1
-                                    if not seen_edges[edge_idx]:
-                                        seen_edges[edge_idx] = 1
-                                        n_edge += 1
-                                else:
-                                    n_edge += 1
-                            else:
-                                note_edge(cell >> 1)
+                            note_edge(cell >> 1)
                             for facility_id, fraction, record in facs:
                                 if facility_id in reported:
                                     continue
@@ -628,16 +607,11 @@ class ExpansionKernel:
         finally:
             self._tiebreak = tie
             self._heap_pops += pops
-            if n_adj or n_edge:
-                stats = self._charge_stats
-                stats.adjacency_requests += n_adj
-                stats.facility_requests += n_edge
-            if pending_idx:
-                if mode == _SETTLED:
-                    self._charge_settled(pending_idx)
-                self._settled.update(
-                    zip(map(self._node_ids.__getitem__, pending_idx), pending_keys)
-                )
+            if len(settled_idx) > start:
+                if charge is not None:
+                    charge(settled_idx[start:])
+                if self._settled is not None:
+                    self._fold_settled()
 
     def pop_step(self) -> FacilityHit | None:
         """Pop and process a single heap element (shrinking-stage granularity)."""
@@ -699,18 +673,34 @@ class ExpansionKernel:
         self._tiebreak = tie = self._tiebreak + 1
         heapq.heappush(self._heap, (key, tie, record))
 
+    def _fold_settled(self) -> None:
+        """Add the settles the ``settled_costs`` dict lacks, in settle order."""
+        settled = self._settled
+        folded = len(settled)
+        if folded < len(self._settled_idx):
+            settled.update(
+                zip(
+                    map(self._node_ids.__getitem__, self._settled_idx[folded:]),
+                    self._settled_keys[folded:],
+                )
+            )
+
     def _settle_one(self, node_idx: int, distance: float) -> None:
         """Settle one node outside the serving loop (the ``pop_step`` path).
 
-        Charges go straight through the layer: a counting layer's seen-flags
-        are the very ones the serving loop tallies against, so synchronous
-        and folded charges never double-count.
+        The charge goes straight through the layer: an exit hook's seen-flags
+        are the very ones ``note_adjacency`` checks, and ``next_facility``
+        hands its hook only the settles of its own call, so the two paths
+        never double-count.
         """
         flags = self._settled_flags
         if flags[node_idx]:
             return
         flags[node_idx] = 1
-        self._settled[self._node_ids[node_idx]] = distance
+        self._settled_idx.append(node_idx)
+        self._settled_keys.append(distance)
+        if self._settled is not None:
+            self._settled[self._node_ids[node_idx]] = distance
         self._layer.note_adjacency(node_idx)
         if self._candidate_edges is not None:
             self._expand_node_candidates(node_idx, distance)

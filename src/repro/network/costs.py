@@ -14,9 +14,11 @@ from repro.errors import GraphError
 
 __all__ = ["CostVector", "dominates", "dominates_or_equal"]
 
+_INF = float("inf")
+
 
 class CostVector(Sequence[float]):
-    """An immutable vector of ``d`` non-negative costs.
+    """An immutable vector of ``d`` finite, non-negative costs.
 
     The class behaves like a read-only sequence of floats and supports the
     arithmetic needed by the algorithms: component-wise addition, scaling
@@ -31,8 +33,9 @@ class CostVector(Sequence[float]):
         if not values:
             raise GraphError("a cost vector needs at least one component")
         for value in values:
-            if value < 0:
-                raise GraphError(f"cost values must be non-negative, got {value}")
+            # NaN fails both comparisons, so it is refused with the infinities.
+            if not 0 <= value < _INF:
+                raise GraphError(f"cost values must be finite and non-negative, got {value}")
         self._values = values
 
     @classmethod

@@ -27,6 +27,7 @@ first time a record-path request reads the entry.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.core.expansion import ExpansionSeeds
@@ -281,13 +282,14 @@ class SharedCacheChargeLayer(DirectChargeLayer):
     statistics, eviction counts or base-accessor I/O differs from the
     forwarding path; only the per-request Python overhead does.
 
-    Over an unbounded cache and an in-memory base the layer reports the
-    ``"settled"`` charge mode: a kernel's ``next_facility`` hands it the
-    nodes one call settled, once, on exit (:meth:`note_settled`), instead
-    of one :meth:`note_adjacency` call per settle.  No LRU order or page
-    buffer can observe the difference there.  A bounded cache or a
-    page-planned base keeps every charge synchronous, because the order of
-    its LRU touches is part of the I/O contract.
+    Over an unbounded cache and an in-memory base the layer's exit hook
+    (:meth:`~repro.core.kernel.KernelDataLayer.exit_charge`) is
+    :meth:`note_settled`: a kernel's ``next_facility`` hands it the nodes
+    one call settled, once, on exit, instead of one :meth:`note_adjacency`
+    call per settle.  No LRU order or page buffer can observe the
+    difference there.  A bounded cache or a page-planned base keeps every
+    charge synchronous, because the order of its LRU touches is part of the
+    I/O contract.
     """
 
     __slots__ = (
@@ -299,6 +301,7 @@ class SharedCacheChargeLayer(DirectChargeLayer):
         "_bounded",
         "_node_id_of",
         "_edge_id_of",
+        "_num_nodes",
     )
 
     def __init__(self, compiled: CompiledGraph, cache: CrossQueryExpansionCache):
@@ -314,6 +317,7 @@ class SharedCacheChargeLayer(DirectChargeLayer):
         self._bounded = cache._max_entries is not None
         self._node_id_of = compiled.node_ids
         self._edge_id_of = compiled.edge_ids
+        self._num_nodes = compiled.num_nodes
 
     def note_adjacency(self, node_idx: int) -> None:
         key = self._node_id_of[node_idx]
@@ -360,10 +364,25 @@ class SharedCacheChargeLayer(DirectChargeLayer):
         The folded form of :meth:`note_adjacency` on an unbounded cache over
         an in-memory base: the same hits, misses, base ``adjacency_requests``
         and membership entries, none of which depends on when it is charged.
+
+        Once the adjacency store holds as many entries as the snapshot has
+        nodes, every node is charged as a hit without a probe.  That is
+        exact because only this snapshot's node ids ever enter the store:
+        this layer inserts ids read from ``compiled.node_ids``, and the
+        cache's own :meth:`~CrossQueryExpansionCache.adjacency` (the record
+        path, a ``baseline`` request's full expansions included) inserts an
+        id only after the base accessor answered it, which it does for the
+        graph's nodes alone.  The engine refuses a search once the graph
+        gains a node after compiling (``CompiledGraph.ensure_fresh``), so
+        the graph's nodes are the snapshot's, and equal counts mean every
+        node is present.
         """
         store = self._adj_store
-        compiled = self.compiled
         before = len(store)
+        if before == self._num_nodes:
+            self._cache_stats.adjacency_hits += len(node_indices)
+            return
+        compiled = self.compiled
         for key in map(self._node_id_of.__getitem__, node_indices):
             if key not in store:
                 store[key] = compiled
@@ -372,11 +391,11 @@ class SharedCacheChargeLayer(DirectChargeLayer):
         self._cache_stats.adjacency_misses += misses
         self._stats.adjacency_requests += misses
 
-    def batch_charges(self) -> tuple[str, object]:
+    def exit_charge(self) -> Callable[[list[int]], None] | None:
         # A bounded cache's LRU touches and evictions, and a page-planned
         # base's buffer reads, depend on request order, so those charges
         # stay synchronous per request.  Otherwise a kernel call's adjacency
         # requests may be charged together when it returns.
         if self._bounded or self._buffer is not None:
-            return ("generic", None)
-        return ("settled", self.note_settled)
+            return None
+        return self.note_settled

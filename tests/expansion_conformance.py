@@ -24,10 +24,15 @@ from repro.core.kernel import make_kernel_data_layer
 from repro.datagen import WorkloadSpec, make_workload
 from repro.datagen.updates import UpdateStreamSpec, make_update_stream
 from repro.monitor import MonitoringService
-from repro.network.accessor import FetchOnceCache, InMemoryAccessor
+from repro.network.accessor import FacilityRecord, FetchOnceCache, InMemoryAccessor
 from repro.network.compiled import CompiledGraph
 from repro.network.facilities import FacilitySet
-from repro.service import QueryService, SkylineRequest, TopKRequest
+from repro.service import (
+    CrossQueryExpansionCache,
+    QueryService,
+    SkylineRequest,
+    TopKRequest,
+)
 from repro.storage.scheme import NetworkStorage
 
 
@@ -46,7 +51,7 @@ def make_accessor(workload, *, use_disk):
 
     The disk layer's buffer holds a few pages, so replaying page plans sees
     hits and evictions alike; its layers charge synchronously per request,
-    the in-memory ones fold counter bumps once per call.
+    the in-memory ones charge a call's settles through their exit hook.
     """
     if use_disk:
         return NetworkStorage.build(
@@ -61,6 +66,65 @@ LAYER_CASES = pytest.mark.parametrize(
     [(False, False), (True, False), (False, True), (True, True)],
     ids=["direct", "fetch-once", "disk-direct", "disk-fetch-once"],
 )
+
+
+# Every charge regime a kernel can meet: the four layers above; a
+# cross-query cache, charged through its exit hook when unbounded and per
+# settle when bounded (20 entries, so it evicts); and an external accessor
+# without a charge layer of its own, which gets a ForwardingLayer.
+CHARGE_REGIMES = pytest.mark.parametrize(
+    "regime",
+    [
+        "direct",
+        "fetch-once",
+        "disk-direct",
+        "disk-fetch-once",
+        "cache",
+        "bounded-cache",
+        "forwarding",
+    ],
+)
+
+
+def regime_layers(workload, regime):
+    """``(reference layer, kernel layer, counters)`` for one charge regime.
+
+    ``counters()`` returns the reference side's and the kernel side's
+    counters (base I/O, plus the cache's hits and misses where there is a
+    cache), so a test can compare them after any call.
+    """
+    use_disk = regime.startswith("disk")
+    accessor_a = make_accessor(workload, use_disk=use_disk)
+    accessor_b = make_accessor(workload, use_disk=use_disk)
+    compiled = CompiledGraph.from_accessor(accessor_b)
+    caches = ()
+    if regime in ("cache", "bounded-cache"):
+        bound = 20 if regime == "bounded-cache" else None
+        caches = (
+            CrossQueryExpansionCache(accessor_a, max_entries=bound),
+            CrossQueryExpansionCache(accessor_b, max_entries=bound),
+        )
+        reference = caches[0]
+        layer = make_kernel_data_layer(compiled, target=accessor_b, external=caches[1])
+    elif regime == "forwarding":
+        reference = FetchOnceCache(accessor_a)
+        layer = make_kernel_data_layer(
+            compiled, target=accessor_b, external=FetchOnceCache(accessor_b)
+        )
+    else:
+        share = regime.endswith("fetch-once")
+        reference = FetchOnceCache(accessor_a) if share else accessor_a
+        layer = make_kernel_data_layer(compiled, target=accessor_b, fetch_once=share)
+
+    def counters():
+        sides = [io_tuple(accessor_a.statistics), io_tuple(accessor_b.statistics)]
+        if caches:
+            sides = [
+                (io, cache.cache_statistics.snapshot()) for io, cache in zip(sides, caches)
+            ]
+        return tuple(sides)
+
+    return reference, layer, counters
 
 
 def drain(expansion):
@@ -178,8 +242,8 @@ class ExpansionConformanceSuite:
     def test_mixed_pop_step_drain_is_bit_identical(self, share, use_disk):
         """``pop_step`` and ``next_facility`` interleaved, compared after every call.
 
-        ``pop_step`` charges synchronously while ``next_facility`` folds
-        counter-only charges into one bulk add per call; counters must agree
+        ``pop_step`` charges synchronously while ``next_facility`` charges
+        an in-memory layer's settles through its exit hook; counters must agree
         with the reference after each call either way.  On the disk layers
         every request replays its page plan through the LRU buffer, so the
         page-read/buffer-hit split pins the request order as well.
@@ -219,6 +283,79 @@ class ExpansionConformanceSuite:
         if use_disk:
             assert accessor_b.statistics.page_reads > 0
             assert accessor_b.statistics.buffer_hits > 0
+
+    @CHARGE_REGIMES
+    def test_settled_maps_match_in_order_and_stay_live(self, regime):
+        """``settled_costs`` equals the reference's item by item, in settle order.
+
+        The kernel builds the map when it is first read and writes every
+        later settle through, so each round first reads it at another
+        point: before the first call, in the growing stage, after
+        ``enter_candidate_mode`` or after ``pop_step`` calls.  From then on
+        it is read at every checkpoint, and the views of the first read are
+        compared again after every call, as are the counters.
+        """
+        workload = self.build_workload(
+            WorkloadSpec(num_nodes=150, num_facilities=30, num_cost_types=2, num_queries=1, seed=41)
+        )
+        seeds = ExpansionSeeds.from_query(workload.graph, workload.queries[0])
+        for first_read in range(4):
+            reference_layer, kernel_layer, counters = regime_layers(workload, regime)
+            pairs = [
+                (
+                    NearestFacilityExpansion(reference_layer, seeds, cost_index),
+                    self.make_kernel(kernel_layer, seeds, cost_index),
+                )
+                for cost_index in range(workload.graph.num_cost_types)
+            ]
+            held = []
+
+            def checkpoint(number):
+                if number < first_read:
+                    return
+                for reference, kernel in pairs:
+                    assert list(kernel.settled_costs.items()) == list(
+                        reference.settled_costs.items()
+                    )
+                if not held:
+                    held.extend(
+                        (reference.settled_costs, kernel.settled_costs)
+                        for reference, kernel in pairs
+                    )
+
+            def call(method):
+                for reference, kernel in pairs:
+                    assert getattr(kernel, method)() == getattr(reference, method)()
+                    expected, actual = counters()
+                    assert actual == expected
+                    for reference_view, kernel_view in held:
+                        assert list(kernel_view.items()) == list(reference_view.items())
+
+            checkpoint(0)
+            for _ in range(2):
+                call("next_facility")
+            checkpoint(1)
+            for reference, kernel in pairs:
+                candidates = {}
+                remaining = [
+                    facility
+                    for facility in workload.facilities
+                    if facility.facility_id not in reference.reported_costs
+                ]
+                for facility in remaining[:5]:
+                    candidates.setdefault(facility.edge_id, []).append(
+                        FacilityRecord(facility.facility_id, facility.edge_id, facility.offset)
+                    )
+                reference.enter_candidate_mode(candidates)
+                kernel.enter_candidate_mode(candidates)
+            checkpoint(2)
+            for _ in range(6):
+                call("pop_step")
+            checkpoint(3)
+            while not all(reference.exhausted for reference, _kernel in pairs):
+                call("next_facility")
+            checkpoint(4)
+            assert all(len(view) > 6 for _reference_view, view in held)
 
     @pytest.mark.parametrize("use_disk", [False, True], ids=["memory", "disk"])
     def test_candidate_mode_restriction_parity(self, use_disk):

@@ -9,6 +9,10 @@ import pytest
 from repro.core.aggregates import MaxCost, WeightedLpNorm, WeightedSum, check_monotone
 from repro.errors import QueryError
 
+NON_FINITE = pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"]
+)
+
 
 class TestWeightedSum:
     def test_basic_evaluation(self):
@@ -30,6 +34,11 @@ class TestWeightedSum:
     def test_all_zero_weights_rejected(self):
         with pytest.raises(QueryError):
             WeightedSum((0.0, 0.0))
+
+    @NON_FINITE
+    def test_non_finite_weight_rejected(self, value):
+        with pytest.raises(QueryError, match="finite"):
+            WeightedSum((0.5, value))
 
     def test_uniform_weights_sum_to_one(self):
         aggregate = WeightedSum.uniform(4)
@@ -72,6 +81,16 @@ class TestWeightedLpNorm:
         with pytest.raises(QueryError):
             WeightedLpNorm((-1.0,), p=2.0)
 
+    @NON_FINITE
+    def test_non_finite_weight_rejected(self, value):
+        with pytest.raises(QueryError, match="finite"):
+            WeightedLpNorm((1.0, value), p=2.0)
+
+    @NON_FINITE
+    def test_non_finite_exponent_rejected(self, value):
+        with pytest.raises(QueryError, match="finite"):
+            WeightedLpNorm((1.0, 1.0), p=value)
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(QueryError):
             WeightedLpNorm((1.0, 1.0))((1.0,))
@@ -91,6 +110,15 @@ class TestMaxCost:
     def test_empty_weights_rejected(self):
         with pytest.raises(QueryError):
             MaxCost(())
+
+    def test_negative_weights_rejected(self):
+        with pytest.raises(QueryError):
+            MaxCost((1.0, -1.0))
+
+    @NON_FINITE
+    def test_non_finite_weight_rejected(self, value):
+        with pytest.raises(QueryError, match="finite"):
+            MaxCost((1.0, value))
 
     def test_monotonicity(self):
         assert check_monotone(MaxCost((0.5, 0.5, 1.0)), 3)

@@ -27,6 +27,11 @@ class TestCostVectorConstruction:
         with pytest.raises(GraphError):
             CostVector([1.0, -0.5])
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_cost_rejected(self, value):
+        with pytest.raises(GraphError, match="finite"):
+            CostVector([1.0, value])
+
     def test_zero_costs_allowed(self):
         assert CostVector([0.0, 0.0]).values == (0.0, 0.0)
 

@@ -32,7 +32,7 @@ from repro.serve import (
 from repro.serve.payloads import result_to_payload
 from repro.serve.streaming import DeltaBroker
 from repro.service import QueryService
-from repro.service.requests import SkylineRequest, request_to_payload
+from repro.service.requests import SkylineRequest, TopKRequest, request_to_payload
 
 _WORKLOAD = make_workload(
     WorkloadSpec(num_nodes=80, num_facilities=20, num_cost_types=2, num_queries=4, seed=31)
@@ -395,6 +395,54 @@ class TestMalformedPayloads:
         before, status, after = _run(scenario())
         assert status == 200 and after == before + 1
         _run(app.aclose())
+
+
+class TestNonFiniteNumbers:
+    """NaN and infinity are refused wherever a negative number is.
+
+    Python's JSON decoder reads ``NaN`` and ``1e999`` (infinity) as floats,
+    so each reached a cost vector or a weight before the constructors
+    refused non-finite values.
+    """
+
+    @staticmethod
+    def _session():
+        # A graph of its own: an accepted PATCH would re-cost it.
+        workload = make_workload(
+            WorkloadSpec(num_nodes=80, num_facilities=20, num_cost_types=2, num_queries=4, seed=31)
+        )
+        return Session(workload.graph, FacilitySet(workload.graph, iter(workload.facilities)))
+
+    @pytest.mark.parametrize("cost", ["NaN", "1e999"])
+    def test_a_non_finite_edge_cost_is_refused_and_changes_nothing(self, cost):
+        session = self._session()
+        edge = next(iter(session.graph.edges()))
+        before = session.graph.edge(edge.edge_id).costs
+        body = (
+            '{"updates": [{"type": "edge-cost", "edge": %d, "costs": [%s, 1]}]}'
+            % (edge.edge_id, cost)
+        )
+
+        async def scenario():
+            app = ServeApp(session)
+            async with app:
+                return await InProcessClient(app).request(
+                    "PATCH", "/v1/edges", raw_body=body.encode()
+                )
+
+        _assert_envelope(_run(scenario()), 400, "invalid-request")
+        assert session.graph.edge(edge.edge_id).costs == before
+
+    def test_a_nan_weight_is_refused(self):
+        request = request_to_payload(TopKRequest(_WORKLOAD.queries[0], 2, weights=(1.0, 1.0)))
+        request["weights"] = [float("nan"), 1.0]
+
+        async def scenario():
+            app = ServeApp(self._session())
+            async with app:
+                return await InProcessClient(app).post("/v1/query", {"request": request})
+
+        _assert_envelope(_run(scenario()), 400, "invalid-request")
 
 
 _DISK_POLICY = ExecutionPolicy(residency="disk", page_size=1024, buffer_fraction=0.05)

@@ -13,6 +13,7 @@ from repro.core.kernel import ExpansionKernel
 from repro.datagen.workload import WorkloadSpec, make_workload
 from repro.errors import QueryError
 from repro.service import (
+    CacheStatistics,
     CrossQueryExpansionCache,
     QueryService,
     SkylineRequest,
@@ -345,6 +346,70 @@ class TestFoldedCacheCharges:
         assert folded.cache_statistics.evictions == 0
         assert not [cache for cache in noted if cache is folded.cache]
         assert [cache for cache in noted if cache is synchronous.cache]
+
+    def test_a_full_store_charges_like_a_synchronous_cache(self, workload, monkeypatch):
+        """A baseline read fills the adjacency store; every kernel call after
+        it is charged without a probe, and no counter may tell."""
+        assert workload.graph.is_connected()
+        engine = MCNQueryEngine(workload.graph, workload.facilities)
+        policy = ExecutionPolicy(memoize_results=False)
+        folded = QueryService(engine, policy=policy)
+        bound = workload.graph.num_nodes + workload.graph.num_edges
+        synchronous = QueryService(engine, policy=policy.replace(max_cached_entries=bound))
+        requests = mixed_requests(workload)
+        # Its record path expands the whole connected network through the
+        # cache, so the store holds every node from the next request on.
+        requests.insert(3, SkylineRequest(workload.queries[5], algorithm="baseline"))
+        full_at_charge: list[bool] = []
+        note_settled = SharedCacheChargeLayer.note_settled
+
+        def spy_note_settled(layer, node_indices):
+            full_at_charge.append(len(layer._cache._adjacency) == layer.compiled.num_nodes)
+            return note_settled(layer, node_indices)
+
+        monkeypatch.setattr(SharedCacheChargeLayer, "note_settled", spy_note_settled)
+        for index, request in enumerate(requests):
+            assert (folded.cache.cached_nodes == workload.graph.num_nodes) == (index > 3)
+            lived = folded.execute(request)
+            reference = synchronous.execute(request)
+            assert self.answer(lived) == self.answer(reference)
+            assert folded.cache_statistics == synchronous.cache_statistics
+        assert True in full_at_charge and False in full_at_charge
+        assert synchronous.cache.cached_nodes == workload.graph.num_nodes
+        assert folded.cache_statistics.evictions == 0
+
+
+class TestNoteSettled:
+    """The exit hook of an unbounded cache over an in-memory base."""
+
+    def test_a_full_store_counts_hits_and_one_missing_entry_is_probed(self, workload):
+        engine = MCNQueryEngine(workload.graph, workload.facilities)
+        compiled = engine.compiled_graph
+        cache = CrossQueryExpansionCache(engine.accessor)
+        layer = cache.kernel_charge_layer(compiled)
+        assert layer.exit_charge() == layer.note_settled
+        layer.note_settled(list(range(compiled.num_nodes)))
+        assert cache.cached_nodes == compiled.num_nodes
+        settled = list(range(0, compiled.num_nodes, 7))
+
+        def charge():
+            stats = cache.cache_statistics.snapshot()
+            requests = cache.statistics.adjacency_requests
+            layer.note_settled(settled)
+            return (
+                cache.cache_statistics.since(stats),
+                cache.statistics.adjacency_requests - requests,
+            )
+
+        assert charge() == (CacheStatistics(adjacency_hits=len(settled)), 0)
+        missing = compiled.node_ids[settled[2]]
+        del cache._adjacency[missing]
+        assert charge() == (
+            CacheStatistics(adjacency_hits=len(settled) - 1, adjacency_misses=1),
+            1,
+        )
+        assert missing in cache._adjacency
+        assert cache.cached_nodes == compiled.num_nodes
 
 
 class TestServiceProperty:
